@@ -13,10 +13,11 @@ the soundness check verifies.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
+
+from .parallel import pool_map
 
 DEFAULT_SWEEP_BUDGET = 10_000_000
 
@@ -117,8 +118,12 @@ class BidGrid:
             raise ValueError("grid points must be strictly ascending")
 
 
-def parse_grid(text: str) -> BidGrid:
-    """Grid syntax: explicit "0,1,2" or inclusive range "start:stop:step"."""
+def parse_grid(text: str, budget: int = DEFAULT_SWEEP_BUDGET) -> BidGrid:
+    """Grid syntax: explicit "0,1,2" or inclusive range "start:stop:step".
+
+    A range is sized before any point is built, and refused when it has
+    more than budget points.
+    """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -126,12 +131,10 @@ def parse_grid(text: str) -> BidGrid:
         start, stop, step = (Fraction(p) for p in parts)
         if step <= 0:
             raise ValueError("grid step must be positive")
-        points = []
-        v = start
-        while v <= stop:
-            points.append(v)
-            v += step
-        return BidGrid(tuple(points))
+        count = max(0, (stop - start) // step + 1)
+        if count > budget:
+            raise ValueError(f"grid of {count} points exceeds budget {budget}")
+        return BidGrid(tuple(start + k * step for k in range(count)))
     return BidGrid(tuple(Fraction(p) for p in text.split(",")))
 
 
@@ -204,11 +207,7 @@ def check_weak_dominance(
     if cells > sweep_budget:
         raise ValueError(f"dominance sweep of {cells} cells exceeds budget {sweep_budget}")
     tasks = [(i, v[i], n, grid.points, dev_domains[i], rule) for i in range(n)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            hits = [h for h in pool.map(_dominance_chunk, tasks) if h is not None]
-    else:
-        hits = [h for h in map(_dominance_chunk, tasks) if h is not None]
+    hits = [h for h in pool_map(_dominance_chunk, tasks, jobs) if h is not None]
     if hits:
         _, ce = min(hits, key=lambda h: h[0])
         return DominanceResult(False, cells, ce)
@@ -283,19 +282,15 @@ def max_classical(xs: Sequence) -> Fraction:
 
 
 def max_constructive(xs: Sequence) -> Fraction:
-    """Fold recursively: a singleton is its own maximum, otherwise compare
+    """Fold from the tail: a singleton is its own maximum, otherwise compare
     the head against the maximum of the rest."""
     items = [to_amount(x) for x in xs]
     if not items:
         raise ValueError("maximum of an empty list is undefined")
-
-    def rec(i: int) -> Fraction:
-        if i == len(items) - 1:
-            return items[i]
-        rest = rec(i + 1)
-        return items[i] if items[i] >= rest else rest
-
-    return rec(0)
+    best = items[-1]
+    for head in reversed(items[:-1]):
+        best = head if head >= best else best
+    return best
 
 
 @dataclass(frozen=True)

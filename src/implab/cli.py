@@ -38,21 +38,13 @@ def _emit_dimacs(cnf: satkit.Cnf, path: str) -> None:
         f.write("\n")
 
 
-def _frac(x) -> str:
-    return str(x)
-
-
-def _fracs(xs) -> list[str]:
-    return [str(x) for x in xs]
-
-
 def _dominance_ce_json(ce: auctions.DominanceCounterexample) -> dict:
     return {
         "agent": ce.agent,
-        "truthful_bids": _fracs(ce.truthful_bids),
-        "deviation_bids": _fracs(ce.deviation_bids),
-        "truthful_payoff": _frac(ce.truthful_payoff),
-        "deviation_payoff": _frac(ce.deviation_payoff),
+        "truthful_bids": list(map(str, ce.truthful_bids)),
+        "deviation_bids": list(map(str, ce.deviation_bids)),
+        "truthful_payoff": str(ce.truthful_payoff),
+        "deviation_payoff": str(ce.deviation_payoff),
     }
 
 
@@ -61,9 +53,9 @@ def cmd_arrow(args) -> tuple[dict, int]:
     budget = _budget(swf.DEFAULT_CANDIDATE_BUDGET)
 
     swfs = swf.enumerate_iia_swfs(args.agents, budget)
-    tl = swf.verify_tang_lin(args.agents, budget)
-    arrow = swf.arrow_base_case(args.agents, budget)
-    wilson = swf.wilson_base_case(args.agents, budget)
+    tl = swf.verify_tang_lin(args.agents, swfs=swfs)
+    arrow = swf.arrow_base_case(args.agents, swfs=swfs)
+    wilson = swf.wilson_base_case(args.agents, swfs=swfs)
 
     filtered = list(swfs)
     if satkit.UN in axioms:
@@ -189,13 +181,13 @@ def cmd_vickrey(args) -> tuple[dict, int]:
         values = args.values.split(",")
         if args.n != len(values):
             raise ValueError(f"--n {args.n} does not match {len(values)} --values entries")
-        grid = auctions.parse_grid(args.grid)
+        grid = auctions.parse_grid(args.grid, budget)
         res = auctions.check_weak_dominance(values, grid, rule, budget, jobs=args.jobs)
         payload = {
             "verdict": "holds" if res.holds else "counterexample",
             "rule": args.rule,
-            "values": _fracs(auctions.to_amounts(values)),
-            "grid": _fracs(grid.points),
+            "values": list(map(str, auctions.to_amounts(values))),
+            "grid": list(map(str, grid.points)),
             "cells": res.cells,
             "counterexample": _dominance_ce_json(res.counterexample) if res.counterexample else None,
         }
@@ -206,12 +198,12 @@ def cmd_vickrey(args) -> tuple[dict, int]:
             "verdict": "holds" if res.holds else "counterexample",
             "rule": args.rule,
             "winner": res.winner,
-            "winner_valuation": _frac(res.winner_valuation),
-            "max_valuation": _frac(res.max_valuation),
+            "winner_valuation": str(res.winner_valuation),
+            "max_valuation": str(res.max_valuation),
         }
         return payload, 0 if res.holds else 3
     if args.vickrey_cmd == "soundness":
-        grid = auctions.parse_grid(args.grid)
+        grid = auctions.parse_grid(args.grid, budget)
         reports = auctions.sweep_soundness(args.n, grid, rule, budget)
         bad = [r for r in reports if not r.sound]
         payload = {
@@ -219,7 +211,7 @@ def cmd_vickrey(args) -> tuple[dict, int]:
             "rule": args.rule,
             "swept": len(reports),
             "violations": [
-                {"bids": _fracs(r.bids), "problems": list(r.violations)} for r in bad
+                {"bids": list(map(str, r.bids)), "problems": list(r.violations)} for r in bad
             ],
         }
         return payload, 0 if not bad else 3
@@ -233,7 +225,7 @@ def cmd_vickrey(args) -> tuple[dict, int]:
                 {
                     "n": n,
                     "holds": res.holds,
-                    "grid": _fracs(res.grid.points),
+                    "grid": list(map(str, res.grid.points)),
                     "cells": res.cells,
                     "counterexample": _dominance_ce_json(res.counterexample)
                     if res.counterexample
@@ -243,8 +235,8 @@ def cmd_vickrey(args) -> tuple[dict, int]:
         payload = {
             "verdict": "holds" if all_hold else "counterexample",
             "rule": args.rule,
-            "value": _frac(auctions.to_amount(args.value)),
-            "delta": _frac(auctions.to_amount(args.delta)),
+            "value": str(auctions.to_amount(args.value)),
+            "delta": str(auctions.to_amount(args.delta)),
             "per_n": per_n,
         }
         return payload, 0 if all_hold else 3
@@ -367,6 +359,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         payload, code = _DISPATCH[args.command](args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

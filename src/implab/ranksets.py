@@ -13,11 +13,11 @@ the axiom-subset impossibility search.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 from .orders import ALTERNATIVE_NAMES, LinearOrder
+from .parallel import pool_map
 from .satkit import Cnf, solve
 
 
@@ -335,6 +335,10 @@ def find_inconsistent_subsets(
     """
     if not 2 <= u_max <= 6:
         raise ValueError(f"u_max {u_max} outside supported range 2..6")
+    if prune and jobs > 1:
+        raise ValueError(
+            f"prune skips subsets by earlier findings, so it runs serially; got jobs={jobs}"
+        )
     catalog = tuple(catalog)
     subsets: list[tuple[Axiom, ...]] = []
     for r in range(1, len(catalog) + 1):
@@ -342,13 +346,12 @@ def find_inconsistent_subsets(
 
     cells = [(i, m) for i, _ in enumerate(subsets) for m in range(m_min, u_max + 1)]
     results: dict[tuple[int, int], tuple[bool, dict[int, bool] | None]] = {}
-    if jobs > 1 and not prune:
+    if jobs > 1:
         tasks = [
             (i, m, tuple(ax.value for ax in subsets[i]), relation_class.value) for i, m in cells
         ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for i, m, sat, assignment in pool.map(_solve_cell, tasks, chunksize=4):
-                results[(i, m)] = (sat, assignment)
+        for i, m, sat, assignment in pool_map(_solve_cell, tasks, jobs, chunksize=4):
+            results[(i, m)] = (sat, assignment)
 
     findings: list[SubsetFinding] = []
     inconsistent: list[set[Axiom]] = []

@@ -203,13 +203,18 @@ def to_dimacs(cnf: Cnf) -> str:
 
 
 def from_dimacs(text: str) -> Cnf:
+    """Parse DIMACS CNF.  A clause may span lines; a SATLIB '%' line ends the input."""
     num_vars: int | None = None
     declared_clauses: int | None = None
     clauses: list[tuple[int, ...]] = []
+    clause: list[int] = []
+    clause_lineno = 0  # line of the open clause's latest literal
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if line.startswith("%"):
+            break
         if line.startswith("p"):
             if num_vars is not None:
                 raise ValueError(f"line {lineno}: duplicate header")
@@ -229,9 +234,6 @@ def from_dimacs(text: str) -> Cnf:
             tokens = [int(t) for t in line.split()]
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer literal in {line!r}") from None
-        if tokens[-1] != 0:
-            raise ValueError(f"line {lineno}: missing terminating 0")
-        clause: list[int] = []
         for t in tokens:
             if t == 0:
                 if not clause:
@@ -244,8 +246,11 @@ def from_dimacs(text: str) -> Cnf:
                         f"line {lineno}: literal {t} exceeds declared {num_vars} variable(s)"
                     )
                 clause.append(t)
+                clause_lineno = lineno
     if num_vars is None:
         raise ValueError("missing 'p cnf' header")
+    if clause:
+        raise ValueError(f"line {clause_lineno}: missing terminating 0")
     if declared_clauses != len(clauses):
         raise ValueError(
             f"header declares {declared_clauses} clause(s) but body has {len(clauses)}"

@@ -6,6 +6,11 @@ so independence of irrelevant alternatives holds by construction.  An
 extensional SWF is a plain total table from profiles to orders and can
 represent anything.
 
+Pairwise SWFs are classified on their tables: dictatorship is a table
+equal to an agent's bit projection, and the range is read off the entry
+triples each profile selects.  Extensional SWFs are classified by walking
+their profiles.  `to_extensional` keeps the two routes comparable.
+
 Table entry convention: the entry index for a pair packs the agents' bits
 with agent 0 as the most significant bit, so index 2^n-1 is the all-ones
 input and index 0 the all-zeros input.
@@ -17,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from typing import Sequence
 
 from .orders import (
     CYCLIC_CODES,
@@ -232,34 +238,51 @@ def satisfies_unanimity(swf: Swf) -> tuple[bool, UnanimityViolation | None]:
     return True, None
 
 
-def _all_outputs(swf: Swf) -> tuple[list[Profile], list[LinearOrder]]:
-    if isinstance(swf, PairwiseSwf):
-        profiles = all_profiles(swf.n, 3)
-        return profiles, [evaluate(swf, p) for p in profiles]
-    return all_profiles(swf.n, swf.m), list(swf.outputs)
+def _agent_bits(n: int, agent: int) -> tuple[int, ...]:
+    """The table that copies agent's bit: entry j is that agent's bit of j."""
+    return tuple((j >> (n - 1 - agent)) & 1 for j in range(1 << n))
+
+
+def _table_dictator(swf: PairwiseSwf, invert: bool) -> int | None:
+    # exact: every entry of every table is selected by some profile
+    for i in range(swf.n):
+        bits = tuple(b ^ invert for b in _agent_bits(swf.n, i))
+        if all(t == bits for t in swf.tables):
+            return i
+    return None
+
+
+def _profile_dictator(swf: ExtensionalSwf, invert: bool) -> int | None:
+    profiles = all_profiles(swf.n, swf.m)
+    for i in range(swf.n):
+        if all(
+            out == (p.orders[i].reversed() if invert else p.orders[i])
+            for p, out in zip(profiles, swf.outputs)
+        ):
+            return i
+    return None
 
 
 def is_dictatorial(swf: Swf) -> int | None:
     """The agent whose order the SWF always copies, if any."""
-    profiles, outs = _all_outputs(swf)
-    for i in range(profiles[0].n):
-        if all(out == p.orders[i] for p, out in zip(profiles, outs)):
-            return i
-    return None
+    if isinstance(swf, PairwiseSwf):
+        return _table_dictator(swf, False)
+    return _profile_dictator(swf, False)
 
 
 def is_inversely_dictatorial(swf: Swf) -> int | None:
     """The agent whose order the SWF always reverses, if any."""
-    profiles, outs = _all_outputs(swf)
-    for i in range(profiles[0].n):
-        if all(out == p.orders[i].reversed() for p, out in zip(profiles, outs)):
-            return i
-    return None
+    if isinstance(swf, PairwiseSwf):
+        return _table_dictator(swf, True)
+    return _profile_dictator(swf, True)
 
 
 def range_of(swf: Swf) -> frozenset[LinearOrder]:
-    _, outs = _all_outputs(swf)
-    return frozenset(outs)
+    if isinstance(swf, PairwiseSwf):
+        t0, t1, t2 = swf.tables
+        codes = {(t0[i1], t1[i2], t2[i3]) for i1, i2, i3 in profile_pair_indices(swf.n)}
+        return frozenset(order_of_bits(c) for c in codes)
+    return frozenset(swf.outputs)
 
 
 def classify(swf: Swf) -> SwfClass:
@@ -395,9 +418,17 @@ class TangLinReport:
     recount_matches: bool
 
 
-def arrow_base_case(n: int, candidate_budget: int = DEFAULT_CANDIDATE_BUDGET) -> ArrowReport:
-    """Filter the IIA enumeration by unanimity and classify the survivors."""
-    swfs = enumerate_iia_swfs(n, candidate_budget)
+def arrow_base_case(
+    n: int,
+    candidate_budget: int = DEFAULT_CANDIDATE_BUDGET,
+    swfs: Sequence[PairwiseSwf] | None = None,
+) -> ArrowReport:
+    """Filter the IIA enumeration by unanimity and classify the survivors.
+
+    swfs, when given, is the enumeration the caller already built.
+    """
+    if swfs is None:
+        swfs = enumerate_iia_swfs(n, candidate_budget)
     survivors = tuple(s for s in swfs if satisfies_unanimity(s)[0])
     classes = tuple(classify(s) for s in survivors)
     return ArrowReport(
@@ -409,9 +440,17 @@ def arrow_base_case(n: int, candidate_budget: int = DEFAULT_CANDIDATE_BUDGET) ->
     )
 
 
-def wilson_base_case(n: int, candidate_budget: int = DEFAULT_CANDIDATE_BUDGET) -> WilsonReport:
-    """Filter the IIA enumeration by surjectivity onto all six orders."""
-    swfs = enumerate_iia_swfs(n, candidate_budget)
+def wilson_base_case(
+    n: int,
+    candidate_budget: int = DEFAULT_CANDIDATE_BUDGET,
+    swfs: Sequence[PairwiseSwf] | None = None,
+) -> WilsonReport:
+    """Filter the IIA enumeration by surjectivity onto all six orders.
+
+    swfs, when given, is the enumeration the caller already built.
+    """
+    if swfs is None:
+        swfs = enumerate_iia_swfs(n, candidate_budget)
     survivors = tuple(s for s in swfs if len(range_of(s)) == 6)
     return WilsonReport(
         n=n,
@@ -421,9 +460,17 @@ def wilson_base_case(n: int, candidate_budget: int = DEFAULT_CANDIDATE_BUDGET) -
     )
 
 
-def verify_tang_lin(n: int, candidate_budget: int = DEFAULT_CANDIDATE_BUDGET) -> TangLinReport:
-    """Classify every IIA SWF; the claim holds iff nothing is unclassified."""
-    swfs = enumerate_iia_swfs(n, candidate_budget)
+def verify_tang_lin(
+    n: int,
+    candidate_budget: int = DEFAULT_CANDIDATE_BUDGET,
+    swfs: Sequence[PairwiseSwf] | None = None,
+) -> TangLinReport:
+    """Classify every IIA SWF; the claim holds iff nothing is unclassified.
+
+    swfs, when given, is the enumeration the caller already built.
+    """
+    if swfs is None:
+        swfs = enumerate_iia_swfs(n, candidate_budget)
     census = {tag: 0 for tag in CLASS_TAGS}
     unclassified = []
     for s in swfs:

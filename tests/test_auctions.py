@@ -262,6 +262,33 @@ def test_parallel_dominance_matches_sequential():
     assert seq_ce == par_ce
 
 
+def test_max_constructive_folds_long_lists_without_recursion():
+    assert max_constructive(list(range(5000))) == 4999
+    assert max_constructive(list(range(5000, 0, -1))) == 5000
+
+
+def test_parse_grid_range_points_are_exact():
+    # oracle: step from start by repeated exact addition
+    for text in ("0:4:1", "1/3:3:2/3", "0:1:1/10", "1/2:7:3/4", "5:5:1"):
+        start, stop, step = (Fraction(p) for p in text.split(":"))
+        expected, v = [], start
+        while v <= stop:
+            expected.append(v)
+            v += step
+        assert parse_grid(text).points == tuple(expected)
+    assert parse_grid("1/3:3:2/3").points == tuple(Fraction(k, 3) for k in (1, 3, 5, 7, 9))
+    with pytest.raises(ValueError, match="non-empty"):
+        parse_grid("2:1:1")
+
+
+def test_parse_grid_sizes_a_range_before_building_it():
+    with pytest.raises(ValueError, match="grid of 100000001 points exceeds budget 10000000"):
+        parse_grid("0:100000000:1")
+    with pytest.raises(ValueError, match="grid of 5 points exceeds budget 4"):
+        parse_grid("0:4:1", budget=4)
+    assert len(parse_grid("0:4:1", budget=5).points) == 5
+
+
 def test_bidgrid_validation():
     with pytest.raises(ValueError):
         BidGrid(())

@@ -68,6 +68,25 @@ def test_arrow_emit_dimacs_header_matches_body(capsys, tmp_path):
     assert len(sidecar) == 12
 
 
+def test_arrow_three_agents(capsys):
+    code, report = run_cli(capsys, "arrow", "--agents", "3")
+    assert code == 0
+    assert report["verdict"] == "impossibility holds"
+    # closed form 6 + 2n + 6(2^(2^n) - 2); test_swf checks it at n = 1, 2
+    assert report["iia_count"] == 6 + 2 * 3 + 6 * (2 ** (2**3) - 2) == 1536
+    assert report["census"] == {
+        "dictatorial": 3,
+        "inversely_dictatorial": 3,
+        "constant": 6,
+        "small_range": 1524,
+        "unclassified": 0,
+    }
+    assert report["small_range_recount"] == 1524
+    assert report["un_survivors"] == 3
+    assert report["wilson_survivors"] == 6
+    assert report["cross_check_agree"]
+
+
 def test_arrow_budget_error_exits_1(capsys):
     code = main(["arrow", "--agents", "4"])
     err = capsys.readouterr().err
@@ -238,6 +257,22 @@ def test_jobs_flag_does_not_change_reports(capsys):
     assert strip_duration({k: v for k, v in seq.items() if k != "config"}) == strip_duration(
         {k: v for k, v in par.items() if k != "config"}
     )
+
+
+def test_jobs_below_one_exits_1(capsys):
+    assert main(["--jobs", "0", "vickrey", "efficiency", "--values", "3,1"]) == 1
+    assert "--jobs must be at least 1, got 0" in capsys.readouterr().err
+
+
+def test_jobs_with_prune_exits_1(capsys):
+    assert main(["--jobs", "2", "ranksets", "discover", "--max-m", "3", "--prune"]) == 1
+    assert "runs serially; got jobs=2" in capsys.readouterr().err
+
+
+def test_range_grid_over_budget_exits_1_before_sweeping(capsys):
+    code = main(["vickrey", "soundness", "--n", "1", "--grid", "0:100000000:1"])
+    assert code == 1
+    assert "grid of 100000001 points exceeds budget" in capsys.readouterr().err
 
 
 def test_output_flag_writes_report_file(capsys, tmp_path):

@@ -299,6 +299,11 @@ def test_parallel_discovery_matches_sequential():
     ]
 
 
+def test_prune_refuses_parallel_jobs():
+    with pytest.raises(ValueError, match="runs serially"):
+        find_inconsistent_subsets(3, catalog=FOUR_AXIOMS[:3], prune=True, jobs=2)
+
+
 def test_set_relation_validates_matrix_shape():
     with pytest.raises(ValueError, match="matrix"):
         SetRelation(Universe(2), ((True,),), RelationClass.TRANSITIVE)

@@ -204,6 +204,21 @@ def test_from_dimacs_error_messages_carry_line_numbers():
         from_dimacs("c nothing\n")
 
 
+def test_from_dimacs_accepts_a_clause_spanning_lines():
+    assert from_dimacs("p cnf 3 1\n1 2\n3 0\n").clauses == ((1, 2, 3),)
+    assert from_dimacs("p cnf 3 2\n1\nc inside a clause\n-2 0 2\n3 0\n").clauses == (
+        (1, -2),
+        (2, 3),
+    )
+
+
+def test_from_dimacs_stops_at_satlib_percent_line():
+    cnf = from_dimacs("p cnf 2 2\n1 -2 0\n2 0\n%\n0\n\n")
+    assert cnf.clauses == ((1, -2), (2,))
+    with pytest.raises(ValueError, match=r"line 2: missing terminating 0"):
+        from_dimacs("p cnf 2 1\n1 2\n%\n0\n")
+
+
 def test_from_dimacs_skips_comments_and_blank_lines():
     cnf = from_dimacs("c a comment\n\np cnf 2 1\nc another\n1 -2 0\n")
     assert cnf.num_vars == 2

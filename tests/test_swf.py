@@ -6,6 +6,7 @@ import pytest
 
 from implab.orders import LinearOrder, Profile, all_linear_orders, all_profiles, bits_of_order, kendall_tau
 from implab.swf import (
+    CLASS_TAGS,
     CONSTANT,
     DICTATORIAL,
     INVERSELY_DICTATORIAL,
@@ -283,6 +284,44 @@ def test_detectors_agree_with_direct_evaluation_on_all_94():
             reverses = all(out == p.orders[i].reversed() for out, p in zip(outs, profiles))
             assert (is_dictatorial(s) == i) == copies
             assert (is_inversely_dictatorial(s) == i) == reverses
+
+
+def iia_closed_form(n: int) -> int:
+    # 6 constants, 2n (inverse) dictators, 6 families of 2^(2^n) - 2 small-range SWFs
+    return 6 + 2 * n + 6 * (2 ** (2**n) - 2)
+
+
+def assert_table_route_matches_profile_route(s: PairwiseSwf) -> None:
+    ext = to_extensional(s)
+    assert is_dictatorial(s) == is_dictatorial(ext)
+    assert is_inversely_dictatorial(s) == is_inversely_dictatorial(ext)
+    assert range_of(s) == range_of(ext)
+    assert classify(s) == classify(ext)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_table_route_matches_profile_route_on_every_swf(n):
+    swfs = enumerate_iia_swfs(n)
+    assert len(swfs) == iia_closed_form(n)
+    for s in swfs:
+        assert_table_route_matches_profile_route(s)
+
+
+def test_table_route_matches_profile_route_on_n3_sample():
+    swfs = enumerate_iia_swfs(3)
+    assert len(swfs) == iia_closed_form(3) == 1536
+    special = [f(3, i) for f in (dictator, inverse_dictator) for i in range(3)]
+    sample = swfs[::97] + special + [constant_swf(3, BAC)]
+    assert {classify(s).tag for s in sample} == set(CLASS_TAGS) - {UNCLASSIFIED}
+    for s in sample:
+        assert_table_route_matches_profile_route(s)
+
+
+def test_reports_accept_a_precomputed_enumeration():
+    swfs = enumerate_iia_swfs(2)
+    assert arrow_base_case(2, swfs=swfs) == arrow_base_case(2)
+    assert wilson_base_case(2, swfs=swfs) == wilson_base_case(2)
+    assert verify_tang_lin(2, swfs=swfs) == verify_tang_lin(2)
 
 
 def test_arrow_base_case_n2():
