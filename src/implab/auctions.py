@@ -138,6 +138,35 @@ def parse_grid(text: str, budget: int = DEFAULT_SWEEP_BUDGET) -> BidGrid:
     return BidGrid(tuple(Fraction(p) for p in text.split(",")))
 
 
+def _root_floor(x: int, n: int) -> int:
+    """Largest k >= 0 with k**n <= x, for x >= 0 and n >= 1, in integers."""
+    if n > x.bit_length():
+        return min(x, 1)  # 2**n > x already
+    lo, hi = 0, 1 << (x.bit_length() // n + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**n <= x:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def dominance_point_limit(n: int, sweep_budget: int = DEFAULT_SWEEP_BUDGET) -> int:
+    """Most grid points a dominance sweep over n agents may have: with k
+    points each agent sweeps at least k**(n-1) * k cells, n * k**n in all."""
+    if n < 1:
+        return sweep_budget
+    return _root_floor(max(0, sweep_budget) // n, n)
+
+
+def soundness_point_limit(n: int, sweep_budget: int = DEFAULT_SWEEP_BUDGET) -> int:
+    """Most grid points a soundness sweep over n bids may have: k points give k**n bid vectors."""
+    if n < 1:
+        return sweep_budget
+    return _root_floor(max(0, sweep_budget), n)
+
+
 @dataclass(frozen=True)
 class DominanceCounterexample:
     agent: int

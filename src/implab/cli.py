@@ -4,7 +4,9 @@ Every subcommand emits one JSON report (stdout, or --output PATH with a
 one-line summary on stdout instead).  Reports are deterministic given the
 flags, except for the duration_seconds field.  Exit codes: 0 success,
 1 usage/budget/parse error, 2 cross-route disagreement (arrow), 3 property
-counterexample or soundness violation (vickrey), 20 UNSAT (sat).
+counterexample or soundness violation (vickrey), 4 an internal check failed
+(a solver model that fails its clauses, a model that decodes to an invalid
+object, an auction rule with an unsound outcome), 20 UNSAT (sat).
 
 The IMPLAB_BUDGET environment variable overrides the enumeration and sweep
 budgets of the underlying modules.
@@ -181,7 +183,7 @@ def cmd_vickrey(args) -> tuple[dict, int]:
         values = args.values.split(",")
         if args.n != len(values):
             raise ValueError(f"--n {args.n} does not match {len(values)} --values entries")
-        grid = auctions.parse_grid(args.grid, budget)
+        grid = auctions.parse_grid(args.grid, auctions.dominance_point_limit(args.n, budget))
         res = auctions.check_weak_dominance(values, grid, rule, budget, jobs=args.jobs)
         payload = {
             "verdict": "holds" if res.holds else "counterexample",
@@ -203,7 +205,7 @@ def cmd_vickrey(args) -> tuple[dict, int]:
         }
         return payload, 0 if res.holds else 3
     if args.vickrey_cmd == "soundness":
-        grid = auctions.parse_grid(args.grid, budget)
+        grid = auctions.parse_grid(args.grid, auctions.soundness_point_limit(args.n, budget))
         reports = auctions.sweep_soundness(args.n, grid, rule, budget)
         bad = [r for r in reports if not r.sound]
         payload = {
@@ -365,6 +367,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except RuntimeError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 4
     report = {
         "tool": "implab",
         "version": __version__,

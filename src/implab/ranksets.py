@@ -18,7 +18,7 @@ from enum import Enum
 
 from .orders import ALTERNATIVE_NAMES, LinearOrder
 from .parallel import pool_map
-from .satkit import Cnf, solve
+from .satkit import Cnf, SolveResult, Solver
 
 
 class Axiom(Enum):
@@ -239,11 +239,8 @@ def _var(u: Universe, a: int, b: int) -> int:
     return (a - 1) * size + (b - 1) + 1
 
 
-def encode_ranksets(
-    u: Universe, axioms, relation_class: RelationClass = RelationClass.LINEAR_ORDER
-) -> Cnf:
-    """CNF with one variable per ordered subset pair (A,B) for geq(A,B)."""
-    axioms = tuple(ax for ax in CATALOG if ax in set(axioms))
+def _class_clauses(u: Universe, relation_class: RelationClass) -> list[tuple[int, ...]]:
+    """Transitivity, plus totality and antisymmetry as the class demands."""
     clauses: list[tuple[int, ...]] = []
     masks = list(u.subsets())
     for a in masks:
@@ -266,25 +263,67 @@ def encode_ranksets(
             for b in masks:
                 if a < b:
                     clauses.append((-_var(u, a, b), -_var(u, b, a)))
-    for ax in axioms:
-        for c in ground_axiom(u, ax).constraints:
-            ca, cb = c.consequent
-            cons_lits = [(_var(u, ca, cb),)]
-            if c.strict:
-                cons_lits.append((-_var(u, cb, ca),))
-            if c.antecedent is None:
-                clauses.extend(cons_lits)
-            else:
-                aa, ab = c.antecedent
-                guard = (-_var(u, aa, ab), _var(u, ab, aa))
-                for lits in cons_lits:
-                    clauses.append(guard + lits)
+    return clauses
+
+
+def _axiom_clauses(u: Universe, ax: Axiom) -> list[tuple[int, ...]]:
+    """The ground constraints of one axiom as clauses over the geq atoms."""
+    clauses: list[tuple[int, ...]] = []
+    for c in ground_axiom(u, ax).constraints:
+        ca, cb = c.consequent
+        cons_lits = [(_var(u, ca, cb),)]
+        if c.strict:
+            cons_lits.append((-_var(u, cb, ca),))
+        if c.antecedent is None:
+            clauses.extend(cons_lits)
+        else:
+            aa, ab = c.antecedent
+            guard = (-_var(u, aa, ab), _var(u, ab, aa))
+            for lits in cons_lits:
+                clauses.append(guard + lits)
+    return clauses
+
+
+def encode_ranksets(
+    u: Universe, axioms, relation_class: RelationClass = RelationClass.LINEAR_ORDER
+) -> Cnf:
+    """CNF with one variable per ordered subset pair (A,B) for geq(A,B)."""
+    wanted = set(axioms)
+    clauses = _class_clauses(u, relation_class)
+    for ax in CATALOG:
+        if ax in wanted:
+            clauses.extend(_axiom_clauses(u, ax))
     ordered = sorted(set(tuple(sorted(cl, key=abs)) for cl in clauses))
     size = (1 << u.m) - 1
+    masks = list(u.subsets())
     names = {
         _var(u, a, b): f"geq({u.subset_name(a)},{u.subset_name(b)})" for a in masks for b in masks
     }
     return Cnf(size * size, tuple(ordered), var_names=names)
+
+
+def _guarded_solver(u: Universe, catalog: tuple[Axiom, ...], relation_class: RelationClass) -> Solver:
+    """One solver for every axiom subset at one universe size.
+
+    Axiom k of the catalog gets the selector variable numbered k after the
+    geq atoms, and each of its clauses is guarded as (-selector, *clause).
+    """
+    atoms = ((1 << u.m) - 1) ** 2
+    solver = Solver(atoms + len(catalog), _class_clauses(u, relation_class))
+    for k, ax in enumerate(catalog, 1):
+        for c in _axiom_clauses(u, ax):
+            solver.add_clause((-(atoms + k), *c))
+    return solver
+
+
+def _solve_subset(solver: Solver, catalog: tuple[Axiom, ...], subset) -> SolveResult:
+    """The subset's axioms switched on and the rest switched off.
+
+    The selectors come after every geq atom, so the geq part of the model
+    is the one a fresh solve of encode_ranksets would return.
+    """
+    atoms = solver.num_vars - len(catalog)
+    return solver.solve([atoms + k if ax in subset else -(atoms + k) for k, ax in enumerate(catalog, 1)])
 
 
 def decode_ranksets(
@@ -312,12 +351,11 @@ class DiscoveryReport:
     findings: tuple[SubsetFinding, ...]
 
 
-def _solve_cell(args) -> tuple[int, int, bool, dict[int, bool] | None]:
-    subset_idx, m, axiom_values, class_value = args
-    u = Universe(m)
-    axioms = [Axiom(v) for v in axiom_values]
-    res = solve(encode_ranksets(u, axioms, RelationClass(class_value)))
-    return subset_idx, m, res.satisfiable, res.assignment
+def _solve_subsets_at(args) -> list[SolveResult]:
+    """Every subset at one universe size, on one guarded solver."""
+    m, catalog, relation_class, subsets = args
+    solver = _guarded_solver(Universe(m), catalog, relation_class)
+    return [_solve_subset(solver, catalog, subset) for subset in subsets]
 
 
 def find_inconsistent_subsets(
@@ -332,6 +370,9 @@ def find_inconsistent_subsets(
 
     With prune enabled, strict supersets of a subset already found
     inconsistent are skipped (and marked), mirroring the obvious implication.
+    Each universe size has one solver whose axiom clauses are switched on
+    and off by assumptions; with jobs > 1, each worker answers every subset
+    at one universe size.
     """
     if not 2 <= u_max <= 6:
         raise ValueError(f"u_max {u_max} outside supported range 2..6")
@@ -343,15 +384,14 @@ def find_inconsistent_subsets(
     subsets: list[tuple[Axiom, ...]] = []
     for r in range(1, len(catalog) + 1):
         subsets.extend(itertools.combinations(catalog, r))
+    sizes = range(m_min, u_max + 1)
 
-    cells = [(i, m) for i, _ in enumerate(subsets) for m in range(m_min, u_max + 1)]
-    results: dict[tuple[int, int], tuple[bool, dict[int, bool] | None]] = {}
+    results: dict[tuple[int, int], SolveResult] = {}
     if jobs > 1:
-        tasks = [
-            (i, m, tuple(ax.value for ax in subsets[i]), relation_class.value) for i, m in cells
-        ]
-        for i, m, sat, assignment in pool_map(_solve_cell, tasks, jobs, chunksize=4):
-            results[(i, m)] = (sat, assignment)
+        tasks = [(m, catalog, relation_class, subsets) for m in sizes]
+        for m, per_subset in zip(sizes, pool_map(_solve_subsets_at, tasks, jobs)):
+            results.update(((i, m), res) for i, res in enumerate(per_subset))
+    solvers: dict[int, Solver] = {}
 
     findings: list[SubsetFinding] = []
     inconsistent: list[set[Axiom]] = []
@@ -364,16 +404,15 @@ def find_inconsistent_subsets(
         statuses: dict[int, str] = {}
         minimal: int | None = None
         witness: SetRelation | None = None
-        for m in range(m_min, u_max + 1):
-            if (i, m) in results:
-                sat, assignment = results[(i, m)]
-            else:
-                u = Universe(m)
-                res = solve(encode_ranksets(u, subset, relation_class))
-                sat, assignment = res.satisfiable, res.assignment
-            statuses[m] = "sat" if sat else "unsat"
-            if sat:
-                witness = decode_ranksets(Universe(m), assignment, relation_class)
+        for m in sizes:
+            res = results.get((i, m))
+            if res is None:
+                if m not in solvers:
+                    solvers[m] = _guarded_solver(Universe(m), catalog, relation_class)
+                res = _solve_subset(solvers[m], catalog, subset)
+            statuses[m] = "sat" if res.satisfiable else "unsat"
+            if res.satisfiable:
+                witness = decode_ranksets(Universe(m), res.assignment, relation_class)
             elif minimal is None:
                 minimal = m
         if minimal is not None:

@@ -5,7 +5,15 @@ Literals are nonzero integers in the usual convention: +v asserts variable
 v, -v negates it.  The solver is plain DPLL with two-watched-literal unit
 propagation and chronological backtracking; decisions always pick the
 lowest-index unassigned variable, trying true first, so runs are fully
-deterministic.
+deterministic and every Sat answer is the lexicographically greatest model.
+
+`Solver` is persistent: it keeps its clauses and watch lists between
+calls, takes further clauses with `add_clause`, and answers
+`solve(assumptions)`, which fixes the assumption literals at the root of
+the search.  A clause guarded by a selector, (-s, *clause), is thus
+switched on or off per call, so one solver answers a family of related
+formulas.  `solve(cnf)` is a one-shot solver, and `enumerate_models` adds
+its blocking clauses to one solver.
 """
 
 from __future__ import annotations
@@ -21,6 +29,16 @@ UN = "UN"
 ND = "ND"
 
 
+def _check_clause(clause, num_vars: int) -> None:
+    if not clause:
+        raise ValueError("empty clause not allowed at construction")
+    for lit in clause:
+        if lit == 0:
+            raise ValueError("literal 0 is reserved as the clause terminator")
+        if abs(lit) > num_vars:
+            raise ValueError(f"literal {lit} exceeds declared {num_vars} variable(s)")
+
+
 @dataclass(frozen=True)
 class Cnf:
     num_vars: int
@@ -32,13 +50,7 @@ class Cnf:
         if self.num_vars < 0:
             raise ValueError("num_vars must be non-negative")
         for c in self.clauses:
-            if not c:
-                raise ValueError("empty clause not allowed at construction")
-            for lit in c:
-                if lit == 0:
-                    raise ValueError("literal 0 is reserved as the clause terminator")
-                if abs(lit) > self.num_vars:
-                    raise ValueError(f"literal {lit} exceeds declared {self.num_vars} variable(s)")
+            _check_clause(c, self.num_vars)
 
 
 @dataclass(frozen=True)
@@ -54,134 +66,166 @@ class ModelEnumeration:
 
 
 def _check_model(clauses, assignment) -> bool:
-    return all(any(assignment[abs(lit)] == (lit > 0) for lit in c) for c in clauses)
+    true_lits = {v if value else -v for v, value in assignment.items()}
+    return not any(map(true_lits.isdisjoint, clauses))
+
+
+class Solver:
+    """DPLL over a growing clause set, answering each call under assumptions.
+
+    The clauses and their watch lists live as long as the solver.  Every
+    solve(assumptions) starts from an empty trail, so its answer is that of
+    a fresh solve of the clauses plus one unit clause per assumption; with
+    the fixed decision order that answer is also the same model.
+
+    Per-literal state sits in lists indexed by the literal itself: +v at
+    index v and -v at index -v, which Python maps into the upper half of a
+    list of 2 * num_vars + 1 entries.
+    """
+
+    def __init__(self, num_vars: int, clauses=()):
+        if num_vars < 0:
+            raise ValueError("num_vars must be non-negative")
+        self.num_vars = num_vars
+        self.clauses: list[tuple[int, ...]] = []
+        self._watched: list[list[int]] = []  # the two watched literals of each clause
+        self._watches: list[list[int]] = [[] for _ in range(2 * num_vars + 1)]  # by literal
+        self._units: list[int] = []
+        self._value = [0] * (2 * num_vars + 1)  # by literal: 0 unassigned, 1 true, -1 false
+        self._trail: list[int] = []  # literals made true, in order
+        for c in clauses:
+            self.add_clause(c)
+
+    def add_clause(self, clause) -> None:
+        # duplicate literals would let both watches collapse onto one literal
+        c = tuple(dict.fromkeys(clause))
+        _check_clause(c, self.num_vars)
+        ci = len(self.clauses)
+        self.clauses.append(c)
+        first, second = c[0], c[1] if len(c) > 1 else c[0]  # a unit clause watches its literal twice
+        self._watched.append([first, second])
+        self._watches[first].append(ci)
+        if second != first:
+            self._watches[second].append(ci)
+        else:
+            self._units.append(first)
+
+    def solve(self, assumptions=()) -> SolveResult:
+        """Lexicographically greatest model (variable 1 first, true above
+        false) that makes every assumption literal true; Sat models are
+        verified against every clause and assumption before return."""
+        nvars = self.num_vars
+        assumptions = tuple(assumptions)
+        for lit in assumptions:
+            if lit == 0 or abs(lit) > nvars:
+                raise ValueError(f"assumption {lit} is not a literal over {nvars} variable(s)")
+        clauses, watches, watched = self.clauses, self._watches, self._watched
+        value, trail = self._value, self._trail
+        for lit in trail:
+            value[lit] = value[-lit] = 0
+        trail.clear()
+
+        def model() -> SolveResult:
+            full = {v: value[v] > 0 for v in range(1, nvars + 1)}
+            if not (_check_model(clauses, full) and _check_model([(lit,) for lit in assumptions], full)):
+                raise RuntimeError("solver bug: produced assignment fails verification")
+            return SolveResult(True, full)
+
+        if not clauses and not assumptions:
+            for v in range(1, nvars + 1):
+                value[v], value[-v] = -1, 1
+                trail.append(-v)
+            return model()
+
+        def propagate(queue) -> bool:
+            """Make each queued literal true and propagate; False on conflict."""
+            head = len(trail)
+            for lit in queue:
+                if value[lit] == -1:
+                    return False
+                if value[lit] == 0:
+                    value[lit], value[-lit] = 1, -1
+                    trail.append(lit)
+            while head < len(trail):
+                falsified = -trail[head]
+                head += 1
+                occ = watches[falsified]
+                i, end = 0, len(occ)
+                while i < end:
+                    ci = occ[i]
+                    w = watched[ci]
+                    other = w[1] if w[0] == falsified else w[0]
+                    if value[other] == 1:
+                        i += 1
+                        continue
+                    for cand in clauses[ci]:
+                        if cand != other and cand != falsified and value[cand] != -1:
+                            # move the watch to a non-false literal
+                            w[0], w[1] = other, cand
+                            watches[cand].append(ci)
+                            end -= 1
+                            occ[i] = occ[end]
+                            occ.pop()
+                            break
+                    else:
+                        if value[other] == -1:
+                            return False
+                        value[other], value[-other] = 1, -1
+                        trail.append(other)
+                        i += 1
+            return True
+
+        if not propagate(self._units + list(assumptions)):
+            return SolveResult(False)
+
+        decisions: list[tuple[int, int, bool]] = []  # (var, trail length before, tried_false)
+        next_var = 1
+        while True:
+            while next_var <= nvars and value[next_var] != 0:
+                next_var += 1
+            if next_var > nvars:
+                return model()
+            var = next_var
+            decisions.append((var, len(trail), False))
+            ok = propagate([var])
+            while not ok:
+                while decisions and decisions[-1][2]:
+                    dvar, mark, _ = decisions.pop()
+                    for lit in trail[mark:]:
+                        value[lit] = value[-lit] = 0
+                    del trail[mark:]
+                    next_var = min(next_var, dvar)
+                if not decisions:
+                    return SolveResult(False)
+                dvar, mark, _ = decisions.pop()
+                for lit in trail[mark:]:
+                    value[lit] = value[-lit] = 0
+                del trail[mark:]
+                next_var = min(next_var, dvar)
+                decisions.append((dvar, mark, True))
+                ok = propagate([-dvar])
 
 
 def solve(cnf: Cnf) -> SolveResult:
     """DPLL with unit propagation; Sat models are verified before return."""
-    nvars = cnf.num_vars
-    # duplicate literals would let both watches collapse onto one literal
-    clauses = [tuple(dict.fromkeys(c)) for c in cnf.clauses]
-    assign = [0] * (nvars + 1)  # 0 unassigned, 1 true, -1 false
-
-    def model() -> SolveResult:
-        full = {v: assign[v] > 0 for v in range(1, nvars + 1)}
-        if not _check_model(clauses, full):
-            raise RuntimeError("solver bug: produced assignment fails verification")
-        return SolveResult(True, full)
-
-    if not clauses:
-        for v in range(1, nvars + 1):
-            assign[v] = -1
-        return model()
-
-    # two watched literals per clause (unit clauses watch their literal twice)
-    watches: dict[int, list[int]] = {}
-    watched: list[list[int]] = []
-    for ci, c in enumerate(clauses):
-        pair = [c[0], c[1]] if len(c) > 1 else [c[0], c[0]]
-        watched.append(pair)
-        for lit in set(pair):
-            watches.setdefault(lit, []).append(ci)
-
-    trail: list[int] = []  # variables in assignment order
-
-    def val(lit: int) -> int:
-        v = assign[abs(lit)]
-        if v == 0:
-            return 0
-        return 1 if (v > 0) == (lit > 0) else -1
-
-    def enqueue(lit: int) -> bool:
-        v = abs(lit)
-        if assign[v] != 0:
-            return (assign[v] > 0) == (lit > 0)
-        assign[v] = 1 if lit > 0 else -1
-        trail.append(v)
-        return True
-
-    def propagate(queue: list[int]) -> bool:
-        """Make each queued literal true and propagate; False on conflict."""
-        head = len(trail)
-        for lit in queue:
-            if not enqueue(lit):
-                return False
-        while head < len(trail):
-            v = trail[head]
-            head += 1
-            falsified = -v if assign[v] > 0 else v
-            occ = watches.get(falsified, [])
-            i = 0
-            while i < len(occ):
-                ci = occ[i]
-                w = watched[ci]
-                other = w[1] if w[0] == falsified else w[0]
-                if val(other) == 1:
-                    i += 1
-                    continue
-                for cand in clauses[ci]:
-                    if cand != other and cand != falsified and val(cand) != -1:
-                        # move the watch to a non-false literal
-                        w[0], w[1] = other, cand
-                        watches.setdefault(cand, []).append(ci)
-                        occ[i] = occ[-1]
-                        occ.pop()
-                        break
-                else:
-                    if val(other) == -1:
-                        return False
-                    if not enqueue(other):
-                        return False
-                    i += 1
-        return True
-
-    units = [c[0] for c in clauses if len(c) == 1]
-    if not propagate(units):
-        return SolveResult(False)
-
-    decisions: list[tuple[int, int, bool]] = []  # (var, trail length before, tried_false)
-    next_var = 1
-    while True:
-        while next_var <= nvars and assign[next_var] != 0:
-            next_var += 1
-        if next_var > nvars:
-            return model()
-        var = next_var
-        decisions.append((var, len(trail), False))
-        ok = propagate([var])
-        while not ok:
-            while decisions and decisions[-1][2]:
-                dvar, mark, _ = decisions.pop()
-                for v in trail[mark:]:
-                    assign[v] = 0
-                del trail[mark:]
-                next_var = min(next_var, dvar)
-            if not decisions:
-                return SolveResult(False)
-            dvar, mark, _ = decisions.pop()
-            for v in trail[mark:]:
-                assign[v] = 0
-            del trail[mark:]
-            next_var = min(next_var, dvar)
-            decisions.append((dvar, mark, True))
-            ok = propagate([-dvar])
+    return Solver(cnf.num_vars, cnf.clauses).solve()
 
 
 def enumerate_models(
     cnf: Cnf, projection: frozenset[int] | set[int] | None = None, limit: int | None = None
 ) -> ModelEnumeration:
-    """AllSAT over the projection variables via blocking clauses."""
+    """AllSAT over the projection variables via blocking clauses added to one solver."""
     if projection is None:
         projection = set(range(1, cnf.num_vars + 1))
     projection = set(projection)
     if any(v < 1 or v > cnf.num_vars for v in projection):
         raise ValueError("projection must be a subset of the CNF's variables")
     proj = sorted(projection)
-    clauses = list(cnf.clauses)
+    solver = Solver(cnf.num_vars, cnf.clauses)
     models: list[dict[int, bool]] = []
     truncated = False
     while True:
-        res = solve(Cnf(cnf.num_vars, tuple(clauses)))
+        res = solver.solve()
         if not res.satisfiable:
             break
         part = {v: res.assignment[v] for v in proj}
@@ -191,7 +235,7 @@ def enumerate_models(
         models.append(part)
         if not proj:
             break
-        clauses.append(tuple(-v if part[v] else v for v in proj))
+        solver.add_clause(tuple(-v if part[v] else v for v in proj))
     return ModelEnumeration(tuple(models), truncated)
 
 

@@ -11,6 +11,7 @@ from implab.auctions import (
     check_efficiency,
     check_soundness,
     check_weak_dominance,
+    dominance_point_limit,
     max_classical,
     max_constructive,
     outcome_violations,
@@ -18,6 +19,7 @@ from implab.auctions import (
     payoff,
     run_first_price,
     run_spa,
+    soundness_point_limit,
     sweep_soundness,
     to_amounts,
 )
@@ -294,3 +296,16 @@ def test_bidgrid_validation():
         BidGrid(())
     with pytest.raises(ValueError):
         BidGrid((Fraction(1), Fraction(1)))
+
+
+def test_point_limits_are_exact_integer_roots():
+    rng = random.Random(31)
+    budgets = list(range(40)) + [10**7, 10**7 - 1, 2**64] + [rng.randrange(10**40) for _ in range(200)]
+    for budget in budgets:
+        for n in range(1, 9):
+            k = soundness_point_limit(n, budget)
+            assert k**n <= budget < (k + 1) ** n, (budget, n)
+            k = dominance_point_limit(n, budget)
+            assert n * k**n <= budget < n * (k + 1) ** n, (budget, n)
+    assert dominance_point_limit(2) == 2236 and soundness_point_limit(3) == 215
+    assert soundness_point_limit(10**6) == 1

@@ -1,6 +1,9 @@
+import hashlib
 import json
+import time
 from pathlib import Path
 
+from implab import satkit
 from implab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -142,6 +145,18 @@ def test_ranksets_discover_reports_all_31_subsets(capsys):
     assert by_axioms[("dominance",)]["witness"] is not None
 
 
+def test_ranksets_discover_prune_findings_are_pinned(capsys):
+    expected = {
+        "linear": "9c2de9cbb03ed62a83f047a7710f0d31a3335ee73504473db9070164e88cb7f9",
+        "transitive": "d84e7f86f7c6058ba78f2f5e8dfdb961d7f0458640d30c4292f3207b2f3add7b",
+    }
+    for cls, digest in expected.items():
+        code, report = run_cli(capsys, "ranksets", "discover", "--max-m", "4", "--prune", "--class", cls)
+        assert code == 0
+        text = json.dumps(report["findings"], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, cls
+
+
 def test_vickrey_dominance_holds(capsys):
     code, report = run_cli(
         capsys, "vickrey", "dominance", "--n", "3", "--grid", "0:4:1", "--values", "3,1,2"
@@ -273,6 +288,44 @@ def test_range_grid_over_budget_exits_1_before_sweeping(capsys):
     code = main(["vickrey", "soundness", "--n", "1", "--grid", "0:100000000:1"])
     assert code == 1
     assert "grid of 100000001 points exceeds budget" in capsys.readouterr().err
+
+
+def test_range_grid_is_sized_against_the_sweep_before_it_is_built(capsys):
+    started = time.perf_counter()
+    code = main(["vickrey", "dominance", "--n", "2", "--grid", "0:9999999:1", "--values", "1,2"])
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    assert "grid of 10000000 points exceeds budget 2236" in capsys.readouterr().err
+    assert main(["vickrey", "soundness", "--n", "3", "--grid", "0:9999999:1"]) == 1
+    assert "exceeds budget 215" in capsys.readouterr().err
+
+
+def test_grids_at_the_point_limit_give_the_same_reports(capsys, monkeypatch):
+    dominance = ["vickrey", "dominance", "--n", "2", "--values", "1,2", "--grid"]
+    soundness = ["vickrey", "soundness", "--n", "3", "--grid"]
+    full = [run_cli(capsys, *dominance, "0:2:1"), run_cli(capsys, *soundness, "0:1:1")]
+    # n * k**n = 2 * 3**2 = 18 dominance cells and k**n = 2**3 = 8 bid vectors, at most
+    monkeypatch.setenv("IMPLAB_BUDGET", "18")
+    code, report = run_cli(capsys, *dominance, "0:2:1")
+    assert (code, strip_duration(report)) == (full[0][0], strip_duration(full[0][1]))
+    assert report["cells"] == 18
+    assert main([*dominance, "0:3:1"]) == 1
+    assert "grid of 4 points exceeds budget 3" in capsys.readouterr().err
+    monkeypatch.setenv("IMPLAB_BUDGET", "8")
+    code, report = run_cli(capsys, *soundness, "0:1:1")
+    assert (code, strip_duration(report)) == (full[1][0], strip_duration(full[1][1]))
+    assert main([*soundness, "0:2:1"]) == 1
+    assert "grid of 3 points exceeds budget 2" in capsys.readouterr().err
+
+
+def test_internal_check_failure_exits_4_without_a_traceback(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "eq.cnf"
+    path.write_text("p cnf 2 2\n-1 2 0\n1 -2 0\n")
+    monkeypatch.setattr(satkit, "_check_model", lambda clauses, assignment: False)
+    assert main(["sat", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: solver bug: produced assignment fails verification\n"
 
 
 def test_output_flag_writes_report_file(capsys, tmp_path):

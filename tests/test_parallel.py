@@ -56,12 +56,14 @@ def test_dominance_pool_is_clamped_to_the_agent_count(pools):
     assert pools == [3]
 
 
-def test_discovery_pool_is_clamped_to_the_cpu_count(pools):
+def test_discovery_pool_is_clamped_to_the_cpu_count(pools, monkeypatch):
+    # one task per universe size: m = 2, 3, 4 on two CPUs
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     catalog = (Axiom.SIMPLE_DOMINANCE, Axiom.INDEPENDENCE, Axiom.UNCERTAINTY_AVERSION)
-    seq = find_inconsistent_subsets(3, catalog=catalog)
-    par = find_inconsistent_subsets(3, catalog=catalog, jobs=HUGE)
+    seq = find_inconsistent_subsets(4, catalog=catalog)
+    par = find_inconsistent_subsets(4, catalog=catalog, jobs=HUGE)
     assert par == seq
-    assert pools == [4]
+    assert pools == [2]
 
 
 def test_cli_huge_jobs_uses_the_clamped_pool(pools, capsys):

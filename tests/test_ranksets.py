@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -11,6 +13,8 @@ from implab.ranksets import (
     RelationClass,
     SetRelation,
     Universe,
+    _guarded_solver,
+    _solve_subset,
     check_relation,
     class_violation,
     decode_ranksets,
@@ -21,7 +25,7 @@ from implab.ranksets import (
     relation_to_json,
     strongest_class,
 )
-from implab.satkit import solve
+from implab.satkit import solve, to_dimacs
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -297,6 +301,30 @@ def test_parallel_discovery_matches_sequential():
     assert [(f.axioms, f.statuses, f.minimal_unsat_m) for f in seq.findings] == [
         (f.axioms, f.statuses, f.minimal_unsat_m) for f in par.findings
     ]
+
+
+def test_guarded_solver_answers_every_subset_like_a_fresh_encoding():
+    subsets = [s for r in range(1, 6) for s in itertools.combinations(CATALOG, r)]
+    for cls in RelationClass:
+        for m in (2, 3, 4):
+            u = Universe(m)
+            solver = _guarded_solver(u, CATALOG, cls)
+            for subset in subsets:
+                guarded = _solve_subset(solver, CATALOG, subset)
+                fresh = solve(encode_ranksets(u, subset, cls))
+                assert guarded.satisfiable == fresh.satisfiable, (cls, m, subset)
+                if fresh.satisfiable:
+                    assert decode_ranksets(u, guarded.assignment, cls) == decode_ranksets(
+                        u, fresh.assignment, cls
+                    ), (cls, m, subset)
+
+
+def test_encoding_bytes_are_pinned():
+    dimacs = to_dimacs(encode_ranksets(Universe(4), CATALOG, RelationClass.LINEAR_ORDER))
+    assert (
+        hashlib.sha256(dimacs.encode()).hexdigest()
+        == "f14f81808255e2b2c3b4e4a6ae3d322ba3bc7ca3be04964ab9bfe4cee3383414"
+    )
 
 
 def test_prune_refuses_parallel_jobs():

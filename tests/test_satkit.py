@@ -4,11 +4,13 @@ from pathlib import Path
 
 import pytest
 
+from implab import satkit
 from implab.orders import all_profiles
 from implab.satkit import (
     ND,
     UN,
     Cnf,
+    Solver,
     decode_model,
     encode_arrow,
     enumerate_models,
@@ -142,6 +144,78 @@ def test_cnf_validation():
         Cnf(1, ((2,),))
     with pytest.raises(ValueError, match="terminator"):
         Cnf(1, ((0,),))
+
+
+def test_solver_under_assumptions_equals_a_fresh_solve_with_units():
+    rng = random.Random(2024)
+    for _ in range(150):
+        cnf = random_3cnf(rng)
+        solver = Solver(cnf.num_vars, cnf.clauses)
+        for _ in range(4):
+            k = rng.randint(0, 3)
+            a = [v if rng.random() < 0.5 else -v for v in rng.choices(range(1, cnf.num_vars + 1), k=k)]
+            fresh = solve(Cnf(cnf.num_vars, cnf.clauses + tuple((lit,) for lit in a)))
+            assert solver.solve(a) == fresh
+
+
+def test_solver_add_clause_after_sat_and_after_unsat_solves():
+    solver = Solver(2, [(1, 2)])
+    assert solver.solve().assignment == {1: True, 2: True}
+    solver.add_clause((-1,))
+    assert solver.solve().assignment == {1: False, 2: True}
+    assert not solver.solve([-2]).satisfiable
+    solver.add_clause((-2, 1, -2))
+    assert not solver.solve().satisfiable
+    assert not solver.solve([2]).satisfiable
+
+    solver = Solver(2, [(1, 2)])
+    assert not solver.solve([-1, -2]).satisfiable
+    solver.add_clause((1,))
+    assert solver.solve().assignment == {1: True, 2: True}
+    assert solver.solve([-2]).assignment == {1: True, 2: False}
+
+
+def test_solver_rejects_bad_literals():
+    with pytest.raises(ValueError, match="exceeds"):
+        Solver(2, [(1, 3)])
+    solver = Solver(2, [(1, 2)])
+    with pytest.raises(ValueError, match="terminator"):
+        solver.add_clause((1, 0))
+    with pytest.raises(ValueError, match="exceeds"):
+        solver.add_clause((-3,))
+    with pytest.raises(ValueError, match="empty clause"):
+        solver.add_clause(())
+    with pytest.raises(ValueError, match="not a literal"):
+        solver.solve([0])
+    with pytest.raises(ValueError, match="not a literal"):
+        solver.solve([-3])
+    with pytest.raises(ValueError, match="non-negative"):
+        Solver(-1)
+
+
+def test_solver_with_no_clauses_gives_all_false():
+    solver = Solver(3)
+    assert solver.solve().assignment == {1: False, 2: False, 3: False}
+    assert solver.solve([2]) == solve(Cnf(3, ((2,),)))
+    assert solver.solve().assignment == {1: False, 2: False, 3: False}
+
+
+def test_solver_model_check_guards_every_answer(monkeypatch):
+    monkeypatch.setattr(satkit, "_check_model", lambda clauses, assignment: False)
+    with pytest.raises(RuntimeError, match="solver bug"):
+        Solver(2, [(1, 2)]).solve([-1])
+
+
+def test_allsat_equals_a_from_scratch_blocking_loop():
+    cnf = encode_arrow(2).cnf
+    clauses = list(cnf.clauses)
+    expected = []
+    while (res := solve(Cnf(cnf.num_vars, tuple(clauses)))).satisfiable:
+        expected.append(res.assignment)
+        clauses.append(tuple(-v if res.assignment[v] else v for v in sorted(res.assignment)))
+    run = enumerate_models(cnf)
+    assert len(expected) == 94
+    assert list(run.models) == expected
 
 
 def test_enumerate_models_p_or_q():
