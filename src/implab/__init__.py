@@ -4,7 +4,8 @@ and second-price auction properties."""
 __version__ = "0.1.0"
 
 from .orders import LinearOrder, Profile, all_linear_orders, all_profiles, bits_of_order, kendall_tau, order_of_bits
-from .satkit import Cnf, Solver, SolveResult, encode_arrow, enumerate_models, from_dimacs, solve, to_dimacs
+from .satkit import Cnf, Solver, SolveResult, enumerate_models, from_dimacs, solve, to_dimacs
+from .swf import encode_arrow
 
 __all__ = [
     "__version__",

@@ -51,39 +51,33 @@ def _dominance_ce_json(ce: auctions.DominanceCounterexample) -> dict:
 
 
 def cmd_arrow(args) -> tuple[dict, int]:
-    axioms = {satkit.UN, satkit.ND} - {a.upper() for a in args.drop_axiom}
+    axioms = {swf.UN, swf.ND} - {a.upper() for a in args.drop_axiom}
     budget = _budget(swf.DEFAULT_CANDIDATE_BUDGET)
 
     swfs = swf.enumerate_iia_swfs(args.agents, budget)
-    tl = swf.verify_tang_lin(args.agents, swfs=swfs)
-    arrow = swf.arrow_base_case(args.agents, swfs=swfs)
-    wilson = swf.wilson_base_case(args.agents, swfs=swfs)
+    classes = {s: swf.classify(s) for s in swfs}
+    tl = swf.verify_tang_lin(args.agents, classes)
+    arrow = swf.arrow_base_case(args.agents, classes)
+    wilson = swf.wilson_base_case(args.agents, classes)
 
-    filtered = list(swfs)
-    if satkit.UN in axioms:
-        filtered = [s for s in filtered if swf.satisfies_unanimity(s)[0]]
-    if satkit.ND in axioms:
-        filtered = [s for s in filtered if swf.is_dictatorial(s) is None]
+    filtered = arrow.survivors if swf.UN in axioms else swfs
+    if swf.ND in axioms:
+        filtered = [s for s in filtered if classes[s].tag != swf.DICTATORIAL]
 
-    enc = satkit.encode_arrow(args.agents, axioms)
-    res = satkit.solve(enc.cnf)
+    enc = swf.encode_arrow(args.agents, axioms)
     if args.emit_dimacs:
         _emit_dimacs(enc.cnf, args.emit_dimacs)
-    enum_limit = len(filtered) + 1
-    run = satkit.enumerate_models(enc.cnf, limit=enum_limit)
-    decoded = [satkit.decode_model(enc, m) for m in run.models]
+    # one AllSAT run gives both the verdict (SAT iff it finds a model) and the model set
+    run = satkit.enumerate_models(enc.cnf, limit=len(filtered) + 1)
+    decoded = [swf.decode_model(enc, m) for m in run.models]
     agree = not run.truncated and set(decoded) == set(filtered)
-    agree = agree and res.satisfiable == bool(filtered)
+    sat = bool(decoded)
 
-    if axioms == {satkit.UN, satkit.ND}:
-        holds = (
-            not res.satisfiable
-            and arrow.impossibility_holds
-            and all(c.tag == swf.DICTATORIAL for c in arrow.survivor_classes)
-        )
+    if axioms == {swf.UN, swf.ND}:
+        holds = not sat and arrow.impossibility_holds
         verdict = "impossibility holds" if holds else "impossibility falsified"
     else:
-        verdict = "UNSAT" if not res.satisfiable else "SAT"
+        verdict = "SAT" if sat else "UNSAT"
 
     payload = {
         "verdict": verdict,
@@ -96,7 +90,7 @@ def cmd_arrow(args) -> tuple[dict, int]:
         "un_survivor_swfs": [swf.pairwise_to_json(s) for s in arrow.survivors],
         "wilson_survivors": len(wilson.survivors),
         "sat_axioms": sorted(axioms),
-        "sat_verdict": "SAT" if res.satisfiable else "UNSAT",
+        "sat_verdict": "SAT" if sat else "UNSAT",
         "sat_model_count": len(decoded),
         "sat_models_truncated": run.truncated,
         "cross_check_agree": agree,

@@ -1,5 +1,7 @@
-"""CNF model, a DPLL solver, DIMACS I/O, model enumeration, and the
-SAT encoding of the base-case impossibility search.
+"""CNF model, a DPLL solver, DIMACS I/O and model enumeration.
+
+The solver knows nothing of what its variables mean; each encoder lives
+with the objects it encodes.
 
 Literals are nonzero integers in the usual convention: +v asserts variable
 v, -v negates it.  The solver is plain DPLL with two-watched-literal unit
@@ -18,15 +20,7 @@ its blocking clauses to one solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .orders import PAIR_NAMES
-from .swf import PairwiseSwf, profile_pair_indices
-
-DEFAULT_ENCODE_AGENT_CAP = 10
-
-UN = "UN"
-ND = "ND"
+from dataclasses import dataclass
 
 
 def _check_clause(clause, num_vars: int) -> None:
@@ -189,20 +183,18 @@ class Solver:
             decisions.append((var, len(trail), False))
             ok = propagate([var])
             while not ok:
+                # drop the decisions already tried both ways, then flip the latest
+                # untried one; undoing to its mark undoes every dropped one too
                 while decisions and decisions[-1][2]:
-                    dvar, mark, _ = decisions.pop()
-                    for lit in trail[mark:]:
-                        value[lit] = value[-lit] = 0
-                    del trail[mark:]
-                    next_var = min(next_var, dvar)
+                    decisions.pop()
                 if not decisions:
                     return SolveResult(False)
-                dvar, mark, _ = decisions.pop()
+                dvar, mark, _ = decisions[-1]
                 for lit in trail[mark:]:
                     value[lit] = value[-lit] = 0
                 del trail[mark:]
                 next_var = min(next_var, dvar)
-                decisions.append((dvar, mark, True))
+                decisions[-1] = (dvar, mark, True)
                 ok = propagate([-dvar])
 
 
@@ -300,73 +292,3 @@ def from_dimacs(text: str) -> Cnf:
             f"header declares {declared_clauses} clause(s) but body has {len(clauses)}"
         )
     return Cnf(num_vars, tuple(clauses))
-
-
-@dataclass(frozen=True)
-class ArrowEncoding:
-    """CNF over the 3*2^n pairwise truth-table entries.
-
-    Independence is structural: the variables *are* the table entries, so
-    only acyclicity and the requested axioms need clauses.
-    """
-
-    n: int
-    axioms: frozenset[str]
-    cnf: Cnf
-    var_of: dict[tuple[int, int], int] = field(repr=False)  # (pair, entry) -> var
-    entry_of: dict[int, tuple[int, int]] = field(repr=False)
-
-
-def encode_arrow(
-    n: int, axioms: frozenset[str] | set[str] = frozenset(), agent_cap: int = DEFAULT_ENCODE_AGENT_CAP
-) -> ArrowEncoding:
-    """Build the base-case CNF for n agents over three alternatives."""
-    if n < 1 or n > agent_cap:
-        raise ValueError(f"agent count {n} outside supported range 1..{agent_cap}")
-    axioms = frozenset(axioms)
-    unknown = axioms - {UN, ND}
-    if unknown:
-        raise ValueError(f"unknown axioms {sorted(unknown)}; supported: UN, ND")
-    size = 1 << n
-
-    def var(pair: int, entry: int) -> int:
-        return pair * size + entry + 1
-
-    clauses: list[tuple[int, ...]] = []
-    for i1, i2, i3 in profile_pair_indices(n):
-        v1, v2, v3 = var(0, i1), var(1, i2), var(2, i3)
-        clauses.append((v1, -v2, v3))   # forbid social code 010
-        clauses.append((-v1, v2, -v3))  # forbid social code 101
-    if UN in axioms:
-        for k in range(3):
-            clauses.append((var(k, size - 1),))
-            clauses.append((-var(k, 0),))
-    if ND in axioms:
-        for i in range(n):
-            lits = []
-            for k in range(3):
-                for j in range(size):
-                    agent_bit = (j >> (n - 1 - i)) & 1
-                    lits.append(-var(k, j) if agent_bit else var(k, j))
-            clauses.append(tuple(lits))
-    ordered = sorted(set(tuple(sorted(c, key=abs)) for c in clauses))
-    var_of = {(k, j): var(k, j) for k in range(3) for j in range(size)}
-    entry_of = {v: kj for kj, v in var_of.items()}
-    names = {v: f"{PAIR_NAMES[k]}:{j:0{n}b}" for (k, j), v in var_of.items()}
-    cnf = Cnf(3 * size, tuple(ordered), var_names=names)
-    return ArrowEncoding(n=n, axioms=axioms, cnf=cnf, var_of=var_of, entry_of=entry_of)
-
-
-def decode_model(enc: ArrowEncoding, model: dict[int, bool]) -> PairwiseSwf:
-    """Read the table entries out of a model; must yield a valid SWF."""
-    size = 1 << enc.n
-    missing = [v for v in enc.entry_of if v not in model]
-    if missing:
-        raise ValueError(f"model must assign all encoding variables; missing {missing[:5]}")
-    tables = tuple(
-        tuple(1 if model[enc.var_of[(k, j)]] else 0 for j in range(size)) for k in range(3)
-    )
-    try:
-        return PairwiseSwf(enc.n, tables)
-    except ValueError as e:
-        raise RuntimeError(f"encoder bug: model decodes to an invalid SWF ({e})") from e

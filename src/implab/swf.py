@@ -11,18 +11,24 @@ equal to an agent's bit projection, and the range is read off the entry
 triples each profile selects.  Extensional SWFs are classified by walking
 their profiles.  `to_extensional` keeps the two routes comparable.
 
+The base-case reports (Tang-Lin census, Arrow, Wilson) read one classified
+enumeration, so each SWF is classified once per run.  `encode_arrow` states
+the same base case as CNF over the table entries, and `decode_model` reads
+an SWF back out of a model.
+
 Table entry convention: the entry index for a pair packs the agents' bits
 with agent 0 as the most significant bit, so index 2^n-1 is the all-ones
-input and index 0 the all-zeros input.
+input and index 0 the all-zeros input.  `profile_pair_indices` is the one
+place that packs them; `_agent_bits` is the table that copies one agent.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
-from typing import Sequence
 
 from .orders import (
     CYCLIC_CODES,
@@ -36,8 +42,13 @@ from .orders import (
     kendall_tau,
     order_of_bits,
 )
+from .satkit import Cnf
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 24
+DEFAULT_ENCODE_AGENT_CAP = 10
+
+UN = "UN"
+ND = "ND"
 
 DICTATORIAL = "dictatorial"
 INVERSELY_DICTATORIAL = "inversely_dictatorial"
@@ -157,14 +168,9 @@ def evaluate(swf: Swf, p: Profile) -> LinearOrder:
     if isinstance(swf, PairwiseSwf):
         if p.n != swf.n or p.m != 3:
             raise ValueError(f"profile dimensions ({p.n},{p.m}) do not match SWF ({swf.n},3)")
-        codes = [bits_of_order(o) for o in p.orders]
-        bits = []
-        for k in range(3):
-            j = 0
-            for agent, code in enumerate(codes):
-                j |= code[k] << (swf.n - 1 - agent)
-            bits.append(swf.tables[k][j])
-        return order_of_bits(tuple(bits))
+        t0, t1, t2 = swf.tables
+        i1, i2, i3 = profile_pair_indices(swf.n)[profile_index(p)]
+        return order_of_bits((t0[i1], t1[i2], t2[i3]))
     if p.n != swf.n or p.m != swf.m:
         raise ValueError(f"profile dimensions ({p.n},{p.m}) do not match SWF ({swf.n},{swf.m})")
     return swf.outputs[profile_index(p)]
@@ -185,14 +191,10 @@ def to_pairwise(swf: Swf) -> PairwiseSwf:
         raise ValueError("pairwise form is defined for m=3 only")
     size = 1 << swf.n
     tables: list[list[int | None]] = [[None] * size for _ in range(3)]
-    profiles = all_profiles(swf.n, 3)
-    for p, out in zip(profiles, swf.outputs):
+    # outputs are in canonical profile order, as are the entry indices
+    for idx, out in zip(profile_pair_indices(swf.n), swf.outputs):
         out_bits = bits_of_order(out)
-        codes = [bits_of_order(o) for o in p.orders]
-        for k in range(3):
-            j = 0
-            for agent, code in enumerate(codes):
-                j |= code[k] << (swf.n - 1 - agent)
+        for k, j in enumerate(idx):
             if tables[k][j] is None:
                 tables[k][j] = out_bits[k]
             elif tables[k][j] != out_bits[k]:
@@ -418,76 +420,130 @@ class TangLinReport:
     recount_matches: bool
 
 
-def arrow_base_case(
-    n: int,
-    candidate_budget: int = DEFAULT_CANDIDATE_BUDGET,
-    swfs: Sequence[PairwiseSwf] | None = None,
-) -> ArrowReport:
-    """Filter the IIA enumeration by unanimity and classify the survivors.
+def arrow_base_case(n: int, classes: Mapping[PairwiseSwf, SwfClass]) -> ArrowReport:
+    """Filter the IIA enumeration by unanimity; the survivors keep their classes.
 
-    swfs, when given, is the enumeration the caller already built.
+    classes maps each enumerated SWF, in enumeration order, to its class.
     """
-    if swfs is None:
-        swfs = enumerate_iia_swfs(n, candidate_budget)
-    survivors = tuple(s for s in swfs if satisfies_unanimity(s)[0])
-    classes = tuple(classify(s) for s in survivors)
+    survivors = tuple(s for s in classes if satisfies_unanimity(s)[0])
+    survivor_classes = tuple(classes[s] for s in survivors)
     return ArrowReport(
         n=n,
-        iia_count=len(swfs),
+        iia_count=len(classes),
         survivors=survivors,
-        survivor_classes=classes,
-        impossibility_holds=all(c.tag == DICTATORIAL for c in classes),
+        survivor_classes=survivor_classes,
+        impossibility_holds=all(c.tag == DICTATORIAL for c in survivor_classes),
     )
 
 
-def wilson_base_case(
-    n: int,
-    candidate_budget: int = DEFAULT_CANDIDATE_BUDGET,
-    swfs: Sequence[PairwiseSwf] | None = None,
-) -> WilsonReport:
+def wilson_base_case(n: int, classes: Mapping[PairwiseSwf, SwfClass]) -> WilsonReport:
     """Filter the IIA enumeration by surjectivity onto all six orders.
 
-    swfs, when given, is the enumeration the caller already built.
+    classes maps each enumerated SWF, in enumeration order, to its class.
+    A dictator's or inverse dictator's range is all six orders; every other
+    class carries its range.
     """
-    if swfs is None:
-        swfs = enumerate_iia_swfs(n, candidate_budget)
-    survivors = tuple(s for s in swfs if len(range_of(s)) == 6)
+    survivors = tuple(
+        s
+        for s, c in classes.items()
+        if c.tag in (DICTATORIAL, INVERSELY_DICTATORIAL) or len(c.orders) == 6
+    )
     return WilsonReport(
         n=n,
-        iia_count=len(swfs),
+        iia_count=len(classes),
         survivors=survivors,
-        survivor_classes=tuple(classify(s) for s in survivors),
+        survivor_classes=tuple(classes[s] for s in survivors),
     )
 
 
-def verify_tang_lin(
-    n: int,
-    candidate_budget: int = DEFAULT_CANDIDATE_BUDGET,
-    swfs: Sequence[PairwiseSwf] | None = None,
-) -> TangLinReport:
-    """Classify every IIA SWF; the claim holds iff nothing is unclassified.
+def verify_tang_lin(n: int, classes: Mapping[PairwiseSwf, SwfClass]) -> TangLinReport:
+    """Census of the classified IIA enumeration; the claim holds iff nothing
+    is unclassified.
 
-    swfs, when given, is the enumeration the caller already built.
+    classes maps each enumerated SWF, in enumeration order, to its class.
     """
-    if swfs is None:
-        swfs = enumerate_iia_swfs(n, candidate_budget)
     census = {tag: 0 for tag in CLASS_TAGS}
-    unclassified = []
-    for s in swfs:
-        c = classify(s)
+    for c in classes.values():
         census[c.tag] += 1
-        if c.tag == UNCLASSIFIED:
-            unclassified.append(s)
     recount = recount_small_range(n)
     return TangLinReport(
         n=n,
-        iia_count=len(swfs),
+        iia_count=len(classes),
         census=census,
-        unclassified=tuple(unclassified),
+        unclassified=tuple(s for s, c in classes.items() if c.tag == UNCLASSIFIED),
         theorem_holds=census[UNCLASSIFIED] == 0,
         small_range_recount=recount,
         recount_matches=recount == census[SMALL_RANGE],
     )
+
+
+@dataclass(frozen=True)
+class ArrowEncoding:
+    """CNF over the 3*2^n pairwise truth-table entries.
+
+    Independence is structural: the variables *are* the table entries, so
+    only acyclicity and the requested axioms need clauses.
+    """
+
+    n: int
+    axioms: frozenset[str]
+    cnf: Cnf
+    var_of: dict[tuple[int, int], int] = field(repr=False)  # (pair, entry) -> var
+    entry_of: dict[int, tuple[int, int]] = field(repr=False)
+
+
+def encode_arrow(
+    n: int, axioms: frozenset[str] | set[str] = frozenset(), agent_cap: int = DEFAULT_ENCODE_AGENT_CAP
+) -> ArrowEncoding:
+    """Build the base-case CNF for n agents over three alternatives."""
+    if n < 1 or n > agent_cap:
+        raise ValueError(f"agent count {n} outside supported range 1..{agent_cap}")
+    axioms = frozenset(axioms)
+    unknown = axioms - {UN, ND}
+    if unknown:
+        raise ValueError(f"unknown axioms {sorted(unknown)}; supported: UN, ND")
+    size = 1 << n
+
+    def var(pair: int, entry: int) -> int:
+        return pair * size + entry + 1
+
+    clauses: list[tuple[int, ...]] = []
+    for i1, i2, i3 in profile_pair_indices(n):
+        v1, v2, v3 = var(0, i1), var(1, i2), var(2, i3)
+        clauses.append((v1, -v2, v3))   # forbid social code 010
+        clauses.append((-v1, v2, -v3))  # forbid social code 101
+    if UN in axioms:
+        for k in range(3):
+            clauses.append((var(k, size - 1),))
+            clauses.append((-var(k, 0),))
+    if ND in axioms:
+        # agent i is no dictator: some entry of some table differs from i's bit
+        for i in range(n):
+            bits = _agent_bits(n, i)
+            clauses.append(
+                tuple(-var(k, j) if bits[j] else var(k, j) for k in range(3) for j in range(size))
+            )
+    ordered = sorted(set(tuple(sorted(c, key=abs)) for c in clauses))
+    var_of = {(k, j): var(k, j) for k in range(3) for j in range(size)}
+    entry_of = {v: kj for kj, v in var_of.items()}
+    names = {v: f"{PAIR_NAMES[k]}:{j:0{n}b}" for (k, j), v in var_of.items()}
+    cnf = Cnf(3 * size, tuple(ordered), var_names=names)
+    return ArrowEncoding(n=n, axioms=axioms, cnf=cnf, var_of=var_of, entry_of=entry_of)
+
+
+def decode_model(enc: ArrowEncoding, model: dict[int, bool]) -> PairwiseSwf:
+    """Read the table entries out of a model; must yield a valid SWF."""
+    size = 1 << enc.n
+    missing = [v for v in enc.entry_of if v not in model]
+    if missing:
+        raise ValueError(f"model must assign all encoding variables; missing {missing[:5]}")
+    tables = tuple(
+        tuple(1 if model[enc.var_of[(k, j)]] else 0 for j in range(size)) for k in range(3)
+    )
+    try:
+        return PairwiseSwf(enc.n, tables)
+    except ValueError as e:
+        raise RuntimeError(f"encoder bug: model decodes to an invalid SWF ({e})") from e
 
 
 def pairwise_to_json(swf: PairwiseSwf) -> dict:

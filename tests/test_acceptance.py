@@ -13,13 +13,18 @@ from fractions import Fraction
 
 from implab.cli import main as cli_main
 from implab.ranksets import Axiom, RelationClass, Universe, check_relation, encode_ranksets, minmax_relation
-from implab.satkit import ND, UN, Cnf, decode_model, encode_arrow, enumerate_models, from_dimacs, solve, to_dimacs
+from implab.satkit import Cnf, enumerate_models, from_dimacs, solve, to_dimacs
 from implab.swf import (
     CONSTANT,
     DICTATORIAL,
     INVERSELY_DICTATORIAL,
+    ND,
     SMALL_RANGE,
+    UN,
     UNCLASSIFIED,
+    classify,
+    decode_model,
+    encode_arrow,
     enumerate_iia_swfs,
     recount_small_range,
     verify_tang_lin,
@@ -97,7 +102,7 @@ def test_criterion_03_cross_route_equivalence():
 
 def test_criterion_04_range_classification_theorem():
     with criterion(4, "zero unclassified among the 94; 3x2x14 recount agrees"):
-        report = verify_tang_lin(2)
+        report = verify_tang_lin(2, {s: classify(s) for s in enumerate_iia_swfs(2)})
         assert report.census[UNCLASSIFIED] == 0
         assert report.theorem_holds
         assert report.unclassified == ()
@@ -107,7 +112,7 @@ def test_criterion_04_range_classification_theorem():
 
 def test_criterion_05_wilson_filter():
     with criterion(5, "surjectivity leaves 4 survivors: 2 dictatorial, 2 inversely dictatorial"):
-        report = wilson_base_case(2)
+        report = wilson_base_case(2, {s: classify(s) for s in enumerate_iia_swfs(2)})
         assert len(report.survivors) == 4
         tags = sorted(c.tag for c in report.survivor_classes)
         assert tags == [DICTATORIAL, DICTATORIAL, INVERSELY_DICTATORIAL, INVERSELY_DICTATORIAL]

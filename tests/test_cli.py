@@ -3,7 +3,9 @@ import json
 import time
 from pathlib import Path
 
-from implab import satkit
+import pytest
+
+from implab import satkit, swf
 from implab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -90,11 +92,56 @@ def test_arrow_three_agents(capsys):
     assert report["cross_check_agree"]
 
 
+def test_arrow_three_agents_classifies_each_swf_once_and_never_calls_solve(capsys, monkeypatch):
+    calls = {"classify": 0, "range_of": 0}
+
+    def counting(name):
+        original = getattr(swf, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    def no_solve(cnf):
+        raise AssertionError("arrow must not call satkit.solve")
+
+    for name in calls:
+        monkeypatch.setattr(swf, name, counting(name))
+    monkeypatch.setattr(satkit, "solve", no_solve)
+    code, report = run_cli(capsys, "arrow", "--agents", "3")
+    assert code == 0 and report["verdict"] == "impossibility holds"
+    assert 0 < calls["classify"] <= 1536
+    assert 0 < calls["range_of"] <= 1536
+
+
 def test_arrow_budget_error_exits_1(capsys):
     code = main(["arrow", "--agents", "4"])
     err = capsys.readouterr().err
     assert code == 1
     assert "exceeds budget" in err
+
+
+ARROW_REPORT_SHA256 = {
+    ("--agents", "1"): "14a2ab714f15b63a27871e7bc8fa79cbe8265531347722eaa5561c59ac3dc60f",
+    ("--agents", "2"): "0abf2ea91740f4c9cffc5a3da5f0116adf00c4610ad1bb44d96778e1791a75ad",
+    ("--agents", "3"): "4b483b9cb3d3c5a45c8dbbd1b607ee8fe51e404271603101704f36bf941a56c6",
+    ("--agents", "2", "--drop-axiom", "nd", "--count-models"):
+        "90142d9a030c535c59f9740c28a44aa73398808ba8f2c4fb0699ac511aac9baf",
+    ("--agents", "2", "--drop-axiom", "un", "--count-models"):
+        "6fc34ef592c05b196079e5d92a7cf7450b595388b88a227caa07f1cfdd1b8bce",
+    ("--agents", "2", "--drop-axiom", "un", "--drop-axiom", "nd", "--count-models"):
+        "a36b34c269513f306a8411ca84fbd8cb6ce190d6f8009626ef261efb7398895a",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ARROW_REPORT_SHA256), ids=" ".join)
+def test_arrow_reports_are_pinned(capsys, argv):
+    code, report = run_cli(capsys, "arrow", *argv)
+    assert code == 0
+    text = json.dumps(strip_duration(report), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == ARROW_REPORT_SHA256[argv]
 
 
 def test_ranksets_check_bbp4_m4_unsat(capsys):

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import random
 from pathlib import Path
@@ -6,19 +7,18 @@ import pytest
 
 from implab import satkit
 from implab.orders import all_profiles
-from implab.satkit import (
+from implab.satkit import Cnf, Solver, enumerate_models, from_dimacs, solve, to_dimacs
+from implab.swf import (
+    DICTATORIAL,
     ND,
     UN,
-    Cnf,
-    Solver,
+    classify,
     decode_model,
     encode_arrow,
-    enumerate_models,
-    from_dimacs,
-    solve,
-    to_dimacs,
+    enumerate_iia_swfs,
+    is_dictatorial,
+    satisfies_unanimity,
 )
-from implab.swf import DICTATORIAL, classify, enumerate_iia_swfs, is_dictatorial, satisfies_unanimity
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -357,6 +357,19 @@ def test_decode_model_requires_total_assignment():
 def test_arrow_dimacs_bytes_are_stable():
     enc = encode_arrow(2, {UN, ND})
     assert to_dimacs(enc.cnf) == (GOLDEN / "arrow_n2_un_nd.cnf").read_text()
+
+
+def test_satkit_imports_no_implab_module():
+    tree = ast.parse(Path(satkit.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import from {node.module!r}"
+            names = [node.module]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any(name.split(".")[0] == "implab" for name in names), names
 
 
 def test_arrow_encoding_round_trip():

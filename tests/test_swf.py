@@ -63,6 +63,10 @@ def constant_swf(n: int, order: LinearOrder) -> PairwiseSwf:
     return PairwiseSwf(n, tuple((bits[k],) * size for k in range(3)))
 
 
+def classified(n: int) -> dict[PairwiseSwf, SwfClass]:
+    return {s: classify(s) for s in enumerate_iia_swfs(n)}
+
+
 def two_outcome_swf() -> PairwiseSwf:
     # always a>b, always a>c; b>c unless both agents prefer c to b
     return PairwiseSwf(2, ((1, 1, 1, 1), (1, 1, 1, 1), (0, 1, 1, 1)))
@@ -200,7 +204,7 @@ def test_enumerate_is_canonically_sorted_and_unique():
 
 
 def test_census_n2_is_84_6_2_2():
-    rep = verify_tang_lin(2)
+    rep = verify_tang_lin(2, classified(2))
     assert rep.census == {
         SMALL_RANGE: 84,
         CONSTANT: 6,
@@ -317,15 +321,18 @@ def test_table_route_matches_profile_route_on_n3_sample():
         assert_table_route_matches_profile_route(s)
 
 
-def test_reports_accept_a_precomputed_enumeration():
-    swfs = enumerate_iia_swfs(2)
-    assert arrow_base_case(2, swfs=swfs) == arrow_base_case(2)
-    assert wilson_base_case(2, swfs=swfs) == wilson_base_case(2)
-    assert verify_tang_lin(2, swfs=swfs) == verify_tang_lin(2)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_survivors_read_off_the_classes_match_the_direct_filters(n):
+    classes = classified(n)
+    swfs = list(classes)
+    wilson = wilson_base_case(n, classes)
+    assert list(wilson.survivors) == [s for s in swfs if len(range_of(s)) == 6]
+    not_dictatorial = [s for s, c in classes.items() if c.tag != DICTATORIAL]
+    assert not_dictatorial == [s for s in swfs if is_dictatorial(s) is None]
 
 
 def test_arrow_base_case_n2():
-    rep = arrow_base_case(2)
+    rep = arrow_base_case(2, classified(2))
     assert rep.iia_count == 94
     assert len(rep.survivors) == 2
     assert all(c.tag == DICTATORIAL for c in rep.survivor_classes)
@@ -334,13 +341,13 @@ def test_arrow_base_case_n2():
 
 
 def test_arrow_base_case_n1_survivor_is_the_identity():
-    rep = arrow_base_case(1)
+    rep = arrow_base_case(1, classified(1))
     assert len(rep.survivors) == 1
     assert is_dictatorial(rep.survivors[0]) == 0
 
 
 def test_wilson_base_case_n2():
-    rep = wilson_base_case(2)
+    rep = wilson_base_case(2, classified(2))
     assert len(rep.survivors) == 4
     tags = sorted(c.tag for c in rep.survivor_classes)
     assert tags == [DICTATORIAL, DICTATORIAL, INVERSELY_DICTATORIAL, INVERSELY_DICTATORIAL]
@@ -352,13 +359,14 @@ def test_wilson_base_case_n2():
 
 
 def test_wilson_excludes_constant_and_small_range():
-    rep = wilson_base_case(2)
+    rep = wilson_base_case(2, classified(2))
     for s in rep.survivors:
         assert classify(s).tag in (DICTATORIAL, INVERSELY_DICTATORIAL)
 
 
 def test_arrow_survivors_subset_of_wilson_survivors():
-    assert set(arrow_base_case(2).survivors) <= set(wilson_base_case(2).survivors)
+    classes = classified(2)
+    assert set(arrow_base_case(2, classes).survivors) <= set(wilson_base_case(2, classes).survivors)
 
 
 def test_small_range_recount_formula():
