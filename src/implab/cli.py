@@ -8,8 +8,8 @@ counterexample or soundness violation (vickrey), 4 an internal check failed
 (a solver model that fails its clauses, a model that decodes to an invalid
 object, an auction rule with an unsound outcome), 20 UNSAT (sat).
 
-The IMPLAB_BUDGET environment variable overrides the enumeration and sweep
-budgets of the underlying modules.
+The IMPLAB_BUDGET environment variable, a non-negative integer, overrides
+the enumeration and sweep budgets of the underlying modules.
 """
 
 from __future__ import annotations
@@ -28,7 +28,11 @@ from .ranksets import Axiom, RelationClass, Universe
 
 def _budget(default: int) -> int:
     raw = os.environ.get("IMPLAB_BUDGET")
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"IMPLAB_BUDGET must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def _emit_dimacs(cnf: satkit.Cnf, path: str) -> None:

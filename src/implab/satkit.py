@@ -14,8 +14,10 @@ calls, takes further clauses with `add_clause`, and answers
 `solve(assumptions)`, which fixes the assumption literals at the root of
 the search.  A clause guarded by a selector, (-s, *clause), is thus
 switched on or off per call, so one solver answers a family of related
-formulas.  `solve(cnf)` is a one-shot solver, and `enumerate_models` adds
-its blocking clauses to one solver.
+formulas.  `solve(cnf)` is a one-shot solver.  `enumerate_models` is
+AllSAT by continuation: one search on one solver goes on past each model
+as if it were a conflict, so it adds no blocking clauses and yields the
+models in lexicographically descending order.
 """
 
 from __future__ import annotations
@@ -67,10 +69,12 @@ def _check_model(clauses, assignment) -> bool:
 class Solver:
     """DPLL over a growing clause set, answering each call under assumptions.
 
-    The clauses and their watch lists live as long as the solver.  Every
-    solve(assumptions) starts from an empty trail, so its answer is that of
-    a fresh solve of the clauses plus one unit clause per assumption; with
-    the fixed decision order that answer is also the same model.
+    The clauses and their watch lists live as long as the solver.  Both
+    solve(assumptions) and AllSAT run one search, `_search`, which starts
+    from an empty trail, so solve's answer is that of a fresh solve of the
+    clauses plus one unit clause per assumption; with the fixed decision
+    order that answer is also the same model.  AllSAT takes every model the
+    search yields, solve only the first.
 
     Per-literal state sits in lists indexed by the literal itself: +v at
     index v and -v at index -v, which Python maps into the upper half of a
@@ -108,6 +112,20 @@ class Solver:
         """Lexicographically greatest model (variable 1 first, true above
         false) that makes every assumption literal true; Sat models are
         verified against every clause and assumption before return."""
+        assumptions = tuple(assumptions)
+        if not self.clauses and not assumptions:
+            return SolveResult(True, dict.fromkeys(range(1, self.num_vars + 1), False))
+        return next(self._search(assumptions), SolveResult(False))
+
+    def _search(self, assumptions=()):
+        """Yield every model that makes every assumption literal true, in
+        lexicographically descending order, each verified like solve's.
+
+        After a model the search goes on as if it were a conflict, flipping
+        the latest untried decision, so no clause is added.  The search runs
+        on the solver's own trail: another solve or add_clause on the same
+        solver invalidates a live iterator.
+        """
         nvars = self.num_vars
         assumptions = tuple(assumptions)
         for lit in assumptions:
@@ -124,12 +142,6 @@ class Solver:
             if not (_check_model(clauses, full) and _check_model([(lit,) for lit in assumptions], full)):
                 raise RuntimeError("solver bug: produced assignment fails verification")
             return SolveResult(True, full)
-
-        if not clauses and not assumptions:
-            for v in range(1, nvars + 1):
-                value[v], value[-v] = -1, 1
-                trail.append(-v)
-            return model()
 
         def propagate(queue) -> bool:
             """Make each queued literal true and propagate; False on conflict."""
@@ -170,7 +182,7 @@ class Solver:
             return True
 
         if not propagate(self._units + list(assumptions)):
-            return SolveResult(False)
+            return
 
         decisions: list[tuple[int, int, bool]] = []  # (var, trail length before, tried_false)
         next_var = 1
@@ -178,17 +190,18 @@ class Solver:
             while next_var <= nvars and value[next_var] != 0:
                 next_var += 1
             if next_var > nvars:
-                return model()
-            var = next_var
-            decisions.append((var, len(trail), False))
-            ok = propagate([var])
+                yield model()
+                ok = False  # go on past the model as if it were a conflict
+            else:
+                decisions.append((next_var, len(trail), False))
+                ok = propagate([next_var])
             while not ok:
                 # drop the decisions already tried both ways, then flip the latest
                 # untried one; undoing to its mark undoes every dropped one too
                 while decisions and decisions[-1][2]:
                     decisions.pop()
                 if not decisions:
-                    return SolveResult(False)
+                    return
                 dvar, mark, _ = decisions[-1]
                 for lit in trail[mark:]:
                     value[lit] = value[-lit] = 0
@@ -203,32 +216,15 @@ def solve(cnf: Cnf) -> SolveResult:
     return Solver(cnf.num_vars, cnf.clauses).solve()
 
 
-def enumerate_models(
-    cnf: Cnf, projection: frozenset[int] | set[int] | None = None, limit: int | None = None
-) -> ModelEnumeration:
-    """AllSAT over the projection variables via blocking clauses added to one solver."""
-    if projection is None:
-        projection = set(range(1, cnf.num_vars + 1))
-    projection = set(projection)
-    if any(v < 1 or v > cnf.num_vars for v in projection):
-        raise ValueError("projection must be a subset of the CNF's variables")
-    proj = sorted(projection)
-    solver = Solver(cnf.num_vars, cnf.clauses)
+def enumerate_models(cnf: Cnf, *, limit: int | None = None) -> ModelEnumeration:
+    """AllSAT in lexicographically descending order by one continued DPLL
+    search; truncated when a model beyond the first `limit` exists."""
     models: list[dict[int, bool]] = []
-    truncated = False
-    while True:
-        res = solver.solve()
-        if not res.satisfiable:
-            break
-        part = {v: res.assignment[v] for v in proj}
+    for res in Solver(cnf.num_vars, cnf.clauses)._search():
         if limit is not None and len(models) == limit:
-            truncated = True
-            break
-        models.append(part)
-        if not proj:
-            break
-        solver.add_clause(tuple(-v if part[v] else v for v in proj))
-    return ModelEnumeration(tuple(models), truncated)
+            return ModelEnumeration(tuple(models), True)
+        models.append(res.assignment)
+    return ModelEnumeration(tuple(models), False)
 
 
 def to_dimacs(cnf: Cnf) -> str:

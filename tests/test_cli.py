@@ -133,6 +133,9 @@ ARROW_REPORT_SHA256 = {
         "6fc34ef592c05b196079e5d92a7cf7450b595388b88a227caa07f1cfdd1b8bce",
     ("--agents", "2", "--drop-axiom", "un", "--drop-axiom", "nd", "--count-models"):
         "a36b34c269513f306a8411ca84fbd8cb6ce190d6f8009626ef261efb7398895a",
+    # all 1533 decoded models in enumeration order: pins AllSAT's order and completeness
+    ("--agents", "3", "--drop-axiom", "un", "--count-models"):
+        "fc03ff87f45ac512ae8b6fd5bfb534be469522da7e64ab5972765ebfb5267f13",
 }
 
 
@@ -401,6 +404,15 @@ def test_budget_env_var_overrides_caps(capsys, monkeypatch):
     code = main(["arrow", "--agents", "2"])
     capsys.readouterr()
     assert code == 0
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3"])
+def test_budget_env_var_must_be_a_non_negative_integer(capsys, monkeypatch, raw):
+    monkeypatch.setenv("IMPLAB_BUDGET", raw)
+    assert main(["vickrey", "soundness", "--n", "2", "--grid", "0:1:1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: IMPLAB_BUDGET must be a non-negative integer, got '{raw}'\n"
 
 
 def test_ranksets_emit_dimacs(capsys, tmp_path):

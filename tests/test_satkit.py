@@ -45,35 +45,6 @@ def brute_force_sat(num_vars: int, clauses) -> bool:
     return formula != 0
 
 
-def brute_force_projected_count(num_vars: int, clauses, projection) -> int:
-    total = 1 << num_vars
-    full = (1 << total) - 1
-
-    def var_mask(v: int) -> int:
-        period = 1 << v
-        half = 1 << (v - 1)
-        block = ((1 << half) - 1) << half
-        return block * (full // ((1 << period) - 1))
-
-    formula = full
-    for c in clauses:
-        cm = 0
-        for lit in c:
-            m = var_mask(abs(lit))
-            cm |= m if lit > 0 else (~m & full)
-        formula &= cm
-    proj = sorted(projection)
-    count = 0
-    for bits in itertools.product((False, True), repeat=len(proj)):
-        mask = full
-        for v, b in zip(proj, bits):
-            m = var_mask(v)
-            mask &= m if b else (~m & full)
-        if formula & mask:
-            count += 1
-    return count
-
-
 def random_3cnf(rng: random.Random) -> Cnf:
     num_vars = rng.randint(3, 12)
     num_clauses = rng.randint(1, 5 * num_vars)
@@ -109,6 +80,10 @@ def test_solve_empty_clause_list_is_sat_all_false():
     res = solve(Cnf(3, ()))
     assert res.satisfiable
     assert res.assignment == {1: False, 2: False, 3: False}
+    # enumeration has no such shortcut: it lists every assignment, greatest first
+    run = enumerate_models(Cnf(2, ()))
+    assert [(m[1], m[2]) for m in run.models] == [(True, True), (True, False), (False, True), (False, False)]
+    assert not run.truncated
 
 
 def test_solve_model_is_total_and_satisfying():
@@ -204,6 +179,8 @@ def test_solver_model_check_guards_every_answer(monkeypatch):
     monkeypatch.setattr(satkit, "_check_model", lambda clauses, assignment: False)
     with pytest.raises(RuntimeError, match="solver bug"):
         Solver(2, [(1, 2)]).solve([-1])
+    with pytest.raises(RuntimeError, match="solver bug"):
+        enumerate_models(Cnf(2, ((1, 2),)))
 
 
 def test_allsat_equals_a_from_scratch_blocking_loop():
@@ -232,21 +209,21 @@ def test_enumerate_models_limit_sets_truncation_flag():
     res_all = enumerate_models(Cnf(2, ((1, 2),)), limit=3)
     assert len(res_all.models) == 3
     assert not res_all.truncated
+    with pytest.raises(TypeError):  # limit is keyword-only, so an old projection fails loudly
+        enumerate_models(Cnf(2, ((1, 2),)), {1})
 
 
-def test_enumerate_models_projection_counts_match_oracle():
+def test_enumerate_models_equals_the_truth_table_in_descending_order():
     rng = random.Random(777)
     for _ in range(60):
         cnf = random_3cnf(rng)
-        proj = set(rng.sample(range(1, cnf.num_vars + 1), rng.randint(1, min(6, cnf.num_vars))))
-        got = len(enumerate_models(cnf, projection=proj).models)
-        want = brute_force_projected_count(cnf.num_vars, cnf.clauses, proj)
-        assert got == want
-
-
-def test_enumerate_models_rejects_bad_projection():
-    with pytest.raises(ValueError):
-        enumerate_models(Cnf(2, ((1,),)), projection={3})
+        n = cnf.num_vars
+        want = []
+        for bits in itertools.product((True, False), repeat=n):
+            model = dict(zip(range(1, n + 1), bits))
+            if all(any(model[abs(lit)] == (lit > 0) for lit in c) for c in cnf.clauses):
+                want.append(model)
+        assert list(enumerate_models(cnf).models) == want
 
 
 def test_to_dimacs_exact_format():
