@@ -1,8 +1,14 @@
 """Second-price auction semantics and exhaustive property checks.
 
-All money amounts are exact rationals (fractions.Fraction); dominance is a
-family of inequalities whose boundary cases (a deviation tying the best
-competing bid) must not be blurred by floating point.
+All money amounts are exact: an int or a fractions.Fraction, never a float.
+Dominance is a family of inequalities whose boundary cases (a deviation
+tying the best competing bid) must not be blurred by floating point.
+
+The dominance sweeps run on integers: they multiply every grid point and
+valuation by D, the least common multiple of their denominators, and map a
+counterexample back by dividing by D.  That is exact for any rule that
+meets the scaling contract stated on AuctionRule, and each counterexample
+is re-run through the rule on the unscaled amounts to confirm it.
 
 Tie-breaking: the lowest-index participant among the maximal bidders wins.
 Weak dominance of truthful bidding and valuation-wise efficiency both hold
@@ -13,28 +19,34 @@ the soundness check verifies.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Protocol, Sequence
 
 from .parallel import pool_map
 
 DEFAULT_SWEEP_BUDGET = 10_000_000
 
-Amount = Fraction
-AuctionRule = Callable[[Sequence[Fraction]], "AuctionOutcome"]
+Amount = int | Fraction
 
 
-def to_amount(value) -> Fraction:
+def to_amount(value) -> Amount:
+    """An exact amount: an int or Fraction as it is, anything else through Fraction."""
+    if type(value) is int or type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass int, str, or Fraction for exactness")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"amount {value!r} has a zero denominator") from None
 
 
-def to_amounts(values, label: str = "amount") -> tuple[Fraction, ...]:
-    out = tuple(to_amount(v) for v in values)
+def to_amounts(values, label: str = "amount") -> tuple[Amount, ...]:
+    out = tuple(map(to_amount, values))
     for i, v in enumerate(out):
-        if v < 0:
+        if v.numerator < 0:
             raise ValueError(f"negative {label} {v} at index {i}")
     return out
 
@@ -45,7 +57,19 @@ class AuctionOutcome:
     that deliberately broken rules can be fed to the soundness checker."""
 
     x: tuple[int, ...]
-    p: tuple[Fraction, ...]
+    p: tuple[Amount, ...]
+
+
+class AuctionRule(Protocol):
+    """Maps a bid vector to an outcome.
+
+    Scaling contract: multiplying every bid by a positive integer c
+    multiplies every payment by c and leaves the allocation as it is.  The
+    dominance sweeps rely on it to run on integers.  Both RULES entries
+    meet it, because each price is a bid or 0.
+    """
+
+    def __call__(self, bids: Sequence[Amount]) -> AuctionOutcome: ...
 
 
 def outcome_violations(out: AuctionOutcome, n: int) -> list[str]:
@@ -71,8 +95,8 @@ def run_spa(bids: Sequence) -> AuctionOutcome:
     b = to_amounts(bids, "bid")
     if not b:
         raise ValueError("auction needs at least one bid")
-    winner = max(range(len(b)), key=lambda i: (b[i], -i))
-    price = max((b[j] for j in range(len(b)) if j != winner), default=Fraction(0))
+    winner = b.index(max(b))
+    price = max(b[:winner] + b[winner + 1 :], default=0)
     return _checked(_outcome(len(b), winner, price))
 
 
@@ -81,18 +105,17 @@ def run_first_price(bids: Sequence) -> AuctionOutcome:
     b = to_amounts(bids, "bid")
     if not b:
         raise ValueError("auction needs at least one bid")
-    winner = max(range(len(b)), key=lambda i: (b[i], -i))
+    winner = b.index(max(b))
     return _checked(_outcome(len(b), winner, b[winner]))
 
 
 RULES: dict[str, AuctionRule] = {"second-price": run_spa, "first-price": run_first_price}
 
 
-def _outcome(n: int, winner: int, price: Fraction) -> AuctionOutcome:
-    return AuctionOutcome(
-        x=tuple(1 if i == winner else 0 for i in range(n)),
-        p=tuple(price if i == winner else Fraction(0) for i in range(n)),
-    )
+def _outcome(n: int, winner: int, price: Amount) -> AuctionOutcome:
+    x, p = [0] * n, [0] * n
+    x[winner], p[winner] = 1, price
+    return AuctionOutcome(tuple(x), tuple(p))
 
 
 def _checked(out: AuctionOutcome) -> AuctionOutcome:
@@ -102,13 +125,13 @@ def _checked(out: AuctionOutcome) -> AuctionOutcome:
     return out
 
 
-def payoff(v_i, x_i: int, p_i) -> Fraction:
+def payoff(v_i, x_i: int, p_i) -> Amount:
     return to_amount(v_i) * x_i - to_amount(p_i)
 
 
 @dataclass(frozen=True)
 class BidGrid:
-    points: tuple[Fraction, ...]
+    points: tuple[Amount, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "points", to_amounts(self.points, "grid point"))
@@ -128,14 +151,14 @@ def parse_grid(text: str, budget: int = DEFAULT_SWEEP_BUDGET) -> BidGrid:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"range grid must be start:stop:step, got {text!r}")
-        start, stop, step = (Fraction(p) for p in parts)
+        start, stop, step = map(to_amount, parts)
         if step <= 0:
             raise ValueError("grid step must be positive")
         count = max(0, (stop - start) // step + 1)
         if count > budget:
             raise ValueError(f"grid of {count} points exceeds budget {budget}")
         return BidGrid(tuple(start + k * step for k in range(count)))
-    return BidGrid(tuple(Fraction(p) for p in text.split(",")))
+    return BidGrid(tuple(map(to_amount, text.split(","))))
 
 
 def _root_floor(x: int, n: int) -> int:
@@ -170,10 +193,10 @@ def soundness_point_limit(n: int, sweep_budget: int = DEFAULT_SWEEP_BUDGET) -> i
 @dataclass(frozen=True)
 class DominanceCounterexample:
     agent: int
-    truthful_bids: tuple[Fraction, ...]
-    deviation_bids: tuple[Fraction, ...]
-    truthful_payoff: Fraction
-    deviation_payoff: Fraction
+    truthful_bids: tuple[Amount, ...]
+    deviation_bids: tuple[Amount, ...]
+    truthful_payoff: Amount
+    deviation_payoff: Amount
 
 
 @dataclass(frozen=True)
@@ -185,10 +208,10 @@ class DominanceResult:
 
 def _agent_counterexample(
     i: int,
-    v_i: Fraction,
+    v_i: Amount,
     n: int,
-    opponent_grid: tuple[Fraction, ...],
-    deviations: tuple[Fraction, ...],
+    opponent_grid: tuple[Amount, ...],
+    deviations: tuple[Amount, ...],
     rule: AuctionRule,
 ) -> tuple[tuple[int, int, int], DominanceCounterexample] | None:
     """First (by canonical sweep order) profitable deviation for agent i."""
@@ -215,6 +238,40 @@ def _dominance_chunk(args):
     return _agent_counterexample(*args)
 
 
+def _times(a: Amount, d: int) -> int:
+    """a * d as an int, for d a multiple of a's denominator."""
+    return a.numerator * (d // a.denominator)
+
+
+def _unscaled(ce: DominanceCounterexample, d: int, rule: AuctionRule) -> DominanceCounterexample:
+    """ce found on amounts multiplied by d, divided back by d.
+
+    Both bid vectors are re-run through rule on the unscaled amounts; a
+    payoff that does not reproduce means rule breaks the scaling contract.
+    """
+    i = ce.agent
+    back = DominanceCounterexample(
+        agent=i,
+        truthful_bids=tuple(Fraction(b, d) for b in ce.truthful_bids),
+        deviation_bids=tuple(Fraction(b, d) for b in ce.deviation_bids),
+        truthful_payoff=Fraction(ce.truthful_payoff, d),
+        deviation_payoff=Fraction(ce.deviation_payoff, d),
+    )
+    v_i = back.truthful_bids[i]
+    for bids, expected in (
+        (back.truthful_bids, back.truthful_payoff),
+        (back.deviation_bids, back.deviation_payoff),
+    ):
+        out = rule(bids)
+        got = payoff(v_i, out.x[i], out.p[i])
+        if got != expected:
+            raise RuntimeError(
+                f"auction rule breaks the scaling contract: on bids ({', '.join(map(str, bids))}) "
+                f"agent {i} gets payoff {got}, but {expected} on the bids times {d}"
+            )
+    return back
+
+
 def check_weak_dominance(
     valuations: Sequence,
     grid: BidGrid,
@@ -225,21 +282,25 @@ def check_weak_dominance(
     """Exhaustively compare truthful bidding against every grid deviation.
 
     For each participant, opponents range over the grid and the deviation
-    domain is the grid plus the participant's own valuation.
+    domain is the grid plus the participant's own valuation.  The sweep runs
+    on every amount times the least common multiple of their denominators.
     """
     v = to_amounts(valuations, "valuation")
     n = len(v)
     if n < 2:
         raise ValueError(f"dominance check needs more than one participant, got {n}")
-    dev_domains = [tuple(sorted(set(grid.points) | {v_i})) for v_i in v]
-    cells = sum(len(grid.points) ** (n - 1) * len(d) for d in dev_domains)
+    d = math.lcm(*(a.denominator for a in (*grid.points, *v)))
+    points = tuple(_times(a, d) for a in grid.points)
+    values = tuple(_times(a, d) for a in v)
+    dev_domains = [tuple(sorted(set(points) | {v_i})) for v_i in values]
+    cells = sum(len(points) ** (n - 1) * len(dev) for dev in dev_domains)
     if cells > sweep_budget:
         raise ValueError(f"dominance sweep of {cells} cells exceeds budget {sweep_budget}")
-    tasks = [(i, v[i], n, grid.points, dev_domains[i], rule) for i in range(n)]
+    tasks = [(i, values[i], n, points, dev_domains[i], rule) for i in range(n)]
     hits = [h for h in pool_map(_dominance_chunk, tasks, jobs) if h is not None]
     if hits:
         _, ce = min(hits, key=lambda h: h[0])
-        return DominanceResult(False, cells, ce)
+        return DominanceResult(False, cells, _unscaled(ce, d, rule))
     return DominanceResult(True, cells)
 
 
@@ -247,8 +308,8 @@ def check_weak_dominance(
 class EfficiencyResult:
     holds: bool
     winner: int
-    winner_valuation: Fraction
-    max_valuation: Fraction
+    winner_valuation: Amount
+    max_valuation: Amount
 
 
 def check_efficiency(valuations: Sequence, rule: AuctionRule = run_spa) -> EfficiencyResult:
@@ -266,7 +327,7 @@ def check_efficiency(valuations: Sequence, rule: AuctionRule = run_spa) -> Effic
 
 @dataclass(frozen=True)
 class SoundnessReport:
-    bids: tuple[Fraction, ...]
+    bids: tuple[Amount, ...]
     violations: tuple[str, ...]
     outcome: AuctionOutcome
 
@@ -299,7 +360,7 @@ def sweep_soundness(
     return [check_soundness(bids, rule) for bids in itertools.product(grid.points, repeat=n)]
 
 
-def max_classical(xs: Sequence) -> Fraction:
+def max_classical(xs: Sequence) -> Amount:
     """Pick the witness element certified >= every element by direct scan."""
     items = [to_amount(x) for x in xs]
     if not items:
@@ -310,7 +371,7 @@ def max_classical(xs: Sequence) -> Fraction:
     raise AssertionError("unreachable: a finite list has a maximal element")
 
 
-def max_constructive(xs: Sequence) -> Fraction:
+def max_constructive(xs: Sequence) -> Amount:
     """Fold from the tail: a singleton is its own maximum, otherwise compare
     the head against the maximum of the rest."""
     items = [to_amount(x) for x in xs]
@@ -338,7 +399,7 @@ def check_abstract_dominance(
 
     Every bidder's domain collapses to {v_i - delta (floored at 0), v_i,
     v_i + delta}; only the distinguished bidder 0 is checked for profitable
-    deviations.
+    deviations.  Like check_weak_dominance, it sweeps on scaled integers.
     """
     value = to_amount(v_i)
     step = to_amount(delta)
@@ -346,12 +407,13 @@ def check_abstract_dominance(
         raise ValueError(f"dominance check needs more than one participant, got {n}")
     if step <= 0:
         raise ValueError("delta must be positive")
-    points = tuple(sorted({max(Fraction(0), value - step), value, value + step}))
-    grid = BidGrid(points)
-    cells = len(points) ** (n - 1) * len(points)
+    grid = BidGrid(tuple(sorted({max(0, value - step), value, value + step})))
+    cells = len(grid.points) ** (n - 1) * len(grid.points)
     if cells > sweep_budget:
         raise ValueError(f"abstract sweep of {cells} cells exceeds budget {sweep_budget}")
-    hit = _agent_counterexample(0, value, n, grid.points, grid.points, rule)
+    d = math.lcm(*(a.denominator for a in grid.points))
+    points = tuple(_times(a, d) for a in grid.points)
+    hit = _agent_counterexample(0, _times(value, d), n, points, points, rule)
     if hit is None:
         return AbstractDominanceResult(n, grid, True, cells)
-    return AbstractDominanceResult(n, grid, False, cells, hit[1])
+    return AbstractDominanceResult(n, grid, False, cells, _unscaled(hit[1], d, rule))

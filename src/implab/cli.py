@@ -203,6 +203,8 @@ def cmd_vickrey(args) -> tuple[dict, int]:
         }
         return payload, 0 if res.holds else 3
     if args.vickrey_cmd == "soundness":
+        if args.n < 1:
+            raise ValueError(f"--n must be at least 1, got {args.n}")
         grid = auctions.parse_grid(args.grid, auctions.soundness_point_limit(args.n, budget))
         reports = auctions.sweep_soundness(args.n, grid, rule, budget)
         bad = [r for r in reports if not r.sound]
@@ -216,6 +218,8 @@ def cmd_vickrey(args) -> tuple[dict, int]:
         }
         return payload, 0 if not bad else 3
     if args.vickrey_cmd == "abstract":
+        if args.n_max < 2:
+            raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
         per_n = []
         all_hold = True
         for n in range(2, args.n_max + 1):
@@ -241,6 +245,8 @@ def cmd_vickrey(args) -> tuple[dict, int]:
         }
         return payload, 0 if all_hold else 3
     if args.vickrey_cmd == "maxcheck":
+        if args.trials < 1:
+            raise ValueError(f"--trials must be at least 1, got {args.trials}")
         rng = random.Random(args.seed)
         disagreements = 0
         for _ in range(args.trials):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from implab.auctions import (
+    RULES,
     AuctionOutcome,
     BidGrid,
     check_abstract_dominance,
@@ -21,6 +22,7 @@ from implab.auctions import (
     run_spa,
     soundness_point_limit,
     sweep_soundness,
+    to_amount,
     to_amounts,
 )
 
@@ -46,6 +48,20 @@ def test_run_spa_rejects_negative_bids():
 def test_amounts_reject_floats():
     with pytest.raises(TypeError, match="float"):
         run_spa([1.5, 2])
+
+
+def test_exact_amounts_pass_through_and_zero_denominators_are_refused():
+    half = Fraction(1, 2)
+    assert to_amount(half) is half
+    assert to_amount(7) == 7 and type(to_amount(7)) is int
+    assert to_amount("6/4") == Fraction(3, 2)
+    assert to_amount(True) == 1 and type(to_amount(True)) is Fraction
+    with pytest.raises(ValueError, match="amount '1/0' has a zero denominator"):
+        to_amount("1/0")
+    with pytest.raises(ValueError, match="negative grid point -1/2 at index 1"):
+        to_amounts([0, Fraction(-1, 2)], "grid point")
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_grid("0:1/0:1")
 
 
 def test_payoff_examples():
@@ -262,6 +278,14 @@ def test_parallel_dominance_matches_sequential():
     seq_ce = check_weak_dominance([2, 2], GRID0_2, rule=run_first_price)
     par_ce = check_weak_dominance([2, 2], GRID0_2, rule=run_first_price, jobs=2)
     assert seq_ce == par_ce
+    # off-grid fractional valuations: the workers get amounts scaled to ints
+    grid = parse_grid("0,1/7,2/3,5/4")
+    values = [Fraction(1, 6), Fraction(3, 5), Fraction(7, 4)]
+    for rule in (run_spa, run_first_price):
+        seq = check_weak_dominance(values, grid, rule=rule)
+        assert seq == check_weak_dominance(values, grid, rule=rule, jobs=2)
+    assert seq.counterexample.truthful_bids == (Fraction(1, 6), 0, 0)
+    assert seq.counterexample.deviation_payoff == Fraction(1, 6)
 
 
 def test_max_constructive_folds_long_lists_without_recursion():
@@ -309,3 +333,41 @@ def test_point_limits_are_exact_integer_roots():
             assert n * k**n <= budget < n * (k + 1) ** n, (budget, n)
     assert dominance_point_limit(2) == 2236 and soundness_point_limit(3) == 215
     assert soundness_point_limit(10**6) == 1
+
+
+def test_dominance_sweep_calls_the_rule_once_per_cell_and_per_truthful_profile():
+    calls = []
+
+    def counting(bids):
+        calls.append(bids)
+        return run_spa(bids)
+
+    values = [Fraction(7, 2), Fraction(5, 2), 1]
+    res = check_weak_dominance(values, GRID0_4, rule=counting)
+    n, k = len(values), len(GRID0_4.points)
+    assert res.holds
+    assert res.cells == 6 * 25 + 6 * 25 + 5 * 25
+    assert len(calls) == res.cells + n * k ** (n - 1)
+
+
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_rules_commute_with_scaling(name):
+    rule = RULES[name]
+    rng = random.Random(2015)
+    for _ in range(300):
+        bids = [Fraction(rng.randint(0, 12), rng.randint(1, 6)) for _ in range(rng.randint(1, 5))]
+        out = rule(bids)
+        for c in (2, 3, 7, 60):
+            scaled = rule([c * b for b in bids])
+            assert scaled.x == out.x
+            assert scaled.p == tuple(c * p for p in out.p)
+
+
+def test_rule_that_breaks_the_scaling_contract_is_caught():
+    def second_price_until_one(bids):
+        return run_first_price(bids) if max(bids) > 1 else run_spa(bids)
+
+    # On the grid times 2 the truthful bid 2 pays first price; at the original
+    # scale the truthful bid 1 pays second price, so the payoff does not reproduce.
+    with pytest.raises(RuntimeError, match="breaks the scaling contract"):
+        check_weak_dominance([1, 0], parse_grid("0:1:1/2"), rule=second_price_until_one)

@@ -270,6 +270,71 @@ def test_vickrey_mismatched_values_is_an_error(capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+BENCH_VALUES = "7/2,5/2,11/2,5/2"
+# exit code and sha256 of each report without duration_seconds, taken before
+# the dominance sweeps moved to scaled integers
+VICKREY_REPORT_SHA256 = {
+    ("dominance", "--n", "4", "--grid", "0:10:1", "--values", BENCH_VALUES):
+        (0, "41a5179430466b9f762e967a4f59c1d7cb84b2a3e21c816a9a3f718388e906b3"),
+    ("dominance", "--n", "4", "--grid", "0:10:1", "--values", BENCH_VALUES, "--rule", "first-price"):
+        (3, "e122fc4b429a29d27423961f9bc07b11a6bfc25727ff6791bf98dd098c0baca5"),
+    ("soundness", "--n", "4", "--grid", "0:10:1"):
+        (0, "709bbee72627e45a12cb3c07370f05e4e3f32cce3325c57ca92d1f2d19c04e59"),
+    ("abstract", "--n-max", "8", "--value", "7/2", "--delta", "1"):
+        (0, "4894e0afb3ed6ba3e21482fe1e04b3f44377d4bb3f1627151614a5b983b17131"),
+    ("dominance", "--n", "3", "--grid", "0:3:1/3", "--values", "1,5/3,0"):
+        (0, "509f5bf2606434fc777ab223fba95d006ae52e028a3a30ace396847f6b1cd324"),
+    # grid 0, 1/3, 5/6 sweeps at scale 6 and maps each counterexample back
+    ("abstract", "--n-max", "6", "--value", "1/3", "--delta", "1/2", "--rule", "first-price"):
+        (3, "228dfa21125a95e5aa13cb5a8fcd9865213cc2b8457a3bfe52227db00ad70e85"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(VICKREY_REPORT_SHA256), ids=" ".join)
+def test_vickrey_reports_are_pinned(capsys, argv):
+    code, report = run_cli(capsys, "vickrey", *argv)
+    text = json.dumps(strip_duration(report), indent=2, sort_keys=True) + "\n"
+    assert (code, hashlib.sha256(text.encode()).hexdigest()) == VICKREY_REPORT_SHA256[argv]
+
+
+ZERO_DENOMINATOR_CASES = [
+    (("dominance", "--n", "2", "--grid", "1/0:2:1", "--values", "1,2"), "1/0"),
+    (("dominance", "--n", "2", "--grid", "0,1/0", "--values", "1,2"), "1/0"),
+    (("dominance", "--n", "2", "--grid", "0:2:1", "--values", "1/0,2"), "1/0"),
+    (("efficiency", "--values", "1,2/0"), "2/0"),
+    (("soundness", "--n", "2", "--grid", "0:3/0:1"), "3/0"),
+    (("abstract", "--value", "1/0", "--delta", "1"), "1/0"),
+    (("abstract", "--value", "1", "--delta", "1/0"), "1/0"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, amount", ZERO_DENOMINATOR_CASES, ids=[" ".join(argv) for argv, _ in ZERO_DENOMINATOR_CASES]
+)
+def test_zero_denominator_is_a_usage_error(capsys, argv, amount):
+    assert main(["vickrey", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: amount '{amount}' has a zero denominator\n"
+
+
+VACUOUS_CASES = [
+    (("abstract", "--n-max", "1", "--value", "1", "--delta", "1"), "--n-max must be at least 2, got 1"),
+    (("maxcheck", "--trials", "-1"), "--trials must be at least 1, got -1"),
+    (("maxcheck", "--trials", "0"), "--trials must be at least 1, got 0"),
+    (("soundness", "--n", "0", "--grid", "0:1:1"), "--n must be at least 1, got 0"),
+    (("soundness", "--n=-1", "--grid", "0:1:1"), "--n must be at least 1, got -1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", VACUOUS_CASES, ids=[" ".join(argv) for argv, _ in VACUOUS_CASES])
+def test_vacuous_sweeps_are_refused(capsys, argv, message):
+    assert main(["vickrey", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_sat_command_equivalence_formula(capsys, tmp_path):
     path = tmp_path / "eq3.cnf"
     path.write_text("c equivalence\np cnf 2 2\n-1 2 0\n1 -2 0\n")
