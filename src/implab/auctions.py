@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Protocol, Sequence
@@ -30,13 +31,22 @@ DEFAULT_SWEEP_BUDGET = 10_000_000
 
 Amount = int | Fraction
 
+# the digit or point that ends a mantissa, then an exponent marker
+_EXPONENT = re.compile(r"[0-9.][eE]")
+
 
 def to_amount(value) -> Amount:
-    """An exact amount: an int or Fraction as it is, anything else through Fraction."""
+    """An exact amount: an int or Fraction as it is, anything else through Fraction.
+
+    Strings in exponent notation, such as '1e5', are refused.
+    """
     if type(value) is int or type(value) is Fraction:
         return value
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass int, str, or Fraction for exactness")
+    # Fraction("1e999999999") would build a billion-digit integer first
+    if isinstance(value, str) and _EXPONENT.search(value):
+        raise ValueError(f"amount {value!r} uses exponent notation; write a decimal or a fraction")
     try:
         return Fraction(value)
     except ZeroDivisionError:

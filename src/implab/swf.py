@@ -7,9 +7,12 @@ extensional SWF is a plain total table from profiles to orders and can
 represent anything.
 
 Pairwise SWFs are classified on their tables: dictatorship is a table
-equal to an agent's bit projection, and the range is read off the entry
-triples each profile selects.  Extensional SWFs are classified by walking
-their profiles.  `to_extensional` keeps the two routes comparable.
+equal to an agent's bit projection, and the range is read off entry-pair
+groups, which stand for the profiles: per (ab entry, ac entry) pair that
+some profile selects, the mask of the bc entries selected with it.  The
+acyclicity check and the enumerator read the same groups.  Extensional
+SWFs are classified by walking their profiles.  `to_extensional` keeps the
+two routes comparable.
 
 The base-case reports (Tang-Lin census, Arrow, Wilson) read one classified
 enumeration, so each SWF is classified once per run.  `encode_arrow` states
@@ -20,6 +23,8 @@ Table entry convention: the entry index for a pair packs the agents' bits
 with agent 0 as the most significant bit, so index 2^n-1 is the all-ones
 input and index 0 the all-zeros input.  `profile_pair_indices` is the one
 place that packs them; `_agent_bits` is the table that copies one agent.
+As an int (`_table_to_int`, `_int_to_table`), entry 0 of a table is the
+most significant bit, so integer order is lexicographic order.
 """
 
 from __future__ import annotations
@@ -73,10 +78,13 @@ class PairwiseSwf:
             raise ValueError(f"need 3 tables of {size} entries each")
         if any(e not in (0, 1) for t in self.tables for e in t):
             raise ValueError("table entries must be 0 or 1")
-        for i1, i2, i3 in profile_pair_indices(self.n):
-            code = (self.tables[0][i1], self.tables[1][i2], self.tables[2][i3])
-            if code in CYCLIC_CODES:
-                raise ValueError(f"tables produce cyclic social code {code} on some profile")
+        # the cyclic codes are 010 and 101: ab != ac, and bc equal to ab
+        met = _bc_entries_met(self.n, self.tables[0], self.tables[1])
+        ones = _table_to_int(self.tables[2])
+        if met[0b01] & ~ones:
+            raise ValueError("tables produce cyclic social code (0, 1, 0) on some profile")
+        if met[0b10] & ones:
+            raise ValueError("tables produce cyclic social code (1, 0, 1) on some profile")
 
 
 @dataclass(frozen=True)
@@ -146,6 +154,42 @@ def profile_pair_indices(n: int) -> tuple[tuple[int, int, int], ...]:
                 idx[k] |= code[k] << (n - 1 - agent)
         out.append(tuple(idx))
     return tuple(out)
+
+
+def _table_to_int(table: tuple[int, ...]) -> int:
+    """The table as an int, entry 0 the most significant bit."""
+    x = 0
+    for e in table:
+        x = x << 1 | e
+    return x
+
+
+def _int_to_table(x: int, size: int) -> tuple[int, ...]:
+    return tuple((x >> (size - 1 - j)) & 1 for j in range(size))
+
+
+@lru_cache(maxsize=None)
+def _entry_pair_groups(n: int) -> tuple[tuple[int, int, int], ...]:
+    """Per (ab entry, ac entry) pair that some profile selects: the pair and
+    the bc entries selected with it, as a mask in the _table_to_int layout.
+
+    Each agent's (ab, ac) bits take all four values, so there are 4^n
+    groups against 6^n profiles.
+    """
+    size = 1 << n
+    masks: dict[tuple[int, int], int] = {}
+    for i1, i2, i3 in profile_pair_indices(n):
+        masks[i1, i2] = masks.get((i1, i2), 0) | 1 << (size - 1 - i3)
+    return tuple((i1, i2, mask) for (i1, i2), mask in sorted(masks.items()))
+
+
+def _bc_entries_met(n: int, ab: tuple[int, ...], ac: tuple[int, ...]) -> list[int]:
+    """Indexed by 2*ab bit + ac bit: the mask of bc entries that some
+    profile selects together with that pair of social bits."""
+    met = [0, 0, 0, 0]
+    for i1, i2, mask in _entry_pair_groups(n):
+        met[ab[i1] << 1 | ac[i2]] |= mask
+    return met
 
 
 @lru_cache(maxsize=None)
@@ -245,11 +289,20 @@ def _agent_bits(n: int, agent: int) -> tuple[int, ...]:
     return tuple((j >> (n - 1 - agent)) & 1 for j in range(1 << n))
 
 
+@lru_cache(maxsize=None)
+def _dictator_tables(n: int, invert: bool) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per agent, the table triple that copies (invert: reverses) its order."""
+    out = []
+    for i in range(n):
+        bits = tuple(b ^ invert for b in _agent_bits(n, i))
+        out.append((bits, bits, bits))
+    return tuple(out)
+
+
 def _table_dictator(swf: PairwiseSwf, invert: bool) -> int | None:
     # exact: every entry of every table is selected by some profile
-    for i in range(swf.n):
-        bits = tuple(b ^ invert for b in _agent_bits(swf.n, i))
-        if all(t == bits for t in swf.tables):
+    for i, tables in enumerate(_dictator_tables(swf.n, invert)):
+        if swf.tables == tables:
             return i
     return None
 
@@ -281,9 +334,14 @@ def is_inversely_dictatorial(swf: Swf) -> int | None:
 
 def range_of(swf: Swf) -> frozenset[LinearOrder]:
     if isinstance(swf, PairwiseSwf):
-        t0, t1, t2 = swf.tables
-        codes = {(t0[i1], t1[i2], t2[i3]) for i1, i2, i3 in profile_pair_indices(swf.n)}
-        return frozenset(order_of_bits(c) for c in codes)
+        met = _bc_entries_met(swf.n, swf.tables[0], swf.tables[1])
+        ones = _table_to_int(swf.tables[2])
+        return frozenset(
+            order_of_bits((k >> 1, k & 1, bc))
+            for k, mask in enumerate(met)
+            for bc, side in ((1, ones), (0, ~ones))
+            if mask & side
+        )
     return frozenset(swf.outputs)
 
 
@@ -303,63 +361,61 @@ def classify(swf: Swf) -> SwfClass:
     return SwfClass(UNCLASSIFIED, orders=rng)
 
 
-def _int_to_table(x: int, size: int) -> tuple[int, ...]:
-    # entry 0 is the most significant bit, so integer order is lexicographic
-    return tuple((x >> (size - 1 - j)) & 1 for j in range(size))
-
-
 def enumerate_iia_swfs(n: int, candidate_budget: int = DEFAULT_CANDIDATE_BUDGET) -> list[PairwiseSwf]:
     """All acyclic-valid pairwise SWFs, lexicographic on concatenated tables.
 
     Brute force over candidate table triples: for each (ab, ac) pair of
     tables, the acyclicity constraint either forces or frees each bc entry,
-    so the bc tables are completed directly instead of rescanned.
+    so the bc tables are completed directly instead of rescanned.  The
+    forced entries for every ac table come from one table of ORs per ab
+    table.
     """
     if n < 1:
         raise ValueError(f"agent count must be positive, got {n}")
     size = 1 << n
-    candidates = (1 << size) ** 3
-    if candidates > candidate_budget:
+    # 2^(3*size) candidates exceed the budget iff 3*size >= budget.bit_length();
+    # the count is printed in full up to n = 5 (29 digits)
+    if 3 * size >= candidate_budget.bit_length():
+        count = 1 << 3 * size if n <= 5 else f"2^(3*2^{n})"
         raise ValueError(
-            f"candidate space of {candidates} table triples exceeds budget {candidate_budget}"
+            f"candidate space of {count} table triples exceeds budget {candidate_budget}"
         )
-    indices = profile_pair_indices(n)
-    shift = [size - 1 - j for j in range(size)]
+    groups = _entry_pair_groups(n)
+    tables = [_int_to_table(x, size) for x in range(1 << size)]
     full = (1 << size) - 1
     out: list[PairwiseSwf] = []
     for t1 in range(1 << size):
-        # group profiles by their ac-table entry, keyed on the ab bit:
-        # ab=0,ac=1 forces bc=1 (else 010); ab=1,ac=0 forces bc=0 (else 101)
-        force1_by_i2 = [0] * size
-        force0_by_i2 = [0] * size
-        for i1, i2, i3 in indices:
-            if (t1 >> shift[i1]) & 1:
-                force0_by_i2[i2] |= 1 << shift[i3]
+        ab = tables[t1]
+        # per ac entry, as a bit position of the ac table: the bc entries an
+        # ac bit of 1 forces to 1 (ab=0, else 010) and an ac bit of 0 forces
+        # to 0 (ab=1, else 101)
+        force1 = [0] * size
+        force0 = [0] * size
+        for i1, i2, mask in groups:
+            if ab[i1]:
+                force0[size - 1 - i2] |= mask
             else:
-                force1_by_i2[i2] |= 1 << shift[i3]
+                force1[size - 1 - i2] |= mask
+        # the same forces ORed over every set of ac entries, built up from
+        # the set without its lowest bit
+        or1 = [0] * (1 << size)
+        or0 = [0] * (1 << size)
+        for t in range(1, 1 << size):
+            low = (t & -t).bit_length() - 1
+            or1[t] = or1[t & (t - 1)] | force1[low]
+            or0[t] = or0[t & (t - 1)] | force0[low]
         for t2 in range(1 << size):
-            forced1 = 0
-            forced0 = 0
-            for i2 in range(size):
-                if (t2 >> shift[i2]) & 1:
-                    forced1 |= force1_by_i2[i2]
-                else:
-                    forced0 |= force0_by_i2[i2]
+            forced1 = or1[t2]
+            forced0 = or0[full ^ t2]
             if forced1 & forced0:
                 continue
-            free = full & ~(forced1 | forced0)
-            free_shifts = [s for s in range(size - 1, -1, -1) if (free >> s) & 1]
-            f = len(free_shifts)
-            for c in range(1 << f):
-                t3 = forced1
-                for k, s in enumerate(free_shifts):
-                    t3 |= ((c >> (f - 1 - k)) & 1) << s
-                out.append(
-                    PairwiseSwf(
-                        n,
-                        (_int_to_table(t1, size), _int_to_table(t2, size), _int_to_table(t3, size)),
-                    )
-                )
+            free = full ^ (forced1 | forced0)
+            sub = 0  # the subsets of free, in increasing order
+            while True:
+                out.append(PairwiseSwf(n, (ab, tables[t2], tables[forced1 | sub])))
+                sub = (sub - free) & free
+                if not sub:
+                    break
     return out
 
 

@@ -64,6 +64,18 @@ def test_exact_amounts_pass_through_and_zero_denominators_are_refused():
         parse_grid("0:1/0:1")
 
 
+@pytest.mark.parametrize("text", ["1e5", "1E5", "2.5e-1", ".5e3", "1.e2", "-1e5", " 1e5 "])
+def test_exponent_notation_is_refused(text):
+    with pytest.raises(ValueError, match="exponent notation"):
+        to_amount(text)
+
+
+def test_decimals_and_fractions_are_accepted():
+    assert to_amount("2.5") == Fraction(5, 2)
+    assert to_amount("1/2") == Fraction(1, 2)
+    assert to_amount("10") == 10
+
+
 def test_payoff_examples():
     assert payoff(3, 1, 1) == 2
     assert payoff(3, 0, 0) == 0

@@ -123,6 +123,16 @@ def test_arrow_budget_error_exits_1(capsys):
     assert "exceeds budget" in err
 
 
+def test_arrow_far_over_budget_is_refused_without_sizing_the_space(capsys):
+    start = time.perf_counter()
+    code = main(["arrow", "--agents", "64"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: candidate space of 2^(3*2^64) table triples exceeds budget 16777216\n"
+    assert elapsed < 0.5
+
+
 ARROW_REPORT_SHA256 = {
     ("--agents", "1"): "14a2ab714f15b63a27871e7bc8fa79cbe8265531347722eaa5561c59ac3dc60f",
     ("--agents", "2"): "0abf2ea91740f4c9cffc5a3da5f0116adf00c4610ad1bb44d96778e1791a75ad",
@@ -316,6 +326,19 @@ def test_zero_denominator_is_a_usage_error(capsys, argv, amount):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: amount '{amount}' has a zero denominator\n"
+
+
+@pytest.mark.parametrize("amount", ["1e5000", "1e999999999"])
+def test_exponent_amounts_are_a_usage_error(capsys, amount):
+    start = time.perf_counter()
+    assert main(["vickrey", "efficiency", "--values", f"{amount},1"]) == 1
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: amount '{amount}' uses exponent notation; write a decimal or a fraction\n"
+    )
+    assert elapsed < 0.5
 
 
 VACUOUS_CASES = [

@@ -1,10 +1,19 @@
+import hashlib
 import itertools
 import json
 from pathlib import Path
 
 import pytest
 
-from implab.orders import LinearOrder, Profile, all_linear_orders, all_profiles, bits_of_order, kendall_tau
+from implab.orders import (
+    PAIRS3,
+    LinearOrder,
+    Profile,
+    all_linear_orders,
+    all_profiles,
+    bits_of_order,
+    kendall_tau,
+)
 from implab.swf import (
     CLASS_TAGS,
     CONSTANT,
@@ -17,6 +26,8 @@ from implab.swf import (
     SwfClass,
     arrow_base_case,
     classify,
+    decode_model,
+    encode_arrow,
     enumerate_iia_swfs,
     evaluate,
     is_dictatorial,
@@ -27,6 +38,7 @@ from implab.swf import (
     recount_small_range,
     satisfies_iia,
     satisfies_unanimity,
+    swf_class_to_json,
     to_extensional,
     to_pairwise,
     verify_tang_lin,
@@ -98,6 +110,46 @@ def test_pairwise_rejects_cyclic_tables():
     # ab always 0, ac always 1, bc always 0 is the cyclic pattern 010
     with pytest.raises(ValueError, match="cyclic"):
         PairwiseSwf(1, ((0, 0), (1, 1), (0, 0)))
+
+
+def profile_walk_is_cyclic(n: int, tables) -> bool:
+    """Reference: some profile's social bits (a>b, a>c, b>c) form a cycle."""
+    for p in all_profiles(n, 3):
+        code = []
+        for k, (x, y) in enumerate(PAIRS3):
+            entry = sum(int(o.prefers(x, y)) << (n - 1 - agent) for agent, o in enumerate(p.orders))
+            code.append(tables[k][entry])
+        if tuple(code) in {(0, 1, 0), (1, 0, 1)}:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_construction_rejects_exactly_the_cyclic_triples(n):
+    size = 1 << n
+    all_tables = list(itertools.product((0, 1), repeat=size))
+    accepted = []
+    for tables in itertools.product(all_tables, repeat=3):
+        try:
+            swf = PairwiseSwf(n, tables)
+        except ValueError as e:
+            assert "cyclic social code" in str(e)
+            assert profile_walk_is_cyclic(n, tables), tables
+        else:
+            assert not profile_walk_is_cyclic(n, tables), tables
+            accepted.append(swf)
+    assert len(accepted) == iia_closed_form(n)
+    # itertools.product over sorted tables is lexicographic on the concatenation
+    assert enumerate_iia_swfs(n) == accepted
+
+
+def test_decode_model_refuses_a_model_with_cyclic_tables():
+    enc = encode_arrow(1)
+    # ab always 0, ac always 1, bc always 0: the cycle 010 on every profile
+    bits = {0: 0, 1: 1, 2: 0}
+    model = {v: bool(bits[k]) for (k, _), v in enc.var_of.items()}
+    with pytest.raises(RuntimeError, match="encoder bug: model decodes to an invalid SWF"):
+        decode_model(enc, model)
 
 
 def test_satisfies_iia_trivially_true_for_pairwise():
@@ -244,6 +296,15 @@ def test_enumerate_budget_error():
         enumerate_iia_swfs(4)
 
 
+def test_enumerate_budget_admits_exactly_the_candidate_count():
+    # n = 2: 2^(3*4) = 4096 candidate table triples
+    assert len(enumerate_iia_swfs(2, 4096)) == 94
+    with pytest.raises(ValueError, match="candidate space of 4096 table triples exceeds budget 4095"):
+        enumerate_iia_swfs(2, 4095)
+    with pytest.raises(ValueError, match=r"candidate space of 2\^\(3\*2\^30\) table triples"):
+        enumerate_iia_swfs(30)
+
+
 def test_every_enumerated_swf_passes_iia_extensionally():
     for s in enumerate_iia_swfs(2):
         assert satisfies_iia(to_extensional(s))[0]
@@ -319,6 +380,21 @@ def test_table_route_matches_profile_route_on_n3_sample():
     assert {classify(s).tag for s in sample} == set(CLASS_TAGS) - {UNCLASSIFIED}
     for s in sample:
         assert_table_route_matches_profile_route(s)
+
+
+def sha256_of_json(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def test_n3_enumeration_and_classes_are_pinned():
+    # as the profile-walking check, range and enumerator produced them
+    swfs = enumerate_iia_swfs(3)
+    assert sha256_of_json([s.tables for s in swfs]) == (
+        "9eb1368828c6b7739cd5237cdbc338f8bd5e806d45fcae2c5c0a1630b16cb84d"
+    )
+    assert sha256_of_json([swf_class_to_json(classify(s)) for s in swfs]) == (
+        "417a5a3dc5f336e08a747aa0c848db241f367595d7d651fdb07d6e93b5fde072"
+    )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
