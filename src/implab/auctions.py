@@ -4,11 +4,12 @@ All money amounts are exact: an int or a fractions.Fraction, never a float.
 Dominance is a family of inequalities whose boundary cases (a deviation
 tying the best competing bid) must not be blurred by floating point.
 
-The dominance sweeps run on integers: they multiply every grid point and
-valuation by D, the least common multiple of their denominators, and map a
-counterexample back by dividing by D.  That is exact for any rule that
-meets the scaling contract stated on AuctionRule, and each counterexample
-is re-run through the rule on the unscaled amounts to confirm it.
+All three sweeps run on integers: they validate their amounts once,
+multiply every grid point and valuation by D, the least common multiple of
+their denominators, and map what they find back by dividing by D.  That is
+exact for any rule that meets the scaling contract stated on AuctionRule,
+and each dominance counterexample or unsound bid vector is re-run through
+the rule on the unscaled amounts to confirm it.
 
 Tie-breaking: the lowest-index participant among the maximal bidders wins.
 Weak dominance of truthful bidding and valuation-wise efficiency both hold
@@ -33,6 +34,7 @@ Amount = int | Fraction
 
 # the digit or point that ends a mantissa, then an exponent marker
 _EXPONENT = re.compile(r"[0-9.][eE]")
+_INT = frozenset({int})
 
 
 def to_amount(value) -> Amount:
@@ -54,14 +56,17 @@ def to_amount(value) -> Amount:
 
 
 def to_amounts(values, label: str = "amount") -> tuple[Amount, ...]:
-    out = tuple(map(to_amount, values))
+    out = tuple(values)
+    if set(map(type, out)) == _INT and min(out) >= 0:
+        return out
+    out = tuple(map(to_amount, out))
     for i, v in enumerate(out):
         if v.numerator < 0:
             raise ValueError(f"negative {label} {v} at index {i}")
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuctionOutcome:
     """Binary allocation vector and payment vector; not self-validating so
     that deliberately broken rules can be fed to the soundness checker."""
@@ -75,8 +80,8 @@ class AuctionRule(Protocol):
 
     Scaling contract: multiplying every bid by a positive integer c
     multiplies every payment by c and leaves the allocation as it is.  The
-    dominance sweeps rely on it to run on integers.  Both RULES entries
-    meet it, because each price is a bid or 0.
+    sweeps rely on it to run on integers.  Both RULES entries meet it,
+    because each price is a bid or 0.
     """
 
     def __call__(self, bids: Sequence[Amount]) -> AuctionOutcome: ...
@@ -84,6 +89,12 @@ class AuctionRule(Protocol):
 
 def outcome_violations(out: AuctionOutcome, n: int) -> list[str]:
     """Soundness defects of a single outcome, empty when sound."""
+    x, p = out.x, out.p
+    # sound: one 1 and n-1 zeros in x, the winner pays >= 0, everyone else 0
+    if len(x) == n == len(p) and x.count(1) == 1 and x.count(0) == n - 1:
+        price = p[x.index(1)]
+        if price >= 0 and p.count(0) == n - (price != 0):
+            return []
     problems = []
     if len(out.x) != n or len(out.p) != n:
         problems.append(f"vectors sized ({len(out.x)},{len(out.p)}), expected {n}")
@@ -105,8 +116,10 @@ def run_spa(bids: Sequence) -> AuctionOutcome:
     b = to_amounts(bids, "bid")
     if not b:
         raise ValueError("auction needs at least one bid")
-    winner = b.index(max(b))
-    price = max(b[:winner] + b[winner + 1 :], default=0)
+    # the best competing bid is the second largest: one copy of the max is the winner's
+    ranked = sorted(b)
+    winner = b.index(ranked[-1])
+    price = ranked[-2] if len(b) > 1 else 0
     return _checked(_outcome(len(b), winner, price))
 
 
@@ -248,9 +261,11 @@ def _dominance_chunk(args):
     return _agent_counterexample(*args)
 
 
-def _times(a: Amount, d: int) -> int:
-    """a * d as an int, for d a multiple of a's denominator."""
-    return a.numerator * (d // a.denominator)
+def _scaled(*groups: tuple[Amount, ...]) -> tuple[int, list[tuple[int, ...]]]:
+    """D, the lcm of the denominators of validated amounts, and each group
+    of amounts times D, as ints."""
+    d = math.lcm(*(a.denominator for g in groups for a in g))
+    return d, [tuple(a.numerator * (d // a.denominator) for a in g) for g in groups]
 
 
 def _unscaled(ce: DominanceCounterexample, d: int, rule: AuctionRule) -> DominanceCounterexample:
@@ -299,9 +314,7 @@ def check_weak_dominance(
     n = len(v)
     if n < 2:
         raise ValueError(f"dominance check needs more than one participant, got {n}")
-    d = math.lcm(*(a.denominator for a in (*grid.points, *v)))
-    points = tuple(_times(a, d) for a in grid.points)
-    values = tuple(_times(a, d) for a in v)
+    d, (points, values) = _scaled(grid.points, v)
     dev_domains = [tuple(sorted(set(points) | {v_i})) for v_i in values]
     cells = sum(len(points) ** (n - 1) * len(dev) for dev in dev_domains)
     if cells > sweep_budget:
@@ -363,11 +376,37 @@ def sweep_soundness(
     n: int, grid: BidGrid, rule: AuctionRule = run_spa, sweep_budget: int = DEFAULT_SWEEP_BUDGET
 ) -> list[SoundnessReport]:
     """check_soundness over every bid vector in grid^n; empty-violation list
-    entries are included so callers can count the sweep size."""
+    entries are included so callers can count the sweep size.
+
+    The sweep runs on every grid point times the lcm D of their
+    denominators.  A sound report gets the original bids and its payments
+    divided by D; a vector flagged unsound is re-run on the original bids,
+    and that report is the one returned.  RuntimeError if the re-run is
+    sound: the rule breaks the scaling contract.
+    """
     cells = len(grid.points) ** n
     if cells > sweep_budget:
         raise ValueError(f"soundness sweep of {cells} bid vectors exceeds budget {sweep_budget}")
-    return [check_soundness(bids, rule) for bids in itertools.product(grid.points, repeat=n)]
+    d, (points,) = _scaled(grid.points)
+    reports = []
+    for bids, original in zip(
+        itertools.product(points, repeat=n), itertools.product(grid.points, repeat=n)
+    ):
+        rep = check_soundness(bids, rule)
+        if rep.sound:
+            out = rep.outcome
+            if d != 1:
+                out = AuctionOutcome(out.x, tuple(Fraction(p, d) for p in out.p))
+            reports.append(SoundnessReport(original, (), out))
+            continue
+        back = check_soundness(original, rule)
+        if back.sound:
+            raise RuntimeError(
+                f"auction rule breaks the scaling contract: bids ({', '.join(map(str, original))}) "
+                f"are sound, but on the bids times {d}: {'; '.join(rep.violations)}"
+            )
+        reports.append(back)
+    return reports
 
 
 def max_classical(xs: Sequence) -> Amount:
@@ -421,9 +460,8 @@ def check_abstract_dominance(
     cells = len(grid.points) ** (n - 1) * len(grid.points)
     if cells > sweep_budget:
         raise ValueError(f"abstract sweep of {cells} cells exceeds budget {sweep_budget}")
-    d = math.lcm(*(a.denominator for a in grid.points))
-    points = tuple(_times(a, d) for a in grid.points)
-    hit = _agent_counterexample(0, _times(value, d), n, points, points, rule)
+    d, (points, (scaled_value,)) = _scaled(grid.points, (value,))
+    hit = _agent_counterexample(0, scaled_value, n, points, points, rule)
     if hit is None:
         return AbstractDominanceResult(n, grid, True, cells)
     return AbstractDominanceResult(n, grid, False, cells, _unscaled(hit[1], d, rule))

@@ -122,7 +122,7 @@ class SwfClass:
         if self.tag == SMALL_RANGE:
             if self.orders is None or len(self.orders) != 2:
                 raise ValueError("small_range class carries exactly two orders")
-            if kendall_tau(self.orders[0], self.orders[1]) > 1:
+            if not _within_one_swap(*self.orders):
                 raise ValueError("small_range orders must be at Kendall distance <= 1")
 
 
@@ -136,6 +136,18 @@ class IiaViolation:
 class UnanimityViolation:
     pair: tuple[int, int]
     profile: Profile
+
+
+@lru_cache(maxsize=None)
+def _within_one_swap(o1: LinearOrder, o2: LinearOrder) -> bool:
+    """Kendall distance <= 1, computed once per pair of orders."""
+    return kendall_tau(o1, o2) <= 1
+
+
+@lru_cache(maxsize=None)
+def _profiles(n: int, m: int) -> tuple[Profile, ...]:
+    """all_profiles(n, m), built once per (n, m) for the extensional route."""
+    return tuple(all_profiles(n, m))
 
 
 @lru_cache(maxsize=None)
@@ -223,8 +235,11 @@ def evaluate(swf: Swf, p: Profile) -> LinearOrder:
 def to_extensional(swf: Swf) -> ExtensionalSwf:
     if isinstance(swf, ExtensionalSwf):
         return swf
-    profiles = all_profiles(swf.n, 3)
-    return ExtensionalSwf(swf.n, 3, tuple(evaluate(swf, p) for p in profiles))
+    t0, t1, t2 = swf.tables
+    # profile_pair_indices is in canonical profile order, as outputs are
+    codes = [(t0[i1], t1[i2], t2[i3]) for i1, i2, i3 in profile_pair_indices(swf.n)]
+    orders = {code: order_of_bits(code) for code in set(codes)}
+    return ExtensionalSwf(swf.n, 3, tuple(map(orders.__getitem__, codes)))
 
 
 def to_pairwise(swf: Swf) -> PairwiseSwf:
@@ -250,7 +265,7 @@ def satisfies_iia(swf: Swf) -> tuple[bool, IiaViolation | None]:
     """Scan all pairs and profile pairs for an independence violation."""
     if isinstance(swf, PairwiseSwf):
         return True, None
-    profiles = all_profiles(swf.n, swf.m)
+    profiles = _profiles(swf.n, swf.m)
     for x, y in itertools.combinations(range(swf.m), 2):
         first_seen: dict[tuple[int, ...], tuple[Profile, int]] = {}
         for p, out in zip(profiles, swf.outputs):
@@ -267,16 +282,14 @@ def satisfies_unanimity(swf: Swf) -> tuple[bool, UnanimityViolation | None]:
     """Unanimous pairwise preferences must be copied by the social order."""
     if isinstance(swf, PairwiseSwf):
         size = 1 << swf.n
-        top = order_of_bits((1, 1, 1))
-        bottom = order_of_bits((0, 0, 0))
         for k in range(3):
-            if swf.tables[k][size - 1] != 1:
-                return False, UnanimityViolation(PAIRS3[k], Profile((top,) * swf.n))
-            if swf.tables[k][0] != 0:
-                return False, UnanimityViolation(PAIRS3[k], Profile((bottom,) * swf.n))
+            # entry size-1 reads every agent's bit 1, entry 0 every agent's bit 0
+            for entry, bit in ((size - 1, 1), (0, 0)):
+                if swf.tables[k][entry] != bit:
+                    witness = order_of_bits((bit, bit, bit))
+                    return False, UnanimityViolation(PAIRS3[k], Profile((witness,) * swf.n))
         return True, None
-    profiles = all_profiles(swf.n, swf.m)
-    for p, out in zip(profiles, swf.outputs):
+    for p, out in zip(_profiles(swf.n, swf.m), swf.outputs):
         for x, y in itertools.combinations(range(swf.m), 2):
             agent_bits = {o.prefers(x, y) for o in p.orders}
             if len(agent_bits) == 1 and out.prefers(x, y) != next(iter(agent_bits)):
@@ -308,7 +321,7 @@ def _table_dictator(swf: PairwiseSwf, invert: bool) -> int | None:
 
 
 def _profile_dictator(swf: ExtensionalSwf, invert: bool) -> int | None:
-    profiles = all_profiles(swf.n, swf.m)
+    profiles = _profiles(swf.n, swf.m)
     for i in range(swf.n):
         if all(
             out == (p.orders[i].reversed() if invert else p.orders[i])
@@ -356,7 +369,7 @@ def classify(swf: Swf) -> SwfClass:
     rng = tuple(sorted(range_of(swf)))
     if len(rng) == 1:
         return SwfClass(CONSTANT, orders=rng)
-    if len(rng) == 2 and kendall_tau(rng[0], rng[1]) <= 1:
+    if len(rng) == 2 and _within_one_swap(*rng):
         return SwfClass(SMALL_RANGE, orders=rng)
     return SwfClass(UNCLASSIFIED, orders=rng)
 
@@ -610,8 +623,7 @@ def pairwise_to_json(swf: PairwiseSwf) -> dict:
 
 
 def extensional_to_json(swf: ExtensionalSwf) -> dict:
-    profiles = all_profiles(swf.n, swf.m)
-    table = {str(p): str(out) for p, out in zip(profiles, swf.outputs)}
+    table = {str(p): str(out) for p, out in zip(_profiles(swf.n, swf.m), swf.outputs)}
     return {"form": "extensional", "n": swf.n, "m": swf.m, "table": table}
 
 

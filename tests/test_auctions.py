@@ -383,3 +383,125 @@ def test_rule_that_breaks_the_scaling_contract_is_caught():
     # scale the truthful bid 1 pays second price, so the payoff does not reproduce.
     with pytest.raises(RuntimeError, match="breaks the scaling contract"):
         check_weak_dominance([1, 0], parse_grid("0:1:1/2"), rule=second_price_until_one)
+
+
+def catalogue_violations(out: AuctionOutcome, n: int) -> list[str]:
+    """The soundness catalogue, entry by entry, as outcome_violations had it
+    before its fast path for sound outcomes."""
+    problems = []
+    if len(out.x) != n or len(out.p) != n:
+        problems.append(f"vectors sized ({len(out.x)},{len(out.p)}), expected {n}")
+        return problems
+    if any(xi not in (0, 1) for xi in out.x):
+        problems.append("allocation entries must be 0 or 1")
+    if sum(out.x) != 1:
+        problems.append(f"expected exactly one winner, got {sum(out.x)}")
+    for i, (xi, pi) in enumerate(zip(out.x, out.p)):
+        if pi < 0:
+            problems.append(f"negative payment {pi} for participant {i}")
+        if xi == 0 and pi != 0:
+            problems.append(f"losing participant {i} pays {pi} instead of 0")
+    return problems
+
+
+def outcome_corpus():
+    """Sound outcomes of both rules, and every defect the catalogue names."""
+    rng = random.Random(9)
+    for _ in range(200):
+        amounts = (0, 1, 2, Fraction(1, 3), Fraction(5, 2))
+        bids = [rng.choice(amounts) for _ in range(rng.randint(1, 4))]
+        for rule in RULES.values():
+            yield rule(bids)
+    half = Fraction(1, 2)
+    yield AuctionOutcome((1, 1), (0, 0))  # two winners
+    yield AuctionOutcome((1, 1, 0), (half, 1, 0))
+    yield AuctionOutcome((0, 0), (0, 0))  # no winner
+    yield AuctionOutcome((0, 0, 0), (0, half, 0))
+    yield AuctionOutcome((2, 0), (1, 0))  # an allocation entry of 2
+    yield AuctionOutcome((2, 0, 0), (0, 0, 0))
+    yield AuctionOutcome((0, 2, 1), (0, 0, 1))
+    yield AuctionOutcome((-1, 1, 1), (0, 0, 0))
+    yield AuctionOutcome((1, 0), (-1, 0))  # a negative winner payment
+    yield AuctionOutcome((0, 1), (0, Fraction(-1, 3)))
+    yield AuctionOutcome((1, 0, 0), (0, 2, 0))  # a loser pays, the winner pays 0
+    yield AuctionOutcome((0, 0, 1), (half, 0, 0))
+    yield AuctionOutcome((1, 0, 0), (1, 0, -1))  # a loser is paid
+    yield AuctionOutcome((1, 0), (1, 1))
+    yield AuctionOutcome((1, 0), (1,))  # mis-sized vectors
+    yield AuctionOutcome((1,), (0, 0))
+    yield AuctionOutcome((), ())
+
+
+def test_outcome_violations_fast_path_matches_the_catalogue():
+    corpus = list(outcome_corpus())
+    sound = [o for o in corpus if not catalogue_violations(o, len(o.x))]
+    assert len(sound) >= 400
+    for out in corpus:
+        for n in {len(out.x), len(out.x) + 1, 2}:
+            assert outcome_violations(out, n) == catalogue_violations(out, n), (out, n)
+    # a naive "p.count(0) >= n - 1" test would pass it
+    loser_pays = AuctionOutcome((1, 0, 0), (0, 2, 0))
+    assert outcome_violations(loser_pays, 3) == ["losing participant 1 pays 2 instead of 0"]
+
+
+def fraction_sweep(n: int, grid: BidGrid, rule) -> list:
+    """sweep_soundness as it ran before the integer sweep: check_soundness
+    on the grid's own amounts."""
+    return [check_soundness(bids, rule) for bids in itertools.product(grid.points, repeat=n)]
+
+
+def test_soundness_sweep_calls_the_rule_three_times_per_bid_vector():
+    calls = []
+
+    def counting(bids):
+        calls.append(bids)
+        return run_spa(bids)
+
+    grid = parse_grid("0:3:1/2")
+    reports = sweep_soundness(3, grid, rule=counting)
+    k = len(grid.points)
+    assert len(reports) == k**3 and all(r.sound for r in reports)
+    assert len(calls) == 3 * k**3
+    assert {type(b) for bids in calls for b in bids} == {int}
+
+
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_soundness_sweep_on_fractions_matches_a_fraction_sweep(name):
+    grid = parse_grid("0:2:1/3")
+    got = sweep_soundness(3, grid, rule=RULES[name])
+    want = fraction_sweep(3, grid, RULES[name])
+    assert len(got) == len(want) == 7**3
+    for g, w in zip(got, want):
+        assert (g.bids, g.sound, g.violations) == (w.bids, w.sound, w.violations)
+        assert g.outcome == w.outcome
+        assert all(type(b) is Fraction for b in g.bids)
+
+
+def test_soundness_sweep_reports_a_loser_pays_rule_on_the_original_fractions():
+    def loser_pays(bids):
+        out = run_spa(bids)
+        return AuctionOutcome(out.x, tuple(p if x else bids[0] for x, p in zip(out.x, out.p)))
+
+    grid = parse_grid("0:1:1/3")
+    got = sweep_soundness(2, grid, rule=loser_pays)
+    want = fraction_sweep(2, grid, loser_pays)
+    assert [(r.bids, r.violations) for r in got] == [(r.bids, r.violations) for r in want]
+    bad = [r for r in got if not r.sound]
+    assert bad
+    third = Fraction(1, 3)
+    assert (third, Fraction(2, 3)) in [r.bids for r in bad]
+    report = next(r for r in bad if r.bids == (third, Fraction(2, 3)))
+    assert report.violations == ("losing participant 0 pays 1/3 instead of 0",)
+
+
+def test_soundness_sweep_catches_a_rule_unsound_only_on_scaled_integers():
+    def unsound_above_one(bids):
+        out = run_spa(bids)
+        if max(bids) <= 1:
+            return out
+        return AuctionOutcome(out.x, tuple(p if x else 1 for x, p in zip(out.x, out.p)))
+
+    # on the original grid every bid is at most 1; times 2 the top bid is 2
+    with pytest.raises(RuntimeError, match="breaks the scaling contract"):
+        sweep_soundness(2, parse_grid("0:1:1/2"), rule=unsound_above_one)
+    assert all(r.sound for r in sweep_soundness(2, parse_grid("0:1:1"), rule=unsound_above_one))

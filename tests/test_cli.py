@@ -297,6 +297,9 @@ VICKREY_REPORT_SHA256 = {
     # grid 0, 1/3, 5/6 sweeps at scale 6 and maps each counterexample back
     ("abstract", "--n-max", "6", "--value", "1/3", "--delta", "1/2", "--rule", "first-price"):
         (3, "228dfa21125a95e5aa13cb5a8fcd9865213cc2b8457a3bfe52227db00ad70e85"),
+    # taken on Fraction bids, before the soundness sweep moved to scaled integers
+    ("soundness", "--n", "3", "--grid", "0:2:1/3"):
+        (0, "31c372215002e9dcfa3c6e63df9cdf5f2a14173430681e7d09a3df83821eab7b"),
 }
 
 

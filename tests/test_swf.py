@@ -368,17 +368,20 @@ def assert_table_route_matches_profile_route(s: PairwiseSwf) -> None:
 def test_table_route_matches_profile_route_on_every_swf(n):
     swfs = enumerate_iia_swfs(n)
     assert len(swfs) == iia_closed_form(n)
+    profiles = all_profiles(n, 3)
     for s in swfs:
+        assert to_extensional(s).outputs == tuple(evaluate(s, p) for p in profiles)
         assert_table_route_matches_profile_route(s)
 
 
 def test_table_route_matches_profile_route_on_n3_sample():
+    # every SWF at n = 3, not a sample: the extensional route reuses one profile tuple
     swfs = enumerate_iia_swfs(3)
     assert len(swfs) == iia_closed_form(3) == 1536
     special = [f(3, i) for f in (dictator, inverse_dictator) for i in range(3)]
-    sample = swfs[::97] + special + [constant_swf(3, BAC)]
-    assert {classify(s).tag for s in sample} == set(CLASS_TAGS) - {UNCLASSIFIED}
-    for s in sample:
+    assert set(special) | {constant_swf(3, BAC)} <= set(swfs)
+    assert {classify(s).tag for s in swfs} == set(CLASS_TAGS) - {UNCLASSIFIED}
+    for s in swfs:
         assert_table_route_matches_profile_route(s)
 
 
