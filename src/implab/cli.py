@@ -284,8 +284,17 @@ def cmd_sat(args) -> tuple[dict, int]:
     return payload, 0 if res.satisfiable else 20
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as every refused input does; exit 2 is reserved
+    for a cross-route disagreement.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="implab",
         description="Exhaustive and SAT-based checks of impossibility theorems and auction properties",
     )

@@ -240,17 +240,30 @@ def _var(u: Universe, a: int, b: int) -> int:
 
 
 def _class_clauses(u: Universe, relation_class: RelationClass) -> list[tuple[int, ...]]:
-    """Transitivity, plus totality and antisymmetry as the class demands."""
+    """Transitivity, plus totality and antisymmetry as the class demands.
+
+    A linear order gets no transitivity clause per ordered triple, only one
+    per directed 3-cycle over distinct sets: the reflexive, totality and
+    antisymmetry clauses make the relation a tournament, and a tournament is
+    transitive iff it has no 3-cycle, so the models are the same.  Without
+    antisymmetry the rotations of a triple are not equivalent, so the
+    transitive and weak-order classes keep the full transitivity clauses.
+    """
     clauses: list[tuple[int, ...]] = []
     masks = list(u.subsets())
-    for a in masks:
-        for b in masks:
-            if a == b:
-                continue
-            for c in masks:
-                if c == b:
+    if relation_class is RelationClass.LINEAR_ORDER:
+        for a, b, c in itertools.combinations(masks, 3):
+            clauses.append((-_var(u, a, b), -_var(u, b, c), -_var(u, c, a)))
+            clauses.append((-_var(u, a, c), -_var(u, c, b), -_var(u, b, a)))
+    else:
+        for a in masks:
+            for b in masks:
+                if a == b:
                     continue
-                clauses.append((-_var(u, a, b), -_var(u, b, c), _var(u, a, c)))
+                for c in masks:
+                    if c == b:
+                        continue
+                    clauses.append((-_var(u, a, b), -_var(u, b, c), _var(u, a, c)))
     if relation_class in (RelationClass.WEAK_ORDER, RelationClass.LINEAR_ORDER):
         for a in masks:
             for b in masks:
@@ -363,7 +376,6 @@ def find_inconsistent_subsets(
     catalog=CATALOG,
     relation_class: RelationClass = RelationClass.LINEAR_ORDER,
     prune: bool = False,
-    m_min: int = 2,
     jobs: int = 1,
 ) -> DiscoveryReport:
     """Minimal universe size at which each axiom subset becomes unsatisfiable.
@@ -384,7 +396,7 @@ def find_inconsistent_subsets(
     subsets: list[tuple[Axiom, ...]] = []
     for r in range(1, len(catalog) + 1):
         subsets.extend(itertools.combinations(catalog, r))
-    sizes = range(m_min, u_max + 1)
+    sizes = range(2, u_max + 1)
 
     results: dict[tuple[int, int], SolveResult] = {}
     if jobs > 1:

@@ -217,6 +217,21 @@ def test_ranksets_discover_prune_findings_are_pinned(capsys):
         assert hashlib.sha256(text.encode()).hexdigest() == digest, cls
 
 
+# sha256 of each report without duration_seconds, taken before linear-order
+# transitivity became one clause per 3-cycle
+RANKSETS_REPORT_SHA256 = {
+    ("discover", "--max-m", "5"): "78d93f7d8155e2a9f5710c2683e02c5b8ad44f2c744a91476e09a603305966f6",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(RANKSETS_REPORT_SHA256), ids=" ".join)
+def test_ranksets_reports_are_pinned(capsys, argv):
+    code, report = run_cli(capsys, "ranksets", *argv)
+    assert code == 0
+    text = json.dumps(strip_duration(report), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == RANKSETS_REPORT_SHA256[argv]
+
+
 def test_vickrey_dominance_holds(capsys):
     code, report = run_cli(
         capsys, "vickrey", "dominance", "--n", "3", "--grid", "0:4:1", "--values", "3,1,2"
@@ -413,6 +428,27 @@ def test_jobs_flag_does_not_change_reports(capsys):
     assert strip_duration({k: v for k, v in seq.items() if k != "config"}) == strip_duration(
         {k: v for k, v in par.items() if k != "config"}
     )
+
+
+@pytest.mark.parametrize(
+    "argv", [("arrow", "--agents", "x"), ("ranksets", "discover", "--class", "bogus")], ids=" ".join
+)
+def test_usage_errors_exit_1_with_usage_text(capsys, argv):
+    # exit 2 is reserved for a disagreement between the enumeration and SAT routes
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: implab {argv[0]}")
+    assert f"error: argument {argv[-2]}: invalid" in captured.err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ranksets", "discover", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: implab ranksets discover")
 
 
 def test_jobs_below_one_exits_1(capsys):

@@ -13,8 +13,11 @@ from implab.ranksets import (
     RelationClass,
     SetRelation,
     Universe,
+    _axiom_clauses,
+    _class_clauses,
     _guarded_solver,
     _solve_subset,
+    _var,
     check_relation,
     class_violation,
     decode_ranksets,
@@ -25,7 +28,7 @@ from implab.ranksets import (
     relation_to_json,
     strongest_class,
 )
-from implab.satkit import solve, to_dimacs
+from implab.satkit import Cnf, enumerate_models, solve, to_dimacs
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -319,11 +322,60 @@ def test_guarded_solver_answers_every_subset_like_a_fresh_encoding():
                     ), (cls, m, subset)
 
 
+def _full_transitivity_linear_clauses(u: Universe) -> list[tuple[int, ...]]:
+    """Linear-order class clauses with one transitivity clause per ordered
+    triple, the encoding the 3-cycle clauses replace."""
+    masks = list(u.subsets())
+    clauses = [
+        (-_var(u, a, b), -_var(u, b, c), _var(u, a, c))
+        for a in masks
+        for b in masks
+        for c in masks
+        if a != b and c != b
+    ]
+    for a in masks:
+        for b in masks:
+            if a < b:
+                clauses.append((_var(u, a, b), _var(u, b, a)))
+                clauses.append((-_var(u, a, b), -_var(u, b, a)))
+            elif a == b:
+                clauses.append((_var(u, a, a),))
+    return clauses
+
+
+def test_linear_3cycle_clauses_have_the_full_transitivity_models_in_order():
+    u = Universe(3)
+    atoms = 7 * 7
+    cycles = enumerate_models(Cnf(atoms, _class_clauses(u, RelationClass.LINEAR_ORDER)))
+    full = enumerate_models(Cnf(atoms, _full_transitivity_linear_clauses(u)))
+    assert len(full.models) == 5040  # 7! linear orders of the nonempty subsets
+    assert cycles.models == full.models
+    assert not cycles.truncated and not full.truncated
+
+
+def test_linear_guarded_solver_matches_the_full_transitivity_encoding():
+    subsets = [s for r in range(1, 6) for s in itertools.combinations(CATALOG, r)]
+    cls = RelationClass.LINEAR_ORDER
+    for m in (2, 3, 4):
+        u = Universe(m)
+        solver = _guarded_solver(u, CATALOG, cls)
+        oracle_class = _full_transitivity_linear_clauses(u)
+        for subset in subsets:
+            guarded = _solve_subset(solver, CATALOG, subset)
+            clauses = oracle_class + [c for ax in subset for c in _axiom_clauses(u, ax)]
+            oracle = solve(Cnf(((1 << m) - 1) ** 2, clauses))
+            assert guarded.satisfiable == oracle.satisfiable, (m, subset)
+            if oracle.satisfiable:
+                assert decode_ranksets(u, guarded.assignment, cls) == decode_ranksets(
+                    u, oracle.assignment, cls
+                ), (m, subset)
+
+
 def test_encoding_bytes_are_pinned():
     dimacs = to_dimacs(encode_ranksets(Universe(4), CATALOG, RelationClass.LINEAR_ORDER))
     assert (
         hashlib.sha256(dimacs.encode()).hexdigest()
-        == "f14f81808255e2b2c3b4e4a6ae3d322ba3bc7ca3be04964ab9bfe4cee3383414"
+        == "ef291975baaea4e584afc635b9ecd94c72e41d60bb9baefeb5493fdaf55c7a94"
     )
 
 
