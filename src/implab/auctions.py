@@ -372,32 +372,34 @@ def check_soundness(bids: Sequence, rule: AuctionRule = run_spa, repeats: int = 
     return SoundnessReport(b, tuple(problems), first)
 
 
+@dataclass(frozen=True)
+class SoundnessSweep:
+    """How many bid vectors a soundness sweep checked, and the report of each unsound one."""
+
+    cells: int
+    unsound: tuple[SoundnessReport, ...]
+
+
 def sweep_soundness(
     n: int, grid: BidGrid, rule: AuctionRule = run_spa, sweep_budget: int = DEFAULT_SWEEP_BUDGET
-) -> list[SoundnessReport]:
-    """check_soundness over every bid vector in grid^n; empty-violation list
-    entries are included so callers can count the sweep size.
+) -> SoundnessSweep:
+    """check_soundness over every bid vector in grid^n.
 
     The sweep runs on every grid point times the lcm D of their
-    denominators.  A sound report gets the original bids and its payments
-    divided by D; a vector flagged unsound is re-run on the original bids,
-    and that report is the one returned.  RuntimeError if the re-run is
-    sound: the rule breaks the scaling contract.
+    denominators.  A vector flagged unsound is re-run on the original bids,
+    and that report is the one kept.  RuntimeError if the re-run is sound:
+    the rule breaks the scaling contract.
     """
     cells = len(grid.points) ** n
     if cells > sweep_budget:
         raise ValueError(f"soundness sweep of {cells} bid vectors exceeds budget {sweep_budget}")
     d, (points,) = _scaled(grid.points)
-    reports = []
+    unsound = []
     for bids, original in zip(
         itertools.product(points, repeat=n), itertools.product(grid.points, repeat=n)
     ):
         rep = check_soundness(bids, rule)
         if rep.sound:
-            out = rep.outcome
-            if d != 1:
-                out = AuctionOutcome(out.x, tuple(Fraction(p, d) for p in out.p))
-            reports.append(SoundnessReport(original, (), out))
             continue
         back = check_soundness(original, rule)
         if back.sound:
@@ -405,8 +407,8 @@ def sweep_soundness(
                 f"auction rule breaks the scaling contract: bids ({', '.join(map(str, original))}) "
                 f"are sound, but on the bids times {d}: {'; '.join(rep.violations)}"
             )
-        reports.append(back)
-    return reports
+        unsound.append(back)
+    return SoundnessSweep(cells, tuple(unsound))
 
 
 def max_classical(xs: Sequence) -> Amount:

@@ -206,17 +206,17 @@ def cmd_vickrey(args) -> tuple[dict, int]:
         if args.n < 1:
             raise ValueError(f"--n must be at least 1, got {args.n}")
         grid = auctions.parse_grid(args.grid, auctions.soundness_point_limit(args.n, budget))
-        reports = auctions.sweep_soundness(args.n, grid, rule, budget)
-        bad = [r for r in reports if not r.sound]
+        sweep = auctions.sweep_soundness(args.n, grid, rule, budget)
         payload = {
-            "verdict": "sound" if not bad else "violations",
+            "verdict": "sound" if not sweep.unsound else "violations",
             "rule": args.rule,
-            "swept": len(reports),
+            "swept": sweep.cells,
             "violations": [
-                {"bids": list(map(str, r.bids)), "problems": list(r.violations)} for r in bad
+                {"bids": list(map(str, r.bids)), "problems": list(r.violations)}
+                for r in sweep.unsound
             ],
         }
-        return payload, 0 if not bad else 3
+        return payload, 0 if not sweep.unsound else 3
     if args.vickrey_cmd == "abstract":
         if args.n_max < 2:
             raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
@@ -377,27 +377,27 @@ def main(argv: list[str] | None = None) -> int:
         if args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         payload, code = _DISPATCH[args.command](args)
+        report = {
+            "tool": "implab",
+            "version": __version__,
+            "command": args.command,
+            "config": _config_echo(args),
+            **payload,
+            "duration_seconds": round(time.perf_counter() - started, 6),
+        }
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as f:
+                f.write(text)
+            print(f"{args.command}: {report['verdict']} (report written to {args.output})")
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except RuntimeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    report = {
-        "tool": "implab",
-        "version": __version__,
-        "command": args.command,
-        "config": _config_echo(args),
-        **payload,
-        "duration_seconds": round(time.perf_counter() - started, 6),
-    }
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(text)
-        print(f"{args.command}: {report['verdict']} (report written to {args.output})")
-    else:
-        sys.stdout.write(text)
     if args.summary:
         print(f"{args.command}: verdict={report['verdict']}", file=sys.stderr)
     return code

@@ -1,18 +1,15 @@
-"""Social welfare functions on the two-representation model.
+"""Social welfare functions over three alternatives, as per-pair truth tables.
 
-A pairwise SWF (m=3 only) stores one truth table per alternative pair; the
-social bit for a pair is a function of the agents' bits for that same pair,
-so independence of irrelevant alternatives holds by construction.  An
-extensional SWF is a plain total table from profiles to orders and can
-represent anything.
+A pairwise SWF stores one truth table per alternative pair; the social bit
+for a pair is a function of the agents' bits for that same pair, so
+independence of irrelevant alternatives holds by construction.  `evaluate`
+states what a table triple means on a profile.
 
-Pairwise SWFs are classified on their tables: dictatorship is a table
-equal to an agent's bit projection, and the range is read off entry-pair
-groups, which stand for the profiles: per (ab entry, ac entry) pair that
-some profile selects, the mask of the bc entries selected with it.  The
-acyclicity check and the enumerator read the same groups.  Extensional
-SWFs are classified by walking their profiles.  `to_extensional` keeps the
-two routes comparable.
+SWFs are classified on their tables: dictatorship is a table equal to an
+agent's bit projection, and the range is read off entry-pair groups, which
+stand for the profiles: per (ab entry, ac entry) pair that some profile
+selects, the mask of the bc entries selected with it.  The acyclicity check
+and the enumerator read the same groups.
 
 The base-case reports (Tang-Lin census, Arrow, Wilson) read one classified
 enumeration, so each SWF is classified once per run.  `encode_arrow` states
@@ -42,7 +39,6 @@ from .orders import (
     LinearOrder,
     Profile,
     all_linear_orders,
-    all_profiles,
     bits_of_order,
     kendall_tau,
     order_of_bits,
@@ -88,25 +84,6 @@ class PairwiseSwf:
 
 
 @dataclass(frozen=True)
-class ExtensionalSwf:
-    """Total map from every profile to a social order, indexed canonically."""
-
-    n: int
-    m: int
-    outputs: tuple[LinearOrder, ...]
-
-    def __post_init__(self):
-        expected = factorial(self.m) ** self.n
-        if len(self.outputs) != expected:
-            raise ValueError(f"extensional SWF needs {expected} outputs, got {len(self.outputs)}")
-        if any(o.m != self.m for o in self.outputs):
-            raise ValueError("output orders must match the SWF's m")
-
-
-Swf = PairwiseSwf | ExtensionalSwf
-
-
-@dataclass(frozen=True)
 class SwfClass:
     """Classification outcome; `unclassified` carries the offending range."""
 
@@ -127,12 +104,6 @@ class SwfClass:
 
 
 @dataclass(frozen=True)
-class IiaViolation:
-    pair: tuple[int, int]
-    profiles: tuple[Profile, Profile]
-
-
-@dataclass(frozen=True)
 class UnanimityViolation:
     pair: tuple[int, int]
     profile: Profile
@@ -142,12 +113,6 @@ class UnanimityViolation:
 def _within_one_swap(o1: LinearOrder, o2: LinearOrder) -> bool:
     """Kendall distance <= 1, computed once per pair of orders."""
     return kendall_tau(o1, o2) <= 1
-
-
-@lru_cache(maxsize=None)
-def _profiles(n: int, m: int) -> tuple[Profile, ...]:
-    """all_profiles(n, m), built once per (n, m) for the extensional route."""
-    return tuple(all_profiles(n, m))
 
 
 @lru_cache(maxsize=None)
@@ -219,81 +184,24 @@ def profile_index(p: Profile) -> int:
     return idx
 
 
-def evaluate(swf: Swf, p: Profile) -> LinearOrder:
+def evaluate(swf: PairwiseSwf, p: Profile) -> LinearOrder:
     """The social order for profile p."""
-    if isinstance(swf, PairwiseSwf):
-        if p.n != swf.n or p.m != 3:
-            raise ValueError(f"profile dimensions ({p.n},{p.m}) do not match SWF ({swf.n},3)")
-        t0, t1, t2 = swf.tables
-        i1, i2, i3 = profile_pair_indices(swf.n)[profile_index(p)]
-        return order_of_bits((t0[i1], t1[i2], t2[i3]))
-    if p.n != swf.n or p.m != swf.m:
-        raise ValueError(f"profile dimensions ({p.n},{p.m}) do not match SWF ({swf.n},{swf.m})")
-    return swf.outputs[profile_index(p)]
-
-
-def to_extensional(swf: Swf) -> ExtensionalSwf:
-    if isinstance(swf, ExtensionalSwf):
-        return swf
+    if p.n != swf.n or p.m != 3:
+        raise ValueError(f"profile dimensions ({p.n},{p.m}) do not match SWF ({swf.n},3)")
     t0, t1, t2 = swf.tables
-    # profile_pair_indices is in canonical profile order, as outputs are
-    codes = [(t0[i1], t1[i2], t2[i3]) for i1, i2, i3 in profile_pair_indices(swf.n)]
-    orders = {code: order_of_bits(code) for code in set(codes)}
-    return ExtensionalSwf(swf.n, 3, tuple(map(orders.__getitem__, codes)))
+    i1, i2, i3 = profile_pair_indices(swf.n)[profile_index(p)]
+    return order_of_bits((t0[i1], t1[i2], t2[i3]))
 
 
-def to_pairwise(swf: Swf) -> PairwiseSwf:
-    """Rebuild the per-pair tables; fails if the SWF is not IIA (or m != 3)."""
-    if isinstance(swf, PairwiseSwf):
-        return swf
-    if swf.m != 3:
-        raise ValueError("pairwise form is defined for m=3 only")
-    size = 1 << swf.n
-    tables: list[list[int | None]] = [[None] * size for _ in range(3)]
-    # outputs are in canonical profile order, as are the entry indices
-    for idx, out in zip(profile_pair_indices(swf.n), swf.outputs):
-        out_bits = bits_of_order(out)
-        for k, j in enumerate(idx):
-            if tables[k][j] is None:
-                tables[k][j] = out_bits[k]
-            elif tables[k][j] != out_bits[k]:
-                raise ValueError(f"SWF is not IIA on pair {PAIR_NAMES[k]}; no pairwise form")
-    return PairwiseSwf(swf.n, tuple(tuple(t) for t in tables))
-
-
-def satisfies_iia(swf: Swf) -> tuple[bool, IiaViolation | None]:
-    """Scan all pairs and profile pairs for an independence violation."""
-    if isinstance(swf, PairwiseSwf):
-        return True, None
-    profiles = _profiles(swf.n, swf.m)
-    for x, y in itertools.combinations(range(swf.m), 2):
-        first_seen: dict[tuple[int, ...], tuple[Profile, int]] = {}
-        for p, out in zip(profiles, swf.outputs):
-            key = tuple(1 if o.prefers(x, y) else 0 for o in p.orders)
-            bit = 1 if out.prefers(x, y) else 0
-            if key not in first_seen:
-                first_seen[key] = (p, bit)
-            elif first_seen[key][1] != bit:
-                return False, IiaViolation((x, y), (first_seen[key][0], p))
-    return True, None
-
-
-def satisfies_unanimity(swf: Swf) -> tuple[bool, UnanimityViolation | None]:
+def satisfies_unanimity(swf: PairwiseSwf) -> tuple[bool, UnanimityViolation | None]:
     """Unanimous pairwise preferences must be copied by the social order."""
-    if isinstance(swf, PairwiseSwf):
-        size = 1 << swf.n
-        for k in range(3):
-            # entry size-1 reads every agent's bit 1, entry 0 every agent's bit 0
-            for entry, bit in ((size - 1, 1), (0, 0)):
-                if swf.tables[k][entry] != bit:
-                    witness = order_of_bits((bit, bit, bit))
-                    return False, UnanimityViolation(PAIRS3[k], Profile((witness,) * swf.n))
-        return True, None
-    for p, out in zip(_profiles(swf.n, swf.m), swf.outputs):
-        for x, y in itertools.combinations(range(swf.m), 2):
-            agent_bits = {o.prefers(x, y) for o in p.orders}
-            if len(agent_bits) == 1 and out.prefers(x, y) != next(iter(agent_bits)):
-                return False, UnanimityViolation((x, y), p)
+    size = 1 << swf.n
+    for k in range(3):
+        # entry size-1 reads every agent's bit 1, entry 0 every agent's bit 0
+        for entry, bit in ((size - 1, 1), (0, 0)):
+            if swf.tables[k][entry] != bit:
+                witness = order_of_bits((bit, bit, bit))
+                return False, UnanimityViolation(PAIRS3[k], Profile((witness,) * swf.n))
     return True, None
 
 
@@ -320,45 +228,28 @@ def _table_dictator(swf: PairwiseSwf, invert: bool) -> int | None:
     return None
 
 
-def _profile_dictator(swf: ExtensionalSwf, invert: bool) -> int | None:
-    profiles = _profiles(swf.n, swf.m)
-    for i in range(swf.n):
-        if all(
-            out == (p.orders[i].reversed() if invert else p.orders[i])
-            for p, out in zip(profiles, swf.outputs)
-        ):
-            return i
-    return None
-
-
-def is_dictatorial(swf: Swf) -> int | None:
+def is_dictatorial(swf: PairwiseSwf) -> int | None:
     """The agent whose order the SWF always copies, if any."""
-    if isinstance(swf, PairwiseSwf):
-        return _table_dictator(swf, False)
-    return _profile_dictator(swf, False)
+    return _table_dictator(swf, False)
 
 
-def is_inversely_dictatorial(swf: Swf) -> int | None:
+def is_inversely_dictatorial(swf: PairwiseSwf) -> int | None:
     """The agent whose order the SWF always reverses, if any."""
-    if isinstance(swf, PairwiseSwf):
-        return _table_dictator(swf, True)
-    return _profile_dictator(swf, True)
+    return _table_dictator(swf, True)
 
 
-def range_of(swf: Swf) -> frozenset[LinearOrder]:
-    if isinstance(swf, PairwiseSwf):
-        met = _bc_entries_met(swf.n, swf.tables[0], swf.tables[1])
-        ones = _table_to_int(swf.tables[2])
-        return frozenset(
-            order_of_bits((k >> 1, k & 1, bc))
-            for k, mask in enumerate(met)
-            for bc, side in ((1, ones), (0, ~ones))
-            if mask & side
-        )
-    return frozenset(swf.outputs)
+def range_of(swf: PairwiseSwf) -> frozenset[LinearOrder]:
+    met = _bc_entries_met(swf.n, swf.tables[0], swf.tables[1])
+    ones = _table_to_int(swf.tables[2])
+    return frozenset(
+        order_of_bits((k >> 1, k & 1, bc))
+        for k, mask in enumerate(met)
+        for bc, side in ((1, ones), (0, ~ones))
+        if mask & side
+    )
 
 
-def classify(swf: Swf) -> SwfClass:
+def classify(swf: PairwiseSwf) -> SwfClass:
     """Place an IIA-satisfying SWF into the range-structure taxonomy."""
     agent = is_dictatorial(swf)
     if agent is not None:
@@ -620,18 +511,6 @@ def pairwise_to_json(swf: PairwiseSwf) -> dict:
         PAIR_NAMES[k]: "".join(str(e) for e in swf.tables[k]) for k in range(3)
     }
     return {"form": "pairwise", "n": swf.n, "tables": tables}
-
-
-def extensional_to_json(swf: ExtensionalSwf) -> dict:
-    table = {str(p): str(out) for p, out in zip(_profiles(swf.n, swf.m), swf.outputs)}
-    return {"form": "extensional", "n": swf.n, "m": swf.m, "table": table}
-
-
-def swf_to_json(swf: Swf) -> dict:
-    if isinstance(swf, PairwiseSwf):
-        return pairwise_to_json(swf)
-    return extensional_to_json(swf)
-
 
 def swf_class_to_json(c: SwfClass) -> dict:
     out: dict = {"tag": c.tag}

@@ -162,9 +162,9 @@ def test_criterion_07_vickrey_dominance():
 def test_criterion_08_outcome_soundness():
     with criterion(8, "unique winner, losers pay zero, non-negative payments, deterministic"):
         grid = parse_grid("0:2:1")
-        reports = sweep_soundness(3, grid)
-        assert len(reports) == 27
-        assert all(r.sound for r in reports)
+        sweep = sweep_soundness(3, grid)
+        assert sweep.cells == 27
+        assert sweep.unsound == ()
         for n in (1, 2, 4):
             for bids in itertools.product(grid.points, repeat=n):
                 rep = check_soundness(bids)

@@ -192,9 +192,9 @@ def test_efficiency_examples():
 
 
 def test_soundness_sweep_27_inputs():
-    reports = sweep_soundness(3, GRID0_2)
-    assert len(reports) == 27
-    assert all(r.sound for r in reports)
+    sweep = sweep_soundness(3, GRID0_2)
+    assert sweep.cells == 27
+    assert sweep.unsound == ()
 
 
 def test_soundness_single_bidder():
@@ -450,6 +450,10 @@ def fraction_sweep(n: int, grid: BidGrid, rule) -> list:
     return [check_soundness(bids, rule) for bids in itertools.product(grid.points, repeat=n)]
 
 
+def unsound_facts(reports) -> list:
+    return [(r.bids, r.violations, r.outcome) for r in reports]
+
+
 def test_soundness_sweep_calls_the_rule_three_times_per_bid_vector():
     calls = []
 
@@ -458,9 +462,9 @@ def test_soundness_sweep_calls_the_rule_three_times_per_bid_vector():
         return run_spa(bids)
 
     grid = parse_grid("0:3:1/2")
-    reports = sweep_soundness(3, grid, rule=counting)
+    sweep = sweep_soundness(3, grid, rule=counting)
     k = len(grid.points)
-    assert len(reports) == k**3 and all(r.sound for r in reports)
+    assert sweep.cells == k**3 and sweep.unsound == ()
     assert len(calls) == 3 * k**3
     assert {type(b) for bids in calls for b in bids} == {int}
 
@@ -470,11 +474,8 @@ def test_soundness_sweep_on_fractions_matches_a_fraction_sweep(name):
     grid = parse_grid("0:2:1/3")
     got = sweep_soundness(3, grid, rule=RULES[name])
     want = fraction_sweep(3, grid, RULES[name])
-    assert len(got) == len(want) == 7**3
-    for g, w in zip(got, want):
-        assert (g.bids, g.sound, g.violations) == (w.bids, w.sound, w.violations)
-        assert g.outcome == w.outcome
-        assert all(type(b) is Fraction for b in g.bids)
+    assert got.cells == len(want) == 7**3
+    assert unsound_facts(got.unsound) == unsound_facts(r for r in want if not r.sound)
 
 
 def test_soundness_sweep_reports_a_loser_pays_rule_on_the_original_fractions():
@@ -485,9 +486,10 @@ def test_soundness_sweep_reports_a_loser_pays_rule_on_the_original_fractions():
     grid = parse_grid("0:1:1/3")
     got = sweep_soundness(2, grid, rule=loser_pays)
     want = fraction_sweep(2, grid, loser_pays)
-    assert [(r.bids, r.violations) for r in got] == [(r.bids, r.violations) for r in want]
-    bad = [r for r in got if not r.sound]
-    assert bad
+    assert got.cells == len(want)
+    assert unsound_facts(got.unsound) == unsound_facts(r for r in want if not r.sound)
+    bad = got.unsound
+    assert bad and all(type(b) is Fraction for r in bad for b in r.bids)
     third = Fraction(1, 3)
     assert (third, Fraction(2, 3)) in [r.bids for r in bad]
     report = next(r for r in bad if r.bids == (third, Fraction(2, 3)))
@@ -504,4 +506,4 @@ def test_soundness_sweep_catches_a_rule_unsound_only_on_scaled_integers():
     # on the original grid every bid is at most 1; times 2 the top bid is 2
     with pytest.raises(RuntimeError, match="breaks the scaling contract"):
         sweep_soundness(2, parse_grid("0:1:1/2"), rule=unsound_above_one)
-    assert all(r.sound for r in sweep_soundness(2, parse_grid("0:1:1"), rule=unsound_above_one))
+    assert sweep_soundness(2, parse_grid("0:1:1"), rule=unsound_above_one).unsound == ()

@@ -515,6 +515,15 @@ def test_output_flag_writes_report_file(capsys, tmp_path):
     assert report["verdict"] == "holds"
 
 
+@pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["missing-dir", "a-dir"])
+def test_unwritable_output_exits_1_without_a_traceback(capsys, tmp_path, target):
+    out = tmp_path / target
+    assert main(["--output", str(out), "vickrey", "maxcheck", "--trials", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_config_is_echoed(capsys):
     _, report = run_cli(capsys, "vickrey", "efficiency", "--values", "3,1")
     assert report["config"]["values"] == "3,1"

@@ -1,10 +1,13 @@
+import ast
 import hashlib
 import itertools
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
+from implab import swf as swf_module
 from implab.orders import (
     PAIRS3,
     LinearOrder,
@@ -21,7 +24,6 @@ from implab.swf import (
     INVERSELY_DICTATORIAL,
     SMALL_RANGE,
     UNCLASSIFIED,
-    ExtensionalSwf,
     PairwiseSwf,
     SwfClass,
     arrow_base_case,
@@ -36,11 +38,8 @@ from implab.swf import (
     profile_index,
     range_of,
     recount_small_range,
-    satisfies_iia,
     satisfies_unanimity,
     swf_class_to_json,
-    to_extensional,
-    to_pairwise,
     verify_tang_lin,
     wilson_base_case,
 )
@@ -82,6 +81,100 @@ def classified(n: int) -> dict[PairwiseSwf, SwfClass]:
 def two_outcome_swf() -> PairwiseSwf:
     # always a>b, always a>c; b>c unless both agents prefer c to b
     return PairwiseSwf(2, ((1, 1, 1, 1), (1, 1, 1, 1), (0, 1, 1, 1)))
+
+
+# The profile route, as an oracle: an SWF is a tuple of outputs, one social
+# order per profile in canonical profile order.  Each profile's table entries
+# are computed here from LinearOrder.prefers, not from swf's own packing.
+
+
+@lru_cache(maxsize=None)
+def oracle_profiles(n: int) -> tuple[Profile, ...]:
+    return tuple(all_profiles(n, 3))
+
+
+@lru_cache(maxsize=None)
+def oracle_entries(n: int) -> tuple[tuple[int, int, int], ...]:
+    """Per profile: the (ab, ac, bc) table entries, agent 0 the most significant bit."""
+    return tuple(
+        tuple(
+            sum(o.prefers(x, y) << (n - 1 - agent) for agent, o in enumerate(p.orders))
+            for x, y in PAIRS3
+        )
+        for p in oracle_profiles(n)
+    )
+
+
+def oracle_outputs(s: PairwiseSwf) -> tuple[LinearOrder, ...]:
+    order_of = {tuple(int(o.prefers(x, y)) for x, y in PAIRS3): o for o in all_linear_orders(3)}
+    return tuple(
+        order_of[tuple(t[j] for t, j in zip(s.tables, entries))] for entries in oracle_entries(s.n)
+    )
+
+
+def oracle_dictator(n: int, outputs, invert: bool) -> int | None:
+    for i in range(n):
+        copies = (p.orders[i].reversed() if invert else p.orders[i] for p in oracle_profiles(n))
+        if all(out == o for out, o in zip(outputs, copies)):
+            return i
+    return None
+
+
+def oracle_classify(n: int, outputs) -> tuple:
+    """(tag, agent, orders), down the same ladder as classify."""
+    for tag, invert in ((DICTATORIAL, False), (INVERSELY_DICTATORIAL, True)):
+        agent = oracle_dictator(n, outputs, invert)
+        if agent is not None:
+            return tag, agent, None
+    rng = tuple(sorted(set(outputs)))
+    if len(rng) == 1:
+        return CONSTANT, None, rng
+    if len(rng) == 2 and kendall_tau(*rng) == 1:
+        return SMALL_RANGE, None, rng
+    return UNCLASSIFIED, None, rng
+
+
+def oracle_unanimous(n: int, outputs) -> bool:
+    full = (1 << n) - 1
+    return all(
+        out.prefers(x, y) == (j == full)
+        for entries, out in zip(oracle_entries(n), outputs)
+        for (x, y), j in zip(PAIRS3, entries)
+        if j in (0, full)
+    )
+
+
+def oracle_iia_witness(n: int, outputs):
+    """The first (pair, (p1, p2)) whose profiles agree on the pair but whose
+    outputs do not, scanning pairs then profiles in canonical order; None if IIA."""
+    profiles = oracle_profiles(n)
+    for k, (x, y) in enumerate(PAIRS3):
+        first_seen = {}
+        for p, entries, out in zip(profiles, oracle_entries(n), outputs):
+            bit = out.prefers(x, y)
+            q, first_bit = first_seen.setdefault(entries[k], (p, bit))
+            if first_bit != bit:
+                return (x, y), (q, p)
+    return None
+
+
+def oracle_rebuild_tables(n: int, outputs):
+    """The per-pair tables that outputs define, or None if an entry gets both bits."""
+    code_of = {o: [int(o.prefers(x, y)) for x, y in PAIRS3] for o in set(outputs)}
+    tables = [[None] * (1 << n) for _ in PAIRS3]
+    for entries, out in zip(oracle_entries(n), outputs):
+        for table, j, bit in zip(tables, entries, code_of[out]):
+            if table[j] not in (None, bit):
+                return None
+            table[j] = bit
+    return tuple(map(tuple, tables))
+
+
+def modified_dictator_outputs() -> tuple[LinearOrder, ...]:
+    """Agent 0's dictatorship, except a>c>b on the profile (a>b>c, a>b>c): not IIA."""
+    outputs = [p.orders[0] for p in oracle_profiles(2)]
+    outputs[profile_index(Profile((ABC, ABC)))] = ACB
+    return tuple(outputs)
 
 
 def test_evaluate_dictator_copies_agent_0():
@@ -152,44 +245,32 @@ def test_decode_model_refuses_a_model_with_cyclic_tables():
         decode_model(enc, model)
 
 
-def test_satisfies_iia_trivially_true_for_pairwise():
-    assert satisfies_iia(two_outcome_swf()) == (True, None)
-
-
 def test_satisfies_iia_for_extensional_dictator():
-    ok, witness = satisfies_iia(to_extensional(dictator(2, 0)))
-    assert ok and witness is None
-
-
-def _modified_dictator() -> ExtensionalSwf:
-    profiles = all_profiles(2, 3)
-    outputs = [p.orders[0] for p in profiles]
-    outputs[profile_index(Profile((ABC, ABC)))] = ACB
-    return ExtensionalSwf(2, 3, tuple(outputs))
+    assert oracle_iia_witness(2, oracle_outputs(dictator(2, 0))) is None
 
 
 def test_satisfies_iia_finds_witness_on_pair_bc():
-    swf = _modified_dictator()
-    ok, witness = satisfies_iia(swf)
-    assert not ok
-    assert witness.pair == (1, 2)
+    outputs = modified_dictator_outputs()
+    pair, profiles = oracle_iia_witness(2, outputs)
+    assert pair == (1, 2)
     # canonically first witness, frozen from the definition scan
-    assert witness.profiles == (Profile((ABC, ABC)), Profile((ABC, BAC)))
-    p1, p2 = witness.profiles
-    x, y = witness.pair
+    assert profiles == (Profile((ABC, ABC)), Profile((ABC, BAC)))
+    p1, p2 = profiles
+    x, y = pair
     assert all(o1.prefers(x, y) == o2.prefers(x, y) for o1, o2 in zip(p1.orders, p2.orders))
-    assert evaluate(swf, p1).prefers(x, y) != evaluate(swf, p2).prefers(x, y)
+    assert outputs[profile_index(p1)].prefers(x, y) != outputs[profile_index(p2)].prefers(x, y)
 
 
 def test_satisfies_iia_oracle_agreement_on_modified_dictator():
     # brute force over every (pair, profile, profile) triple
-    swf = _modified_dictator()
+    outputs = modified_dictator_outputs()
     profiles = all_profiles(2, 3)
     violated_pairs = set()
     for x, y in itertools.combinations(range(3), 2):
         for p1, p2 in itertools.combinations(profiles, 2):
             if all(o1.prefers(x, y) == o2.prefers(x, y) for o1, o2 in zip(p1.orders, p2.orders)):
-                if evaluate(swf, p1).prefers(x, y) != evaluate(swf, p2).prefers(x, y):
+                out1, out2 = outputs[profile_index(p1)], outputs[profile_index(p2)]
+                if out1.prefers(x, y) != out2.prefers(x, y):
                     violated_pairs.add((x, y))
     assert violated_pairs == {(1, 2)}
 
@@ -214,7 +295,7 @@ def test_unanimity_of_constant_fails_on_reversed_profile():
 
 def test_unanimity_extensional_agrees_with_pairwise_path():
     for swf in (dictator(2, 0), inverse_dictator(2, 1), constant_swf(2, ACB), two_outcome_swf()):
-        assert satisfies_unanimity(swf)[0] == satisfies_unanimity(to_extensional(swf))[0]
+        assert satisfies_unanimity(swf)[0] == oracle_unanimous(2, oracle_outputs(swf))
 
 
 def test_detector_examples():
@@ -306,18 +387,19 @@ def test_enumerate_budget_admits_exactly_the_candidate_count():
 
 
 def test_every_enumerated_swf_passes_iia_extensionally():
+    profiles = all_profiles(2, 3)
     for s in enumerate_iia_swfs(2):
-        assert satisfies_iia(to_extensional(s))[0]
+        assert oracle_iia_witness(2, tuple(evaluate(s, p) for p in profiles)) is None
 
 
 def test_pairwise_extensional_round_trip_on_all_94():
+    profiles = all_profiles(2, 3)
     for s in enumerate_iia_swfs(2):
-        assert to_pairwise(to_extensional(s)) == s
+        assert oracle_rebuild_tables(2, tuple(evaluate(s, p) for p in profiles)) == s.tables
 
 
 def test_to_pairwise_rejects_non_iia():
-    with pytest.raises(ValueError, match="not IIA"):
-        to_pairwise(_modified_dictator())
+    assert oracle_rebuild_tables(2, modified_dictator_outputs()) is None
 
 
 def test_range_structure_of_the_94():
@@ -356,33 +438,36 @@ def iia_closed_form(n: int) -> int:
     return 6 + 2 * n + 6 * (2 ** (2**n) - 2)
 
 
-def assert_table_route_matches_profile_route(s: PairwiseSwf) -> None:
-    ext = to_extensional(s)
-    assert is_dictatorial(s) == is_dictatorial(ext)
-    assert is_inversely_dictatorial(s) == is_inversely_dictatorial(ext)
-    assert range_of(s) == range_of(ext)
-    assert classify(s) == classify(ext)
-
-
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_table_route_matches_profile_route_on_every_swf(n):
     swfs = enumerate_iia_swfs(n)
     assert len(swfs) == iia_closed_form(n)
+    if n == 3:
+        special = [f(3, i) for f in (dictator, inverse_dictator) for i in range(3)]
+        assert set(special) | {constant_swf(3, BAC)} <= set(swfs)
+        assert {classify(s).tag for s in swfs} == set(CLASS_TAGS) - {UNCLASSIFIED}
     profiles = all_profiles(n, 3)
     for s in swfs:
-        assert to_extensional(s).outputs == tuple(evaluate(s, p) for p in profiles)
-        assert_table_route_matches_profile_route(s)
+        outputs = oracle_outputs(s)
+        assert outputs == tuple(evaluate(s, p) for p in profiles)
+        assert is_dictatorial(s) == oracle_dictator(n, outputs, False)
+        assert is_inversely_dictatorial(s) == oracle_dictator(n, outputs, True)
+        assert range_of(s) == frozenset(outputs)
+        c = classify(s)
+        assert (c.tag, c.agent, c.orders) == oracle_classify(n, outputs)
+        assert satisfies_unanimity(s)[0] == oracle_unanimous(n, outputs)
+        assert oracle_rebuild_tables(n, outputs) == s.tables
 
 
-def test_table_route_matches_profile_route_on_n3_sample():
-    # every SWF at n = 3, not a sample: the extensional route reuses one profile tuple
-    swfs = enumerate_iia_swfs(3)
-    assert len(swfs) == iia_closed_form(3) == 1536
-    special = [f(3, i) for f in (dictator, inverse_dictator) for i in range(3)]
-    assert set(special) | {constant_swf(3, BAC)} <= set(swfs)
-    assert {classify(s).tag for s in swfs} == set(CLASS_TAGS) - {UNCLASSIFIED}
-    for s in swfs:
-        assert_table_route_matches_profile_route(s)
+def test_swf_has_one_swf_representation():
+    tree = ast.parse(Path(swf_module.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            assert node.func.id != "isinstance", f"isinstance call on line {node.lineno}"
+        elif isinstance(node, ast.ClassDef):
+            assert node.name != "ExtensionalSwf"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert "all_profiles" not in [alias.name for alias in node.names]
 
 
 def sha256_of_json(obj) -> str:
@@ -461,12 +546,3 @@ def test_pairwise_json_shape():
         "n": 2,
         "tables": {"ab": "1111", "ac": "1111", "bc": "0111"},
     }
-
-
-def test_extensional_json_is_a_total_profile_table():
-    from implab.swf import extensional_to_json
-
-    j = extensional_to_json(to_extensional(dictator(2, 1)))
-    assert j["form"] == "extensional" and j["n"] == 2 and j["m"] == 3
-    assert len(j["table"]) == 36
-    assert j["table"]["a>b>c;c>b>a"] == "c>b>a"
