@@ -29,6 +29,7 @@ from typing import Protocol, Sequence
 from .parallel import pool_map
 
 DEFAULT_SWEEP_BUDGET = 10_000_000
+SOUNDNESS_RUNS = 3
 
 Amount = int | Fraction
 
@@ -236,18 +237,18 @@ def _agent_counterexample(
     opponent_grid: tuple[Amount, ...],
     deviations: tuple[Amount, ...],
     rule: AuctionRule,
-) -> tuple[tuple[int, int, int], DominanceCounterexample] | None:
+) -> DominanceCounterexample | None:
     """First (by canonical sweep order) profitable deviation for agent i."""
-    for oi, others in enumerate(itertools.product(opponent_grid, repeat=n - 1)):
+    for others in itertools.product(opponent_grid, repeat=n - 1):
         truthful = others[:i] + (v_i,) + others[i:]
         out = rule(truthful)
         truth_pay = payoff(v_i, out.x[i], out.p[i])
-        for di, dev in enumerate(deviations):
+        for dev in deviations:
             dev_bids = others[:i] + (dev,) + others[i:]
             dev_out = rule(dev_bids)
             dev_pay = payoff(v_i, dev_out.x[i], dev_out.p[i])
             if dev_pay > truth_pay:
-                return (i, oi, di), DominanceCounterexample(
+                return DominanceCounterexample(
                     agent=i,
                     truthful_bids=truthful,
                     deviation_bids=dev_bids,
@@ -320,9 +321,9 @@ def check_weak_dominance(
     if cells > sweep_budget:
         raise ValueError(f"dominance sweep of {cells} cells exceeds budget {sweep_budget}")
     tasks = [(i, values[i], n, points, dev_domains[i], rule) for i in range(n)]
-    hits = [h for h in pool_map(_dominance_chunk, tasks, jobs) if h is not None]
-    if hits:
-        _, ce = min(hits, key=lambda h: h[0])
+    # at most one hit per agent, so the first in agent order is the canonical one
+    ce = next((h for h in pool_map(_dominance_chunk, tasks, jobs) if h is not None), None)
+    if ce is not None:
         return DominanceResult(False, cells, _unscaled(ce, d, rule))
     return DominanceResult(True, cells)
 
@@ -359,12 +360,12 @@ class SoundnessReport:
         return not self.violations
 
 
-def check_soundness(bids: Sequence, rule: AuctionRule = run_spa, repeats: int = 3) -> SoundnessReport:
-    """Outcome invariants plus determinism across repeated evaluation."""
+def check_soundness(bids: Sequence, rule: AuctionRule = run_spa) -> SoundnessReport:
+    """Outcome invariants plus determinism across SOUNDNESS_RUNS evaluations."""
     b = to_amounts(bids, "bid")
     first = rule(b)
     problems = outcome_violations(first, len(b))
-    for _ in range(repeats - 1):
+    for _ in range(SOUNDNESS_RUNS - 1):
         again = rule(b)
         if again != first:
             problems.append(f"nondeterministic outcome: {again} != {first}")
@@ -443,6 +444,29 @@ class AbstractDominanceResult:
     counterexample: DominanceCounterexample | None = None
 
 
+def _abstract_grid(n: int, v_i, delta, sweep_budget: int) -> tuple[BidGrid, int]:
+    """The grid v_i - delta (floored at 0), v_i, v_i + delta, and the cells
+    of its sweep over n bidders; ValueError when they exceed the budget."""
+    value, step = to_amount(v_i), to_amount(delta)
+    if step <= 0:
+        raise ValueError("delta must be positive")
+    grid = BidGrid(tuple(sorted({max(0, value - step), value, value + step})))
+    cells = len(grid.points) ** (n - 1) * len(grid.points)
+    if cells > sweep_budget:
+        raise ValueError(f"abstract sweep of {cells} cells exceeds budget {sweep_budget}")
+    return grid, cells
+
+
+def check_abstract_budget(n_max: int, v_i, delta, sweep_budget: int = DEFAULT_SWEEP_BUDGET) -> None:
+    """Refuse the abstract sweeps over n = 2..n_max before any of them runs.
+
+    The grid has at least 2 points, so every n from sweep_budget.bit_length()
+    on is over budget, and the search for the first n over it stops there.
+    """
+    for n in range(2, min(n_max, max(2, sweep_budget.bit_length())) + 1):
+        _abstract_grid(n, v_i, delta, sweep_budget)
+
+
 def check_abstract_dominance(
     n: int, v_i, delta, rule: AuctionRule = run_spa, sweep_budget: int = DEFAULT_SWEEP_BUDGET
 ) -> AbstractDominanceResult:
@@ -452,18 +476,11 @@ def check_abstract_dominance(
     v_i + delta}; only the distinguished bidder 0 is checked for profitable
     deviations.  Like check_weak_dominance, it sweeps on scaled integers.
     """
-    value = to_amount(v_i)
-    step = to_amount(delta)
     if n < 2:
         raise ValueError(f"dominance check needs more than one participant, got {n}")
-    if step <= 0:
-        raise ValueError("delta must be positive")
-    grid = BidGrid(tuple(sorted({max(0, value - step), value, value + step})))
-    cells = len(grid.points) ** (n - 1) * len(grid.points)
-    if cells > sweep_budget:
-        raise ValueError(f"abstract sweep of {cells} cells exceeds budget {sweep_budget}")
-    d, (points, (scaled_value,)) = _scaled(grid.points, (value,))
+    grid, cells = _abstract_grid(n, v_i, delta, sweep_budget)
+    d, (points, (scaled_value,)) = _scaled(grid.points, (to_amount(v_i),))
     hit = _agent_counterexample(0, scaled_value, n, points, points, rule)
     if hit is None:
         return AbstractDominanceResult(n, grid, True, cells)
-    return AbstractDominanceResult(n, grid, False, cells, _unscaled(hit[1], d, rule))
+    return AbstractDominanceResult(n, grid, False, cells, _unscaled(hit, d, rule))

@@ -220,6 +220,7 @@ def cmd_vickrey(args) -> tuple[dict, int]:
     if args.vickrey_cmd == "abstract":
         if args.n_max < 2:
             raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
+        auctions.check_abstract_budget(args.n_max, args.value, args.delta, budget)
         per_n = []
         all_hold = True
         for n in range(2, args.n_max + 1):

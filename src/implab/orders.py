@@ -22,8 +22,8 @@ PAIR_NAMES = ("ab", "ac", "bc")
 # Bit triples that encode a cycle rather than an order.
 CYCLIC_CODES = frozenset({(0, 1, 0), (1, 0, 1)})
 
-DEFAULT_ORDER_CAP = 6
-DEFAULT_PROFILE_BUDGET = 10_000_000
+ORDER_CAP = 6
+PROFILE_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -40,10 +40,6 @@ class LinearOrder:
     @property
     def m(self) -> int:
         return len(self.ranking)
-
-    def position(self, x: int) -> int:
-        """Rank of alternative x; 0 is best."""
-        return self.ranking.index(x)
 
     def prefers(self, x: int, y: int) -> bool:
         return self.ranking.index(x) < self.ranking.index(y)
@@ -80,10 +76,10 @@ class Profile:
         return ";".join(str(o) for o in self.orders)
 
 
-def all_linear_orders(m: int, cap: int = DEFAULT_ORDER_CAP) -> list[LinearOrder]:
+def all_linear_orders(m: int) -> list[LinearOrder]:
     """All m! orders, lexicographic on the underlying permutations."""
-    if m < 1 or m > cap:
-        raise ValueError(f"alternative count {m} outside supported range 1..{cap}")
+    if m < 1 or m > ORDER_CAP:
+        raise ValueError(f"alternative count {m} outside supported range 1..{ORDER_CAP}")
     return [LinearOrder(p) for p in itertools.permutations(range(m))]
 
 
@@ -125,13 +121,13 @@ def kendall_tau(o1: LinearOrder, o2: LinearOrder) -> int:
     )
 
 
-def all_profiles(n: int, m: int, budget: int = DEFAULT_PROFILE_BUDGET) -> list[Profile]:
+def all_profiles(n: int, m: int) -> list[Profile]:
     """All (m!)^n profiles, lexicographic over per-agent canonical order indices."""
     if n < 1:
         raise ValueError(f"agent count must be positive, got {n}")
     count = factorial(m) ** n
-    if count > budget:
-        raise ValueError(f"profile enumeration of {count} profiles exceeds budget {budget}")
+    if count > PROFILE_BUDGET:
+        raise ValueError(f"profile enumeration of {count} profiles exceeds budget {PROFILE_BUDGET}")
     orders = all_linear_orders(m)
     return [Profile(combo) for combo in itertools.product(orders, repeat=n)]
 

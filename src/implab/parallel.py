@@ -13,7 +13,7 @@ def worker_count(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, tasks))
 
 
-def pool_map(fn: Callable, tasks: Sequence, jobs: int, chunksize: int = 1) -> list:
+def pool_map(fn: Callable, tasks: Sequence, jobs: int) -> list:
     """fn over tasks, results in task order; in-process when one worker suffices."""
     workers = worker_count(jobs, len(tasks))
     if workers == 1:
@@ -22,4 +22,4 @@ def pool_map(fn: Callable, tasks: Sequence, jobs: int, chunksize: int = 1) -> li
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunksize))
+        return list(pool.map(fn, tasks))

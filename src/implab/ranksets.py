@@ -1,9 +1,9 @@
 """Preferences over nonempty subsets of a small ordered universe.
 
-Objects are indices 0..m-1 ranked by a base order (identity by default, so
-object 0 is the best).  Subsets are nonzero bitmasks.  A relation is a full
-boolean matrix geq[A][B] meaning "A is at least as good as B"; the strict
-part is derived as geq(A,B) and not geq(B,A).
+Objects are indices 0..m-1 ranked by index, so object 0 is the best.
+Subsets are nonzero bitmasks.  A relation is a full boolean matrix
+geq[A][B] meaning "A is at least as good as B"; the strict part is derived
+as geq(A,B) and not geq(B,A).
 
 The axiom catalog is grounded into concrete constraints over the geq atoms,
 which serve both direct checking of a given relation and CNF encoding for
@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .orders import ALTERNATIVE_NAMES, LinearOrder
+from .orders import ALTERNATIVE_NAMES
 from .parallel import pool_map
 from .satkit import Cnf, SolveResult, Solver
 
@@ -40,31 +40,24 @@ class RelationClass(Enum):
 
 @dataclass(frozen=True)
 class Universe:
+    """Objects 0..m-1; an object's index is its rank, 0 the best."""
+
     m: int
-    base_order: LinearOrder | None = None
 
     def __post_init__(self):
         if not 2 <= self.m <= 6:
             raise ValueError(f"universe size {self.m} outside supported range 2..6")
-        if self.base_order is None:
-            object.__setattr__(self, "base_order", LinearOrder(tuple(range(self.m))))
-        if self.base_order.m != self.m:
-            raise ValueError("base order size does not match the universe")
 
     def subsets(self) -> range:
         return range(1, 1 << self.m)
 
-    def pos(self, x: int) -> int:
-        return self.base_order.position(x)
-
-    def prefers(self, x: int, y: int) -> bool:
-        return self.pos(x) < self.pos(y)
-
     def best_pos(self, mask: int) -> int:
-        return min(self.pos(x) for x in range(self.m) if mask >> x & 1)
+        """Rank of the best object in mask: its lowest set bit."""
+        return (mask & -mask).bit_length() - 1
 
     def worst_pos(self, mask: int) -> int:
-        return max(self.pos(x) for x in range(self.m) if mask >> x & 1)
+        """Rank of the worst object in mask: its highest set bit."""
+        return mask.bit_length() - 1
 
     def subset_name(self, mask: int) -> str:
         return "{" + ",".join(ALTERNATIVE_NAMES[x] for x in range(self.m) if mask >> x & 1) + "}"
@@ -175,17 +168,14 @@ def minmax_relation(u: Universe) -> SetRelation:
     return SetRelation(u, geq, strongest_class(geq))
 
 
-def _ranked_triples(u: Universe):
-    """All (x, y, z) with x > y > z in the base order."""
-    ranked = u.base_order.ranking
-    return itertools.combinations(ranked, 3)
-
-
 def ground_axiom(u: Universe, ax: Axiom) -> GroundedAxiom:
-    """Instantiate one axiom over all concrete subsets of the universe."""
+    """Instantiate one axiom over all concrete subsets of the universe.
+
+    Pairs and triples come in index order, so x is better than y (than z).
+    """
     cs: list[GroundConstraint] = []
     if ax is Axiom.SIMPLE_DOMINANCE:
-        for x, y in itertools.combinations(u.base_order.ranking, 2):
+        for x, y in itertools.combinations(range(u.m), 2):
             cs.append(GroundConstraint(ax, None, (1 << x, (1 << x) | (1 << y)), True))
             cs.append(GroundConstraint(ax, None, ((1 << x) | (1 << y), 1 << y), True))
     elif ax is Axiom.INDEPENDENCE:
@@ -199,13 +189,13 @@ def ground_axiom(u: Universe, ax: Axiom) -> GroundedAxiom:
                         continue
                     cs.append(GroundConstraint(ax, (a, b), (a | bit, b | bit), False))
     elif ax is Axiom.UNCERTAINTY_AVERSION:
-        for x, y, z in _ranked_triples(u):
+        for x, y, z in itertools.combinations(range(u.m), 3):
             cs.append(GroundConstraint(ax, None, (1 << y, (1 << x) | (1 << z)), True))
     elif ax is Axiom.UNCERTAINTY_APPEAL:
-        for x, y, z in _ranked_triples(u):
+        for x, y, z in itertools.combinations(range(u.m), 3):
             cs.append(GroundConstraint(ax, None, ((1 << x) | (1 << z), 1 << y), True))
     elif ax is Axiom.SIMPLE_TOP_MONOTONICITY:
-        for x, y, z in _ranked_triples(u):
+        for x, y, z in itertools.combinations(range(u.m), 3):
             cs.append(GroundConstraint(ax, None, ((1 << x) | (1 << z), (1 << y) | (1 << z)), True))
     else:
         raise ValueError(f"unknown axiom {ax}")

@@ -7,7 +7,9 @@ Literals are nonzero integers in the usual convention: +v asserts variable
 v, -v negates it.  The solver is plain DPLL with two-watched-literal unit
 propagation and chronological backtracking; decisions always pick the
 lowest-index unassigned variable, trying true first, so runs are fully
-deterministic and every Sat answer is the lexicographically greatest model.
+deterministic and every Sat answer is the lexicographically greatest model,
+except one: a solver with no clauses, asked without assumptions, answers
+the all-False assignment.
 
 `Solver` is persistent: it keeps its clauses and watch lists between
 calls, takes further clauses with `add_clause`, and answers
@@ -111,7 +113,8 @@ class Solver:
     def solve(self, assumptions=()) -> SolveResult:
         """Lexicographically greatest model (variable 1 first, true above
         false) that makes every assumption literal true; Sat models are
-        verified against every clause and assumption before return."""
+        verified against every clause and assumption before return.  The
+        exception: with no clauses and no assumptions, the all-False one."""
         assumptions = tuple(assumptions)
         if not self.clauses and not assumptions:
             return SolveResult(True, dict.fromkeys(range(1, self.num_vars + 1), False))

@@ -46,7 +46,7 @@ from .orders import (
 from .satkit import Cnf
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 24
-DEFAULT_ENCODE_AGENT_CAP = 10
+ENCODE_AGENT_CAP = 10
 
 UN = "UN"
 ND = "ND"
@@ -324,32 +324,21 @@ def enumerate_iia_swfs(n: int, candidate_budget: int = DEFAULT_CANDIDATE_BUDGET)
 
 
 def recount_small_range(n: int) -> int:
-    """Count small-range non-constant SWFs constructively, family by family.
+    """Count small-range non-constant SWFs in closed form, family by family.
 
-    A family fixes two pairs to constant bits and lets one pair vary; it is
-    admissible when both completions of the varying bit decode to orders.
-    Independent of enumerate_iia_swfs.
+    A family fixes two pairs to constant bits and lets the third pair's
+    table be any of the 2^(2^n) - 2 non-constant tables; it is admissible
+    when neither bit of the varying pair completes a cyclic code.  A
+    member's one non-constant table names its family, so the families are
+    disjoint.  Independent of enumerate_iia_swfs, and builds no SWF.
     """
-    size = 1 << n
-    seen: set[PairwiseSwf] = set()
-    for k in range(3):
-        others = [p for p in range(3) if p != k]
-        for fixed in itertools.product((0, 1), repeat=2):
-            codes = []
-            for b in (0, 1):
-                code = [0, 0, 0]
-                code[k] = b
-                code[others[0]], code[others[1]] = fixed
-                codes.append(tuple(code))
-            if any(c in CYCLIC_CODES for c in codes):
-                continue
-            for t in range(1, (1 << size) - 1):  # skip the two constant tables
-                tables = [None, None, None]
-                tables[k] = _int_to_table(t, size)
-                tables[others[0]] = (fixed[0],) * size
-                tables[others[1]] = (fixed[1],) * size
-                seen.add(PairwiseSwf(n, tuple(tables)))
-    return len(seen)
+    # fixed holds the two constant bits in pair order; the varying bit goes in at k
+    families = sum(
+        not any(fixed[:k] + (b,) + fixed[k:] in CYCLIC_CODES for b in (0, 1))
+        for k in range(3)
+        for fixed in itertools.product((0, 1), repeat=2)
+    )
+    return families * ((1 << (1 << n)) - 2)
 
 
 @dataclass(frozen=True)
@@ -452,12 +441,10 @@ class ArrowEncoding:
     entry_of: dict[int, tuple[int, int]] = field(repr=False)
 
 
-def encode_arrow(
-    n: int, axioms: frozenset[str] | set[str] = frozenset(), agent_cap: int = DEFAULT_ENCODE_AGENT_CAP
-) -> ArrowEncoding:
+def encode_arrow(n: int, axioms: frozenset[str] | set[str] = frozenset()) -> ArrowEncoding:
     """Build the base-case CNF for n agents over three alternatives."""
-    if n < 1 or n > agent_cap:
-        raise ValueError(f"agent count {n} outside supported range 1..{agent_cap}")
+    if n < 1 or n > ENCODE_AGENT_CAP:
+        raise ValueError(f"agent count {n} outside supported range 1..{ENCODE_AGENT_CAP}")
     axioms = frozenset(axioms)
     unknown = axioms - {UN, ND}
     if unknown:

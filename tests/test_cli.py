@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from implab import satkit, swf
+from implab import auctions, satkit, swf
 from implab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -221,6 +221,9 @@ def test_ranksets_discover_prune_findings_are_pinned(capsys):
 # transitivity became one clause per 3-cycle
 RANKSETS_REPORT_SHA256 = {
     ("discover", "--max-m", "5"): "78d93f7d8155e2a9f5710c2683e02c5b8ad44f2c744a91476e09a603305966f6",
+    # taken while Universe still took a base order
+    ("minmax", "--m", "3"): "1788f6e137e8e7213d779226aa95537c2b04603fa7c562802743b7785a0e836c",
+    ("minmax", "--m", "4"): "559a52c051b5ab80d9e75e80d2a70de4b6e980f593a45047c2069120e6c74deb",
 }
 
 
@@ -475,6 +478,18 @@ def test_range_grid_is_sized_against_the_sweep_before_it_is_built(capsys):
     assert "grid of 10000000 points exceeds budget 2236" in capsys.readouterr().err
     assert main(["vickrey", "soundness", "--n", "3", "--grid", "0:9999999:1"]) == 1
     assert "exceeds budget 215" in capsys.readouterr().err
+
+
+def test_abstract_sweep_over_budget_is_refused_before_any_rule_call(capsys, monkeypatch):
+    calls = []
+    rule = auctions.RULES["second-price"]
+    monkeypatch.setitem(auctions.RULES, "second-price", lambda bids: calls.append(bids) or rule(bids))
+    monkeypatch.setenv("IMPLAB_BUDGET", "100")
+    # grid 0, 1, 2: 3**n cells, and n = 5 is the first over 100
+    assert main(["vickrey", "abstract", "--n-max", "10", "--value", "1", "--delta", "1"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: abstract sweep of 243 cells exceeds budget 100\n")
+    assert calls == []
 
 
 def test_grids_at_the_point_limit_give_the_same_reports(capsys, monkeypatch):

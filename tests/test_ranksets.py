@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from implab.orders import LinearOrder
 from implab.ranksets import (
     CATALOG,
     Axiom,
@@ -45,13 +44,10 @@ def test_universe_validation():
         Universe(1)
     with pytest.raises(ValueError):
         Universe(7)
-    with pytest.raises(ValueError):
-        Universe(3, base_order=LinearOrder((0, 1)))
 
 
 def test_universe_defaults_to_identity_base_order():
     u = Universe(3)
-    assert u.base_order == LinearOrder((0, 1, 2))
     assert u.subset_name(0b101) == "{a,c}"
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from implab import swf as swf_module
 from implab.orders import (
+    CYCLIC_CODES,
     PAIRS3,
     LinearOrder,
     Profile,
@@ -537,6 +538,54 @@ def test_small_range_recount_formula():
     # 3 varying positions x 2 admissible fixed-bit pairs x (2^(2^n) - 2) tables
     assert recount_small_range(2) == 3 * 2 * 14 == 84
     assert recount_small_range(1) == 3 * 2 * 2 == 12
+    assert recount_small_range(6) == 6 * (2**64 - 2)
+
+
+def oracle_small_range(n: int) -> set[PairwiseSwf]:
+    """Every member of every admissible small-range family, built and
+    validated: two pairs fixed to constant bits, the third any non-constant
+    table, and no completion of the varying bit a cyclic code."""
+    size = 1 << n
+    seen = set()
+    for k in range(3):
+        others = [p for p in range(3) if p != k]
+        for fixed in itertools.product((0, 1), repeat=2):
+            codes = []
+            for b in (0, 1):
+                code = [0, 0, 0]
+                code[k] = b
+                code[others[0]], code[others[1]] = fixed
+                codes.append(tuple(code))
+            if any(c in CYCLIC_CODES for c in codes):
+                continue
+            for table in itertools.product((0, 1), repeat=size):
+                if len(set(table)) == 1:
+                    continue
+                tables = [None, None, None]
+                tables[k] = table
+                tables[others[0]] = (fixed[0],) * size
+                tables[others[1]] = (fixed[1],) * size
+                seen.add(PairwiseSwf(n, tuple(tables)))
+    return seen
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_small_range_recount_matches_the_constructive_oracle_and_classify(n):
+    members = oracle_small_range(n)
+    tagged = {s for s, c in classified(n).items() if c.tag == SMALL_RANGE}
+    assert members == tagged
+    assert len(members) == recount_small_range(n)
+
+
+def test_small_range_recount_builds_no_swf(monkeypatch):
+    calls = []
+    validate = PairwiseSwf.__post_init__
+    monkeypatch.setattr(PairwiseSwf, "__post_init__", lambda self: calls.append(1) or validate(self))
+    constant_swf(1, ABC)
+    assert len(calls) == 1  # the counter sees a construction
+    calls.clear()
+    assert [recount_small_range(n) for n in (1, 2, 3)] == [12, 84, 1524]
+    assert calls == []
 
 
 def test_pairwise_json_shape():
