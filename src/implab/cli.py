@@ -9,7 +9,8 @@ counterexample or soundness violation (vickrey), 4 an internal check failed
 object, an auction rule with an unsound outcome), 20 UNSAT (sat).
 
 The IMPLAB_BUDGET environment variable, a non-negative integer, overrides
-the enumeration and sweep budgets of the underlying modules.
+the enumeration and sweep budgets of the underlying modules and the number
+of variables a `sat` header may declare.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def cmd_arrow(args) -> tuple[dict, int]:
     # one AllSAT run gives both the verdict (SAT iff it finds a model) and the model set
     run = satkit.enumerate_models(enc.cnf, limit=len(filtered) + 1)
     decoded = [swf.decode_model(enc, m) for m in run.models]
-    agree = not run.truncated and set(decoded) == set(filtered)
+    agree = not run.truncated and set(decoded) == set(filtered) and tl.recount_matches
     sat = bool(decoded)
 
     if axioms == {swf.UN, swf.ND}:
@@ -149,9 +150,7 @@ def cmd_ranksets(args) -> tuple[dict, int]:
         }
         return payload, 0
     if args.ranksets_cmd == "discover":
-        report = ranksets.find_inconsistent_subsets(
-            args.max_m, relation_class=cls, prune=args.prune, jobs=args.jobs
-        )
+        report = ranksets.find_inconsistent_subsets(args.max_m, relation_class=cls, prune=args.prune)
         findings = []
         for f in report.findings:
             findings.append(
@@ -271,6 +270,9 @@ def cmd_sat(args) -> tuple[dict, int]:
         with open(args.path, "r", encoding="utf-8") as f:
             text = f.read()
     cnf = satkit.from_dimacs(text)
+    budget = _budget(satkit.DEFAULT_VAR_BUDGET)
+    if cnf.num_vars > budget:
+        raise ValueError(f"header of {cnf.num_vars} variables exceeds budget {budget}")
     res = satkit.solve(cnf)
     payload = {
         "verdict": "SAT" if res.satisfiable else "UNSAT",
@@ -301,7 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--output", help="write the JSON report to this path instead of stdout")
     parser.add_argument("--summary", action="store_true", help="also print a prose summary to stderr")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps (default 1)")
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="parallel workers for the vickrey dominance sweep (default 1)"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("arrow", help="base-case social welfare function analysis")

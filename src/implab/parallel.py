@@ -1,4 +1,4 @@
-"""The one process-pool helper behind every `--jobs` sweep."""
+"""The process-pool helper behind the `--jobs` sweep of `vickrey dominance`."""
 
 from __future__ import annotations
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .orders import ALTERNATIVE_NAMES
-from .parallel import pool_map
 from .satkit import Cnf, SolveResult, Solver
 
 
@@ -354,50 +353,31 @@ class DiscoveryReport:
     findings: tuple[SubsetFinding, ...]
 
 
-def _solve_subsets_at(args) -> list[SolveResult]:
-    """Every subset at one universe size, on one guarded solver."""
-    m, catalog, relation_class, subsets = args
-    solver = _guarded_solver(Universe(m), catalog, relation_class)
-    return [_solve_subset(solver, catalog, subset) for subset in subsets]
-
-
 def find_inconsistent_subsets(
     u_max: int,
     catalog=CATALOG,
     relation_class: RelationClass = RelationClass.LINEAR_ORDER,
     prune: bool = False,
-    jobs: int = 1,
 ) -> DiscoveryReport:
     """Minimal universe size at which each axiom subset becomes unsatisfiable.
 
-    With prune enabled, strict supersets of a subset already found
-    inconsistent are skipped (and marked), mirroring the obvious implication.
-    Each universe size has one solver whose axiom clauses are switched on
-    and off by assumptions; with jobs > 1, each worker answers every subset
-    at one universe size.
+    Subsets are solved in order, in-process, on one solver per universe
+    size whose axiom clauses are switched on and off by assumptions.  With
+    prune enabled, strict supersets of a subset already found inconsistent
+    are skipped (and marked), mirroring the obvious implication.
     """
     if not 2 <= u_max <= 6:
         raise ValueError(f"u_max {u_max} outside supported range 2..6")
-    if prune and jobs > 1:
-        raise ValueError(
-            f"prune skips subsets by earlier findings, so it runs serially; got jobs={jobs}"
-        )
     catalog = tuple(catalog)
     subsets: list[tuple[Axiom, ...]] = []
     for r in range(1, len(catalog) + 1):
         subsets.extend(itertools.combinations(catalog, r))
     sizes = range(2, u_max + 1)
-
-    results: dict[tuple[int, int], SolveResult] = {}
-    if jobs > 1:
-        tasks = [(m, catalog, relation_class, subsets) for m in sizes]
-        for m, per_subset in zip(sizes, pool_map(_solve_subsets_at, tasks, jobs)):
-            results.update(((i, m), res) for i, res in enumerate(per_subset))
     solvers: dict[int, Solver] = {}
 
     findings: list[SubsetFinding] = []
     inconsistent: list[set[Axiom]] = []
-    for i, subset in enumerate(subsets):
+    for subset in subsets:
         if prune and any(known < set(subset) for known in inconsistent):
             findings.append(
                 SubsetFinding(subset, relation_class, {}, minimal_unsat_m=None, pruned=True)
@@ -407,11 +387,9 @@ def find_inconsistent_subsets(
         minimal: int | None = None
         witness: SetRelation | None = None
         for m in sizes:
-            res = results.get((i, m))
-            if res is None:
-                if m not in solvers:
-                    solvers[m] = _guarded_solver(Universe(m), catalog, relation_class)
-                res = _solve_subset(solvers[m], catalog, subset)
+            if m not in solvers:
+                solvers[m] = _guarded_solver(Universe(m), catalog, relation_class)
+            res = _solve_subset(solvers[m], catalog, subset)
             statuses[m] = "sat" if res.satisfiable else "unsat"
             if res.satisfiable:
                 witness = decode_ranksets(Universe(m), res.assignment, relation_class)

@@ -26,6 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# variables a DIMACS header may declare: the solver allocates per variable
+DEFAULT_VAR_BUDGET = 1_000_000
+
 
 def _check_clause(clause, num_vars: int) -> None:
     if not clause:

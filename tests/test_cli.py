@@ -92,6 +92,14 @@ def test_arrow_three_agents(capsys):
     assert report["cross_check_agree"]
 
 
+def test_arrow_recount_disagreeing_with_the_census_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(swf, "recount_small_range", lambda n: 83)
+    code, report = run_cli(capsys, "arrow", "--agents", "2")
+    assert code == 2
+    assert report["census"]["small_range"] == 84 and report["small_range_recount"] == 83
+    assert report["cross_check_agree"] is False
+
+
 def test_arrow_three_agents_classifies_each_swf_once_and_never_calls_solve(capsys, monkeypatch):
     calls = {"classify": 0, "range_of": 0}
 
@@ -404,6 +412,22 @@ def test_sat_command_parse_error_exit_1(capsys, tmp_path):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_sat_header_over_the_variable_budget_exits_1_before_any_solver(capsys, monkeypatch, tmp_path):
+    built = []
+    solver = satkit.Solver
+    monkeypatch.setattr(satkit, "Solver", lambda *a: built.append(a[0]) or solver(*a))
+    monkeypatch.setenv("IMPLAB_BUDGET", "10")
+    path = tmp_path / "wide.cnf"
+    path.write_text("p cnf 11 1\n1 0\n")
+    assert main(["sat", str(path)]) == 1
+    assert capsys.readouterr().err == "error: header of 11 variables exceeds budget 10\n"
+    assert built == []
+    path.write_text("p cnf 10 1\n1 0\n")
+    code, report = run_cli(capsys, "sat", str(path))
+    assert code == 0 and report["num_vars"] == 10
+    assert built == [10]
+
+
 def test_sat_command_model_out(capsys, tmp_path):
     path = tmp_path / "sat.cnf"
     path.write_text("p cnf 2 1\n1 2 0\n")
@@ -459,9 +483,15 @@ def test_jobs_below_one_exits_1(capsys):
     assert "--jobs must be at least 1, got 0" in capsys.readouterr().err
 
 
-def test_jobs_with_prune_exits_1(capsys):
-    assert main(["--jobs", "2", "ranksets", "discover", "--max-m", "3", "--prune"]) == 1
-    assert "runs serially; got jobs=2" in capsys.readouterr().err
+def test_jobs_with_prune_gives_the_serial_report(capsys):
+    argv = ("ranksets", "discover", "--max-m", "3", "--prune")
+    code, par = run_cli(capsys, "--jobs", "2", *argv)
+    assert code == 0
+    _, seq = run_cli(capsys, "--jobs", "1", *argv)
+    assert any(f["pruned"] for f in seq["findings"])
+    assert {k: v for k, v in strip_duration(par).items() if k != "config"} == {
+        k: v for k, v in strip_duration(seq).items() if k != "config"
+    }
 
 
 def test_range_grid_over_budget_exits_1_before_sweeping(capsys):

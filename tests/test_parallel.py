@@ -1,12 +1,13 @@
+import ast
 import concurrent.futures
 import os
+from pathlib import Path
 
 import pytest
 
-from implab import parallel
+from implab import parallel, ranksets
 from implab.auctions import check_weak_dominance, parse_grid
 from implab.cli import main
-from implab.ranksets import Axiom, find_inconsistent_subsets
 
 HUGE = 10**9
 
@@ -56,14 +57,19 @@ def test_dominance_pool_is_clamped_to_the_agent_count(pools):
     assert pools == [3]
 
 
-def test_discovery_pool_is_clamped_to_the_cpu_count(pools, monkeypatch):
-    # one task per universe size: m = 2, 3, 4 on two CPUs
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    catalog = (Axiom.SIMPLE_DOMINANCE, Axiom.INDEPENDENCE, Axiom.UNCERTAINTY_AVERSION)
-    seq = find_inconsistent_subsets(4, catalog=catalog)
-    par = find_inconsistent_subsets(4, catalog=catalog, jobs=HUGE)
-    assert par == seq
-    assert pools == [2]
+def test_discovery_starts_no_pool(pools, capsys):
+    assert main(["--jobs", str(HUGE), "ranksets", "discover", "--max-m", "4"]) == 0
+    capsys.readouterr()
+    assert pools == []
+
+
+def test_ranksets_does_not_import_parallel():
+    tree = ast.parse(Path(ranksets.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.endswith("parallel") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module != "parallel" and "parallel" not in [a.name for a in node.names]
 
 
 def test_cli_huge_jobs_uses_the_clamped_pool(pools, capsys):

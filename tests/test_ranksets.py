@@ -292,16 +292,6 @@ def test_pruning_marks_strict_supersets():
     assert sup.pruned and sup.statuses == {}
 
 
-def test_parallel_discovery_matches_sequential():
-    seq = find_inconsistent_subsets(3, catalog=FOUR_AXIOMS[:3], relation_class=RelationClass.LINEAR_ORDER)
-    par = find_inconsistent_subsets(
-        3, catalog=FOUR_AXIOMS[:3], relation_class=RelationClass.LINEAR_ORDER, jobs=2
-    )
-    assert [(f.axioms, f.statuses, f.minimal_unsat_m) for f in seq.findings] == [
-        (f.axioms, f.statuses, f.minimal_unsat_m) for f in par.findings
-    ]
-
-
 def test_guarded_solver_answers_every_subset_like_a_fresh_encoding():
     subsets = [s for r in range(1, 6) for s in itertools.combinations(CATALOG, r)]
     for cls in RelationClass:
@@ -373,11 +363,6 @@ def test_encoding_bytes_are_pinned():
         hashlib.sha256(dimacs.encode()).hexdigest()
         == "ef291975baaea4e584afc635b9ecd94c72e41d60bb9baefeb5493fdaf55c7a94"
     )
-
-
-def test_prune_refuses_parallel_jobs():
-    with pytest.raises(ValueError, match="runs serially"):
-        find_inconsistent_subsets(3, catalog=FOUR_AXIOMS[:3], prune=True, jobs=2)
 
 
 def test_set_relation_validates_matrix_shape():
