@@ -168,7 +168,7 @@ class BidGrid:
 def parse_grid(text: str, budget: int = DEFAULT_SWEEP_BUDGET) -> BidGrid:
     """Grid syntax: explicit "0,1,2" or inclusive range "start:stop:step".
 
-    A range is sized before any point is built, and refused when it has
+    A grid is sized before any point is built, and refused when it has
     more than budget points.
     """
     if ":" in text:
@@ -182,6 +182,9 @@ def parse_grid(text: str, budget: int = DEFAULT_SWEEP_BUDGET) -> BidGrid:
         if count > budget:
             raise ValueError(f"grid of {count} points exceeds budget {budget}")
         return BidGrid(tuple(start + k * step for k in range(count)))
+    count = text.count(",") + 1
+    if count > budget:
+        raise ValueError(f"grid of {count} points exceeds budget {budget}")
     return BidGrid(tuple(map(to_amount, text.split(","))))
 
 
@@ -395,13 +398,14 @@ def sweep_soundness(
     if cells > sweep_budget:
         raise ValueError(f"soundness sweep of {cells} bid vectors exceeds budget {sweep_budget}")
     d, (points,) = _scaled(grid.points)
+    # scaling is injective, so each scaled point maps back to its grid point as given
+    unscaled = dict(zip(points, grid.points))
     unsound = []
-    for bids, original in zip(
-        itertools.product(points, repeat=n), itertools.product(grid.points, repeat=n)
-    ):
+    for bids in itertools.product(points, repeat=n):
         rep = check_soundness(bids, rule)
         if rep.sound:
             continue
+        original = tuple(unscaled[b] for b in bids)
         back = check_soundness(original, rule)
         if back.sound:
             raise RuntimeError(

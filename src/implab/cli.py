@@ -61,25 +61,22 @@ def cmd_arrow(args) -> tuple[dict, int]:
 
     swfs = swf.enumerate_iia_swfs(args.agents, budget)
     classes = {s: swf.classify(s) for s in swfs}
-    tl = swf.verify_tang_lin(args.agents, classes)
-    arrow = swf.arrow_base_case(args.agents, classes)
-    wilson = swf.wilson_base_case(args.agents, classes)
-
-    filtered = arrow.survivors if swf.UN in axioms else swfs
-    if swf.ND in axioms:
-        filtered = [s for s in filtered if classes[s].tag != swf.DICTATORIAL]
+    census = swf.census(classes)
+    recount = swf.recount_small_range(args.agents)
+    un = swf.survivors(classes, {swf.UN})
+    expected = swf.survivors(classes, axioms)
 
     enc = swf.encode_arrow(args.agents, axioms)
     if args.emit_dimacs:
         _emit_dimacs(enc.cnf, args.emit_dimacs)
     # one AllSAT run gives both the verdict (SAT iff it finds a model) and the model set
-    run = satkit.enumerate_models(enc.cnf, limit=len(filtered) + 1)
+    run = satkit.enumerate_models(enc.cnf, limit=len(expected) + 1)
     decoded = [swf.decode_model(enc, m) for m in run.models]
-    agree = not run.truncated and set(decoded) == set(filtered) and tl.recount_matches
+    agree = not run.truncated and set(decoded) == set(expected) and recount == census[swf.SMALL_RANGE]
     sat = bool(decoded)
 
     if axioms == {swf.UN, swf.ND}:
-        holds = not sat and arrow.impossibility_holds
+        holds = not sat and not expected
         verdict = "impossibility holds" if holds else "impossibility falsified"
     else:
         verdict = "SAT" if sat else "UNSAT"
@@ -87,13 +84,13 @@ def cmd_arrow(args) -> tuple[dict, int]:
     payload = {
         "verdict": verdict,
         "iia_count": len(swfs),
-        "census": tl.census,
-        "small_range_recount": tl.small_range_recount,
-        "tang_lin_holds": tl.theorem_holds,
-        "un_survivors": len(arrow.survivors),
-        "un_survivor_classes": [swf.swf_class_to_json(c) for c in arrow.survivor_classes],
-        "un_survivor_swfs": [swf.pairwise_to_json(s) for s in arrow.survivors],
-        "wilson_survivors": len(wilson.survivors),
+        "census": census,
+        "small_range_recount": recount,
+        "tang_lin_holds": census[swf.UNCLASSIFIED] == 0,
+        "un_survivors": len(un),
+        "un_survivor_classes": [swf.swf_class_to_json(classes[s]) for s in un],
+        "un_survivor_swfs": [swf.pairwise_to_json(s) for s in un],
+        "wilson_survivors": len(swf.onto_survivors(classes)),
         "sat_axioms": sorted(axioms),
         "sat_verdict": "SAT" if sat else "UNSAT",
         "sat_model_count": len(decoded),
@@ -106,8 +103,8 @@ def cmd_arrow(args) -> tuple[dict, int]:
 
 
 def cmd_ranksets(args) -> tuple[dict, int]:
-    cls = RelationClass(args.relation_class)
     if args.ranksets_cmd == "check":
+        cls = RelationClass(args.relation_class)
         u = Universe(args.m)
         axioms = [Axiom(a) for a in args.axioms.split(",")]
         cnf = ranksets.encode_ranksets(u, axioms, cls)
@@ -150,6 +147,7 @@ def cmd_ranksets(args) -> tuple[dict, int]:
         }
         return payload, 0
     if args.ranksets_cmd == "discover":
+        cls = RelationClass(args.relation_class)
         report = ranksets.find_inconsistent_subsets(args.max_m, relation_class=cls, prune=args.prune)
         findings = []
         for f in report.findings:
@@ -324,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm = rsub.add_parser("minmax", help="check axioms against the min-max ordering")
     pm.add_argument("--m", type=int, required=True)
     pm.add_argument("--axiom", choices=[a.value for a in Axiom])
-    pm.add_argument("--class", dest="relation_class", default="linear", help=argparse.SUPPRESS)
     pd = rsub.add_parser("discover", help="minimal inconsistent universe per axiom subset")
     pd.add_argument("--max-m", type=int, default=4)
     pd.add_argument("--class", dest="relation_class", default="linear", choices=[c.value for c in RelationClass])

@@ -11,10 +11,13 @@ stand for the profiles: per (ab entry, ac entry) pair that some profile
 selects, the mask of the bc entries selected with it.  The acyclicity check
 and the enumerator read the same groups.
 
-The base-case reports (Tang-Lin census, Arrow, Wilson) read one classified
-enumeration, so each SWF is classified once per run.  `encode_arrow` states
-the same base case as CNF over the table entries, and `decode_model` reads
-an SWF back out of a model.
+The base cases read one classified enumeration, a mapping from each SWF to
+its class, so each SWF is classified once per run: `census` counts the
+classes (Tang-Lin), `survivors` filters by unanimity and non-dictatorship
+(Arrow) and `onto_survivors` by a range of all six orders (Wilson).
+`encode_arrow` states the Arrow base case as CNF over the table entries,
+and `decode_model` reads an SWF back out of a model; the models of
+`encode_arrow(n, axioms)` decode to exactly `survivors(classes, axioms)`.
 
 Table entry convention: the entry index for a pair packs the agents' bits
 with agent 0 as the most significant bit, so index 2^n-1 is the all-ones
@@ -34,7 +37,6 @@ from math import factorial
 
 from .orders import (
     CYCLIC_CODES,
-    PAIRS3,
     PAIR_NAMES,
     LinearOrder,
     Profile,
@@ -101,12 +103,6 @@ class SwfClass:
                 raise ValueError("small_range class carries exactly two orders")
             if not _within_one_swap(*self.orders):
                 raise ValueError("small_range orders must be at Kendall distance <= 1")
-
-
-@dataclass(frozen=True)
-class UnanimityViolation:
-    pair: tuple[int, int]
-    profile: Profile
 
 
 @lru_cache(maxsize=None)
@@ -193,16 +189,11 @@ def evaluate(swf: PairwiseSwf, p: Profile) -> LinearOrder:
     return order_of_bits((t0[i1], t1[i2], t2[i3]))
 
 
-def satisfies_unanimity(swf: PairwiseSwf) -> tuple[bool, UnanimityViolation | None]:
-    """Unanimous pairwise preferences must be copied by the social order."""
-    size = 1 << swf.n
-    for k in range(3):
-        # entry size-1 reads every agent's bit 1, entry 0 every agent's bit 0
-        for entry, bit in ((size - 1, 1), (0, 0)):
-            if swf.tables[k][entry] != bit:
-                witness = order_of_bits((bit, bit, bit))
-                return False, UnanimityViolation(PAIRS3[k], Profile((witness,) * swf.n))
-    return True, None
+def satisfies_unanimity(swf: PairwiseSwf) -> bool:
+    """Unanimous pairwise preferences must be copied by the social order:
+    entry 2^n-1 of each table reads every agent's bit 1, entry 0 every
+    agent's bit 0."""
+    return all(t[0] == 0 and t[-1] == 1 for t in swf.tables)
 
 
 def _agent_bits(n: int, agent: int) -> tuple[int, ...]:
@@ -341,88 +332,42 @@ def recount_small_range(n: int) -> int:
     return families * ((1 << (1 << n)) - 2)
 
 
-@dataclass(frozen=True)
-class ArrowReport:
-    n: int
-    iia_count: int
-    survivors: tuple[PairwiseSwf, ...]
-    survivor_classes: tuple[SwfClass, ...]
-    impossibility_holds: bool
+def census(classes: Mapping[PairwiseSwf, SwfClass]) -> dict[str, int]:
+    """How many SWFs carry each class tag.  The Tang-Lin classification
+    holds iff the UNCLASSIFIED count is 0."""
+    out = {tag: 0 for tag in CLASS_TAGS}
+    for c in classes.values():
+        out[c.tag] += 1
+    return out
 
 
-@dataclass(frozen=True)
-class WilsonReport:
-    n: int
-    iia_count: int
-    survivors: tuple[PairwiseSwf, ...]
-    survivor_classes: tuple[SwfClass, ...]
+def survivors(
+    classes: Mapping[PairwiseSwf, SwfClass], axioms: frozenset[str] | set[str]
+) -> tuple[PairwiseSwf, ...]:
+    """The SWFs that meet every axiom in axioms, a subset of {UN, ND}: the
+    SWFs that the models of encode_arrow(n, axioms) must decode to.
 
-
-@dataclass(frozen=True)
-class TangLinReport:
-    n: int
-    iia_count: int
-    census: dict[str, int]
-    unclassified: tuple[PairwiseSwf, ...]
-    theorem_holds: bool
-    small_range_recount: int
-    recount_matches: bool
-
-
-def arrow_base_case(n: int, classes: Mapping[PairwiseSwf, SwfClass]) -> ArrowReport:
-    """Filter the IIA enumeration by unanimity; the survivors keep their classes.
-
-    classes maps each enumerated SWF, in enumeration order, to its class.
+    classes maps each enumerated SWF, in enumeration order, to its class;
+    the survivors keep that order.
     """
-    survivors = tuple(s for s in classes if satisfies_unanimity(s)[0])
-    survivor_classes = tuple(classes[s] for s in survivors)
-    return ArrowReport(
-        n=n,
-        iia_count=len(classes),
-        survivors=survivors,
-        survivor_classes=survivor_classes,
-        impossibility_holds=all(c.tag == DICTATORIAL for c in survivor_classes),
+    axioms = _axiom_set(axioms)
+    return tuple(
+        s
+        for s, c in classes.items()
+        if (UN not in axioms or satisfies_unanimity(s)) and (ND not in axioms or c.tag != DICTATORIAL)
     )
 
 
-def wilson_base_case(n: int, classes: Mapping[PairwiseSwf, SwfClass]) -> WilsonReport:
-    """Filter the IIA enumeration by surjectivity onto all six orders.
+def onto_survivors(classes: Mapping[PairwiseSwf, SwfClass]) -> tuple[PairwiseSwf, ...]:
+    """Wilson's filter: the SWFs whose range is all six orders.
 
-    classes maps each enumerated SWF, in enumeration order, to its class.
     A dictator's or inverse dictator's range is all six orders; every other
     class carries its range.
     """
-    survivors = tuple(
+    return tuple(
         s
         for s, c in classes.items()
         if c.tag in (DICTATORIAL, INVERSELY_DICTATORIAL) or len(c.orders) == 6
-    )
-    return WilsonReport(
-        n=n,
-        iia_count=len(classes),
-        survivors=survivors,
-        survivor_classes=tuple(classes[s] for s in survivors),
-    )
-
-
-def verify_tang_lin(n: int, classes: Mapping[PairwiseSwf, SwfClass]) -> TangLinReport:
-    """Census of the classified IIA enumeration; the claim holds iff nothing
-    is unclassified.
-
-    classes maps each enumerated SWF, in enumeration order, to its class.
-    """
-    census = {tag: 0 for tag in CLASS_TAGS}
-    for c in classes.values():
-        census[c.tag] += 1
-    recount = recount_small_range(n)
-    return TangLinReport(
-        n=n,
-        iia_count=len(classes),
-        census=census,
-        unclassified=tuple(s for s, c in classes.items() if c.tag == UNCLASSIFIED),
-        theorem_holds=census[UNCLASSIFIED] == 0,
-        small_range_recount=recount,
-        recount_matches=recount == census[SMALL_RANGE],
     )
 
 
@@ -441,14 +386,19 @@ class ArrowEncoding:
     entry_of: dict[int, tuple[int, int]] = field(repr=False)
 
 
-def encode_arrow(n: int, axioms: frozenset[str] | set[str] = frozenset()) -> ArrowEncoding:
-    """Build the base-case CNF for n agents over three alternatives."""
-    if n < 1 or n > ENCODE_AGENT_CAP:
-        raise ValueError(f"agent count {n} outside supported range 1..{ENCODE_AGENT_CAP}")
+def _axiom_set(axioms: frozenset[str] | set[str]) -> frozenset[str]:
     axioms = frozenset(axioms)
     unknown = axioms - {UN, ND}
     if unknown:
         raise ValueError(f"unknown axioms {sorted(unknown)}; supported: UN, ND")
+    return axioms
+
+
+def encode_arrow(n: int, axioms: frozenset[str] | set[str] = frozenset()) -> ArrowEncoding:
+    """Build the base-case CNF for n agents over three alternatives."""
+    if n < 1 or n > ENCODE_AGENT_CAP:
+        raise ValueError(f"agent count {n} outside supported range 1..{ENCODE_AGENT_CAP}")
+    axioms = _axiom_set(axioms)
     size = 1 << n
 
     def var(pair: int, entry: int) -> int:

@@ -22,13 +22,13 @@ from implab.swf import (
     SMALL_RANGE,
     UN,
     UNCLASSIFIED,
+    census,
     classify,
     decode_model,
     encode_arrow,
     enumerate_iia_swfs,
+    onto_survivors,
     recount_small_range,
-    verify_tang_lin,
-    wilson_base_case,
 )
 from implab.auctions import (
     check_soundness,
@@ -102,19 +102,17 @@ def test_criterion_03_cross_route_equivalence():
 
 def test_criterion_04_range_classification_theorem():
     with criterion(4, "zero unclassified among the 94; 3x2x14 recount agrees"):
-        report = verify_tang_lin(2, {s: classify(s) for s in enumerate_iia_swfs(2)})
-        assert report.census[UNCLASSIFIED] == 0
-        assert report.theorem_holds
-        assert report.unclassified == ()
-        assert recount_small_range(2) == 3 * 2 * 14 == report.census[SMALL_RANGE]
-        assert report.recount_matches
+        counts = census({s: classify(s) for s in enumerate_iia_swfs(2)})
+        assert counts[UNCLASSIFIED] == 0
+        assert recount_small_range(2) == 3 * 2 * 14 == counts[SMALL_RANGE]
 
 
 def test_criterion_05_wilson_filter():
     with criterion(5, "surjectivity leaves 4 survivors: 2 dictatorial, 2 inversely dictatorial"):
-        report = wilson_base_case(2, {s: classify(s) for s in enumerate_iia_swfs(2)})
-        assert len(report.survivors) == 4
-        tags = sorted(c.tag for c in report.survivor_classes)
+        classes = {s: classify(s) for s in enumerate_iia_swfs(2)}
+        onto = onto_survivors(classes)
+        assert len(onto) == 4
+        tags = sorted(classes[s].tag for s in onto)
         assert tags == [DICTATORIAL, DICTATORIAL, INVERSELY_DICTATORIAL, INVERSELY_DICTATORIAL]
 
 

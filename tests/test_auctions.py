@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from implab import auctions
 from implab.auctions import (
     RULES,
     AuctionOutcome,
@@ -325,6 +326,16 @@ def test_parse_grid_sizes_a_range_before_building_it():
     with pytest.raises(ValueError, match="grid of 5 points exceeds budget 4"):
         parse_grid("0:4:1", budget=4)
     assert len(parse_grid("0:4:1", budget=5).points) == 5
+
+
+def test_parse_grid_sizes_a_list_before_converting_it(monkeypatch):
+    calls = []
+    monkeypatch.setattr(auctions, "to_amount", lambda v: calls.append(v) or to_amount(v))
+    with pytest.raises(ValueError, match="grid of 5 points exceeds budget 4"):
+        parse_grid("0,1,2,3,4", budget=4)
+    assert calls == []
+    assert parse_grid("0,1,2,3,4", budget=5).points == tuple(range(5))
+    assert calls  # the counter sees the conversions of a grid within budget
 
 
 def test_bidgrid_validation():

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+import shlex
 import time
 from pathlib import Path
 
@@ -9,6 +11,7 @@ from implab import auctions, satkit, swf
 from implab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -229,9 +232,10 @@ def test_ranksets_discover_prune_findings_are_pinned(capsys):
 # transitivity became one clause per 3-cycle
 RANKSETS_REPORT_SHA256 = {
     ("discover", "--max-m", "5"): "78d93f7d8155e2a9f5710c2683e02c5b8ad44f2c744a91476e09a603305966f6",
-    # taken while Universe still took a base order
-    ("minmax", "--m", "3"): "1788f6e137e8e7213d779226aa95537c2b04603fa7c562802743b7785a0e836c",
-    ("minmax", "--m", "4"): "559a52c051b5ab80d9e75e80d2a70de4b6e980f593a45047c2069120e6c74deb",
+    # taken when minmax stopped taking --class, so config has no relation_class;
+    # the rest of each report is as it was while Universe still took a base order
+    ("minmax", "--m", "3"): "099f22eef0bb3b219b62d6b6c971bd711d676a153ebc2489ade57182c6d21c80",
+    ("minmax", "--m", "4"): "b6f95b105103b8ebef9f0c092592ca147579ef6f84300ebf4d58537417a26618",
 }
 
 
@@ -471,6 +475,17 @@ def test_usage_errors_exit_1_with_usage_text(capsys, argv):
     assert f"error: argument {argv[-2]}: invalid" in captured.err
 
 
+def test_minmax_takes_no_class_flag(capsys):
+    # the min-max ordering is one fixed relation; no relation class applies to it
+    with pytest.raises(SystemExit) as exc:
+        main(["ranksets", "minmax", "--m", "4", "--class", "transitive"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage: implab")
+    assert "error: unrecognized arguments: --class transitive" in captured.err
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ranksets", "discover", "--help"])
@@ -498,6 +513,13 @@ def test_range_grid_over_budget_exits_1_before_sweeping(capsys):
     code = main(["vickrey", "soundness", "--n", "1", "--grid", "0:100000000:1"])
     assert code == 1
     assert "grid of 100000001 points exceeds budget" in capsys.readouterr().err
+
+
+def test_list_grid_over_budget_exits_1_like_a_range(capsys, monkeypatch):
+    monkeypatch.setenv("IMPLAB_BUDGET", "100")
+    for grid in (",".join(map(str, range(11))), "0:10:1"):
+        assert main(["vickrey", "soundness", "--n", "2", "--grid", grid]) == 1
+        assert capsys.readouterr().err == "error: grid of 11 points exceeds budget 10\n"
 
 
 def test_range_grid_is_sized_against_the_sweep_before_it_is_built(capsys):
@@ -607,3 +629,20 @@ def test_ranksets_emit_dimacs(capsys, tmp_path):
     assert header[:2] == ["p", "cnf"] and int(header[2]) == 49
     sidecar = json.loads((path.with_name(path.name + ".vars.json")).read_text())
     assert sidecar["1"] == "geq({a},{a})"
+
+
+def readme_commands() -> list[list[str]]:
+    """The `implab ...` lines of the README's command block, as argv lists."""
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", README.read_text(), re.S).group(1)
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("implab ")]
+
+
+def test_readme_examples_run(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "problem.cnf").write_text("p cnf 2 2\n-1 2 0\n1 -2 0\n")
+    commands = readme_commands()
+    assert len(commands) == 14
+    for argv in commands:
+        expected = 3 if "first-price" in argv else 0  # the mutant rule's counterexample
+        assert main(argv) == expected, argv
+        capsys.readouterr()

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from implab import satkit
+from implab import satkit, swf
 from implab.orders import all_profiles
 from implab.satkit import Cnf, Solver, enumerate_models, from_dimacs, solve, to_dimacs
 from implab.swf import (
@@ -302,7 +302,7 @@ def test_arrow_two_models_with_unanimity_only():
     decoded = [decode_model(enc, m) for m in run.models]
     assert all(classify(s).tag == DICTATORIAL for s in decoded)
     assert {is_dictatorial(s) for s in decoded} == {0, 1}
-    assert all(satisfies_unanimity(s)[0] for s in decoded)
+    assert all(satisfies_unanimity(s) for s in decoded)
 
 
 def test_arrow_94_models_without_axioms():
@@ -364,15 +364,20 @@ def test_encoded_acyclicity_matches_profile_count():
     assert len(encode_arrow(2, {UN, ND}).cnf.clauses) == 2 * n2_profiles + 6 + 2
 
 
-def test_every_unsat_has_no_filtered_survivor_and_vice_versa():
-    # cross-route agreement for each axiom subset
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_unsat_has_no_filtered_survivor_and_vice_versa(n):
+    # cross-route agreement for each axiom subset; the filters here are the
+    # oracle for swf.survivors as well as for the decoded models
+    swfs = enumerate_iia_swfs(n)
+    classes = {s: classify(s) for s in swfs}
     for axioms in (frozenset(), {UN}, {ND}, {UN, ND}):
-        enc = encode_arrow(2, axioms)
-        survivors = enumerate_iia_swfs(2)
+        enc = encode_arrow(n, axioms)
+        survivors = swfs
         if UN in axioms:
-            survivors = [s for s in survivors if satisfies_unanimity(s)[0]]
+            survivors = [s for s in survivors if satisfies_unanimity(s)]
         if ND in axioms:
             survivors = [s for s in survivors if is_dictatorial(s) is None]
+        assert swf.survivors(classes, axioms) == tuple(survivors)
         res = solve(enc.cnf)
         assert res.satisfiable == bool(survivors)
         decoded = {decode_model(enc, m) for m in enumerate_models(enc.cnf).models}

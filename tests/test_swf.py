@@ -23,11 +23,13 @@ from implab.swf import (
     CONSTANT,
     DICTATORIAL,
     INVERSELY_DICTATORIAL,
+    ND,
     SMALL_RANGE,
+    UN,
     UNCLASSIFIED,
     PairwiseSwf,
     SwfClass,
-    arrow_base_case,
+    census,
     classify,
     decode_model,
     encode_arrow,
@@ -35,14 +37,14 @@ from implab.swf import (
     evaluate,
     is_dictatorial,
     is_inversely_dictatorial,
+    onto_survivors,
     pairwise_to_json,
     profile_index,
     range_of,
     recount_small_range,
     satisfies_unanimity,
+    survivors,
     swf_class_to_json,
-    verify_tang_lin,
-    wilson_base_case,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -277,26 +279,21 @@ def test_satisfies_iia_oracle_agreement_on_modified_dictator():
 
 
 def test_unanimity_of_dictator_and_inverse():
-    assert satisfies_unanimity(dictator(2, 1))[0]
-    ok, witness = satisfies_unanimity(inverse_dictator(2, 0))
-    assert not ok
-    # witness profile is unanimous on the reported pair and the output disagrees
-    x, y = witness.pair
-    bits = {o.prefers(x, y) for o in witness.profile.orders}
-    assert len(bits) == 1
-    assert evaluate(inverse_dictator(2, 0), witness.profile).prefers(x, y) != next(iter(bits))
+    assert satisfies_unanimity(dictator(2, 1)) is True
+    assert satisfies_unanimity(inverse_dictator(2, 0)) is False
+    # on the profile unanimous for a>b>c the inverse dictator reverses every pair
+    assert evaluate(inverse_dictator(2, 0), Profile((ABC, ABC))) == CBA
 
 
 def test_unanimity_of_constant_fails_on_reversed_profile():
-    ok, witness = satisfies_unanimity(constant_swf(2, ABC))
-    assert not ok
-    unanimous = {o.prefers(*witness.pair) for o in witness.profile.orders}
-    assert unanimous == {False}  # all agents rank the pair opposite to a>b>c
+    assert satisfies_unanimity(constant_swf(2, ABC)) is False
+    # all agents rank every pair opposite to a>b>c, and the output is still a>b>c
+    assert evaluate(constant_swf(2, ABC), Profile((CBA, CBA))) == ABC
 
 
 def test_unanimity_extensional_agrees_with_pairwise_path():
     for swf in (dictator(2, 0), inverse_dictator(2, 1), constant_swf(2, ACB), two_outcome_swf()):
-        assert satisfies_unanimity(swf)[0] == oracle_unanimous(2, oracle_outputs(swf))
+        assert satisfies_unanimity(swf) == oracle_unanimous(2, oracle_outputs(swf))
 
 
 def test_detector_examples():
@@ -338,18 +335,16 @@ def test_enumerate_is_canonically_sorted_and_unique():
 
 
 def test_census_n2_is_84_6_2_2():
-    rep = verify_tang_lin(2, classified(2))
-    assert rep.census == {
+    counts = census(classified(2))
+    assert counts == {
         SMALL_RANGE: 84,
         CONSTANT: 6,
         DICTATORIAL: 2,
         INVERSELY_DICTATORIAL: 2,
         UNCLASSIFIED: 0,
     }
-    assert rep.theorem_holds
-    assert sum(rep.census.values()) == 94
-    assert rep.small_range_recount == 84
-    assert rep.recount_matches
+    assert sum(counts.values()) == 94
+    assert recount_small_range(2) == counts[SMALL_RANGE]
 
 
 def test_census_n1_matches_golden_and_bruteforce_oracle():
@@ -456,7 +451,7 @@ def test_table_route_matches_profile_route_on_every_swf(n):
         assert range_of(s) == frozenset(outputs)
         c = classify(s)
         assert (c.tag, c.agent, c.orders) == oracle_classify(n, outputs)
-        assert satisfies_unanimity(s)[0] == oracle_unanimous(n, outputs)
+        assert satisfies_unanimity(s) == oracle_unanimous(n, outputs)
         assert oracle_rebuild_tables(n, outputs) == s.tables
 
 
@@ -490,48 +485,47 @@ def test_n3_enumeration_and_classes_are_pinned():
 def test_survivors_read_off_the_classes_match_the_direct_filters(n):
     classes = classified(n)
     swfs = list(classes)
-    wilson = wilson_base_case(n, classes)
-    assert list(wilson.survivors) == [s for s in swfs if len(range_of(s)) == 6]
-    not_dictatorial = [s for s, c in classes.items() if c.tag != DICTATORIAL]
-    assert not_dictatorial == [s for s in swfs if is_dictatorial(s) is None]
+    assert list(onto_survivors(classes)) == [s for s in swfs if len(range_of(s)) == 6]
+    assert list(survivors(classes, {ND})) == [s for s in swfs if is_dictatorial(s) is None]
 
 
 def test_arrow_base_case_n2():
-    rep = arrow_base_case(2, classified(2))
-    assert rep.iia_count == 94
-    assert len(rep.survivors) == 2
-    assert all(c.tag == DICTATORIAL for c in rep.survivor_classes)
-    assert {c.agent for c in rep.survivor_classes} == {0, 1}
-    assert rep.impossibility_holds
+    classes = classified(2)
+    assert len(classes) == 94
+    un = survivors(classes, {UN})
+    assert len(un) == 2
+    assert all(classes[s].tag == DICTATORIAL for s in un)
+    assert {classes[s].agent for s in un} == {0, 1}
+    assert survivors(classes, {UN, ND}) == ()
 
 
 def test_arrow_base_case_n1_survivor_is_the_identity():
-    rep = arrow_base_case(1, classified(1))
-    assert len(rep.survivors) == 1
-    assert is_dictatorial(rep.survivors[0]) == 0
+    un = survivors(classified(1), {UN})
+    assert len(un) == 1
+    assert is_dictatorial(un[0]) == 0
 
 
 def test_wilson_base_case_n2():
-    rep = wilson_base_case(2, classified(2))
-    assert len(rep.survivors) == 4
-    tags = sorted(c.tag for c in rep.survivor_classes)
+    classes = classified(2)
+    onto = onto_survivors(classes)
+    assert len(onto) == 4
+    tags = sorted(classes[s].tag for s in onto)
     assert tags == [DICTATORIAL, DICTATORIAL, INVERSELY_DICTATORIAL, INVERSELY_DICTATORIAL]
     # oracle: recompute ranges extensionally and refilter
     refiltered = [
         s for s in enumerate_iia_swfs(2) if len({evaluate(s, p) for p in all_profiles(2, 3)}) == 6
     ]
-    assert list(rep.survivors) == refiltered
+    assert list(onto) == refiltered
 
 
 def test_wilson_excludes_constant_and_small_range():
-    rep = wilson_base_case(2, classified(2))
-    for s in rep.survivors:
+    for s in onto_survivors(classified(2)):
         assert classify(s).tag in (DICTATORIAL, INVERSELY_DICTATORIAL)
 
 
 def test_arrow_survivors_subset_of_wilson_survivors():
     classes = classified(2)
-    assert set(arrow_base_case(2, classes).survivors) <= set(wilson_base_case(2, classes).survivors)
+    assert set(survivors(classes, {UN})) <= set(onto_survivors(classes))
 
 
 def test_small_range_recount_formula():
