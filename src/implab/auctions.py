@@ -121,7 +121,7 @@ def run_spa(bids: Sequence) -> AuctionOutcome:
     ranked = sorted(b)
     winner = b.index(ranked[-1])
     price = ranked[-2] if len(b) > 1 else 0
-    return _checked(_outcome(len(b), winner, price))
+    return _outcome(len(b), winner, price)
 
 
 def run_first_price(bids: Sequence) -> AuctionOutcome:
@@ -130,20 +130,18 @@ def run_first_price(bids: Sequence) -> AuctionOutcome:
     if not b:
         raise ValueError("auction needs at least one bid")
     winner = b.index(max(b))
-    return _checked(_outcome(len(b), winner, b[winner]))
+    return _outcome(len(b), winner, b[winner])
 
 
 RULES: dict[str, AuctionRule] = {"second-price": run_spa, "first-price": run_first_price}
 
 
 def _outcome(n: int, winner: int, price: Amount) -> AuctionOutcome:
+    """The outcome in which winner pays price; RuntimeError if it is unsound."""
     x, p = [0] * n, [0] * n
     x[winner], p[winner] = 1, price
-    return AuctionOutcome(tuple(x), tuple(p))
-
-
-def _checked(out: AuctionOutcome) -> AuctionOutcome:
-    problems = outcome_violations(out, len(out.x))
+    out = AuctionOutcome(tuple(x), tuple(p))
+    problems = outcome_violations(out, n)
     if problems:
         raise RuntimeError(f"auction rule produced an unsound outcome: {problems}")
     return out
@@ -185,7 +183,7 @@ def parse_grid(text: str, budget: int = DEFAULT_SWEEP_BUDGET) -> BidGrid:
     count = text.count(",") + 1
     if count > budget:
         raise ValueError(f"grid of {count} points exceeds budget {budget}")
-    return BidGrid(tuple(map(to_amount, text.split(","))))
+    return BidGrid(tuple(text.split(",")))
 
 
 def _root_floor(x: int, n: int) -> int:
@@ -233,15 +231,13 @@ class DominanceResult:
     counterexample: DominanceCounterexample | None = None
 
 
-def _agent_counterexample(
-    i: int,
-    v_i: Amount,
-    n: int,
-    opponent_grid: tuple[Amount, ...],
-    deviations: tuple[Amount, ...],
-    rule: AuctionRule,
-) -> DominanceCounterexample | None:
-    """First (by canonical sweep order) profitable deviation for agent i."""
+def _agent_counterexample(task: tuple) -> DominanceCounterexample | None:
+    """First (by canonical sweep order) profitable deviation for agent i.
+
+    task is (i, v_i, n, opponent_grid, deviations, rule), one tuple so that
+    pool_map can hand it to a worker.
+    """
+    i, v_i, n, opponent_grid, deviations, rule = task
     for others in itertools.product(opponent_grid, repeat=n - 1):
         truthful = others[:i] + (v_i,) + others[i:]
         out = rule(truthful)
@@ -259,10 +255,6 @@ def _agent_counterexample(
                     deviation_payoff=dev_pay,
                 )
     return None
-
-
-def _dominance_chunk(args):
-    return _agent_counterexample(*args)
 
 
 def _scaled(*groups: tuple[Amount, ...]) -> tuple[int, list[tuple[int, ...]]]:
@@ -301,8 +293,9 @@ def _unscaled(ce: DominanceCounterexample, d: int, rule: AuctionRule) -> Dominan
     return back
 
 
-def check_weak_dominance(
-    valuations: Sequence,
+def check_dominance(
+    n: int,
+    agents: Sequence[tuple[int, object]],
     grid: BidGrid,
     rule: AuctionRule = run_spa,
     sweep_budget: int = DEFAULT_SWEEP_BUDGET,
@@ -310,25 +303,41 @@ def check_weak_dominance(
 ) -> DominanceResult:
     """Exhaustively compare truthful bidding against every grid deviation.
 
-    For each participant, opponents range over the grid and the deviation
+    agents holds (index, valuation) pairs for the participants to check,
+    out of n.  For each, the opponents range over the grid and the deviation
     domain is the grid plus the participant's own valuation.  The sweep runs
     on every amount times the least common multiple of their denominators.
+    The counterexample reported is the first found in agents order.
     """
-    v = to_amounts(valuations, "valuation")
-    n = len(v)
+    indices = tuple(i for i, _ in agents)
+    v = to_amounts((v_i for _, v_i in agents), "valuation")
     if n < 2:
         raise ValueError(f"dominance check needs more than one participant, got {n}")
+    if len(set(indices)) != len(indices) or not all(0 <= i < n for i in indices):
+        raise ValueError(f"agent indices {list(indices)} must be distinct and in 0..{n - 1}")
     d, (points, values) = _scaled(grid.points, v)
     dev_domains = [tuple(sorted(set(points) | {v_i})) for v_i in values]
     cells = sum(len(points) ** (n - 1) * len(dev) for dev in dev_domains)
     if cells > sweep_budget:
         raise ValueError(f"dominance sweep of {cells} cells exceeds budget {sweep_budget}")
-    tasks = [(i, values[i], n, points, dev_domains[i], rule) for i in range(n)]
-    # at most one hit per agent, so the first in agent order is the canonical one
-    ce = next((h for h in pool_map(_dominance_chunk, tasks, jobs) if h is not None), None)
+    tasks = [(i, v_i, n, points, dev, rule) for i, v_i, dev in zip(indices, values, dev_domains)]
+    # at most one hit per agent, so the first in agents order is the canonical one
+    ce = next((h for h in pool_map(_agent_counterexample, tasks, jobs) if h is not None), None)
     if ce is not None:
         return DominanceResult(False, cells, _unscaled(ce, d, rule))
     return DominanceResult(True, cells)
+
+
+def check_weak_dominance(
+    valuations: Sequence,
+    grid: BidGrid,
+    rule: AuctionRule = run_spa,
+    sweep_budget: int = DEFAULT_SWEEP_BUDGET,
+    jobs: int = 1,
+) -> DominanceResult:
+    """check_dominance for every participant, valuations[i] being agent i's."""
+    v = tuple(valuations)
+    return check_dominance(len(v), tuple(enumerate(v)), grid, rule, sweep_budget, jobs)
 
 
 @dataclass(frozen=True)
@@ -394,6 +403,9 @@ def sweep_soundness(
     and that report is the one kept.  RuntimeError if the re-run is sound:
     the rule breaks the scaling contract.
     """
+    # a one-point grid has 1**n = 1 bid vector, but that vector holds n bids
+    if n > sweep_budget:
+        raise ValueError(f"soundness sweep over {n} bidders exceeds budget {sweep_budget}")
     cells = len(grid.points) ** n
     if cells > sweep_budget:
         raise ValueError(f"soundness sweep of {cells} bid vectors exceeds budget {sweep_budget}")
@@ -439,52 +451,25 @@ def max_constructive(xs: Sequence) -> Amount:
     return best
 
 
-@dataclass(frozen=True)
-class AbstractDominanceResult:
-    n: int
-    grid: BidGrid
-    holds: bool
-    cells: int
-    counterexample: DominanceCounterexample | None = None
-
-
-def _abstract_grid(n: int, v_i, delta, sweep_budget: int) -> tuple[BidGrid, int]:
-    """The grid v_i - delta (floored at 0), v_i, v_i + delta, and the cells
-    of its sweep over n bidders; ValueError when they exceed the budget."""
+def abstract_grid(v_i, delta) -> BidGrid:
+    """The three representatives of the bid space around a valuation:
+    v_i - delta (floored at 0), v_i and v_i + delta."""
     value, step = to_amount(v_i), to_amount(delta)
     if step <= 0:
         raise ValueError("delta must be positive")
-    grid = BidGrid(tuple(sorted({max(0, value - step), value, value + step})))
-    cells = len(grid.points) ** (n - 1) * len(grid.points)
-    if cells > sweep_budget:
-        raise ValueError(f"abstract sweep of {cells} cells exceeds budget {sweep_budget}")
-    return grid, cells
+    if value < 0:
+        raise ValueError(f"negative value {value}")
+    return BidGrid(tuple(sorted({max(0, value - step), value, value + step})))
 
 
-def check_abstract_budget(n_max: int, v_i, delta, sweep_budget: int = DEFAULT_SWEEP_BUDGET) -> None:
-    """Refuse the abstract sweeps over n = 2..n_max before any of them runs.
+def check_abstract_budget(n_max: int, grid: BidGrid, sweep_budget: int = DEFAULT_SWEEP_BUDGET) -> None:
+    """Refuse the sweeps of agent 0 over grid for n = 2..n_max before any of them runs.
 
-    The grid has at least 2 points, so every n from sweep_budget.bit_length()
+    With k grid points the sweep over n bidders has k**n cells.  An abstract
+    grid has at least 2 points, so every n from sweep_budget.bit_length()
     on is over budget, and the search for the first n over it stops there.
     """
+    k = len(grid.points)
     for n in range(2, min(n_max, max(2, sweep_budget.bit_length())) + 1):
-        _abstract_grid(n, v_i, delta, sweep_budget)
-
-
-def check_abstract_dominance(
-    n: int, v_i, delta, rule: AuctionRule = run_spa, sweep_budget: int = DEFAULT_SWEEP_BUDGET
-) -> AbstractDominanceResult:
-    """Three-representative abstraction of the bid space for one bidder.
-
-    Every bidder's domain collapses to {v_i - delta (floored at 0), v_i,
-    v_i + delta}; only the distinguished bidder 0 is checked for profitable
-    deviations.  Like check_weak_dominance, it sweeps on scaled integers.
-    """
-    if n < 2:
-        raise ValueError(f"dominance check needs more than one participant, got {n}")
-    grid, cells = _abstract_grid(n, v_i, delta, sweep_budget)
-    d, (points, (scaled_value,)) = _scaled(grid.points, (to_amount(v_i),))
-    hit = _agent_counterexample(0, scaled_value, n, points, points, rule)
-    if hit is None:
-        return AbstractDominanceResult(n, grid, True, cells)
-    return AbstractDominanceResult(n, grid, False, cells, _unscaled(hit, d, rule))
+        if k**n > sweep_budget:
+            raise ValueError(f"abstract sweep of {k**n} cells exceeds budget {sweep_budget}")

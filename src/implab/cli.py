@@ -217,17 +217,20 @@ def cmd_vickrey(args) -> tuple[dict, int]:
     if args.vickrey_cmd == "abstract":
         if args.n_max < 2:
             raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
-        auctions.check_abstract_budget(args.n_max, args.value, args.delta, budget)
+        grid = auctions.abstract_grid(args.value, args.delta)
+        auctions.check_abstract_budget(args.n_max, grid, budget)
+        value = auctions.to_amount(args.value)
         per_n = []
         all_hold = True
         for n in range(2, args.n_max + 1):
-            res = auctions.check_abstract_dominance(n, args.value, args.delta, rule, budget)
+            # the abstraction checks one distinguished bidder, agent 0
+            res = auctions.check_dominance(n, ((0, value),), grid, rule, budget)
             all_hold &= res.holds
             per_n.append(
                 {
                     "n": n,
                     "holds": res.holds,
-                    "grid": list(map(str, res.grid.points)),
+                    "grid": list(map(str, grid.points)),
                     "cells": res.cells,
                     "counterexample": _dominance_ce_json(res.counterexample)
                     if res.counterexample
@@ -237,7 +240,7 @@ def cmd_vickrey(args) -> tuple[dict, int]:
         payload = {
             "verdict": "holds" if all_hold else "counterexample",
             "rule": args.rule,
-            "value": str(auctions.to_amount(args.value)),
+            "value": str(value),
             "delta": str(auctions.to_amount(args.delta)),
             "per_n": per_n,
         }

@@ -9,7 +9,8 @@ from implab.auctions import (
     RULES,
     AuctionOutcome,
     BidGrid,
-    check_abstract_dominance,
+    abstract_grid,
+    check_dominance,
     check_efficiency,
     check_soundness,
     check_weak_dominance,
@@ -258,19 +259,21 @@ def test_max_equivalence_on_1000_random_lists():
 
 
 def test_abstract_dominance_holds_for_n2_to_6():
+    grid = abstract_grid(10, 1)
     for n in range(2, 7):
-        res = check_abstract_dominance(n, 10, 1)
-        assert res.holds and res.grid.points == (Fraction(9), Fraction(10), Fraction(11))
+        res = check_dominance(n, ((0, 10),), grid)
+        assert res.holds and grid.points == (Fraction(9), Fraction(10), Fraction(11))
 
 
 def test_abstract_dominance_clamps_at_zero():
-    res = check_abstract_dominance(2, 0, 1)
-    assert res.grid.points == (Fraction(0), Fraction(1))
+    grid = abstract_grid(0, 1)
+    res = check_dominance(2, ((0, 0),), grid)
+    assert grid.points == (Fraction(0), Fraction(1))
     assert res.holds
 
 
 def test_abstract_dominance_first_price_fails_with_witness():
-    res = check_abstract_dominance(3, 10, 1, rule=run_first_price)
+    res = check_dominance(3, ((0, 10),), abstract_grid(10, 1), rule=run_first_price)
     assert not res.holds
     ce = res.counterexample
     assert ce.deviation_payoff > ce.truthful_payoff
@@ -279,9 +282,32 @@ def test_abstract_dominance_first_price_fails_with_witness():
 
 def test_abstract_dominance_validation():
     with pytest.raises(ValueError):
-        check_abstract_dominance(1, 10, 1)
+        check_dominance(1, ((0, 10),), abstract_grid(10, 1))
     with pytest.raises(ValueError):
-        check_abstract_dominance(2, 10, 0)
+        abstract_grid(10, 0)
+
+
+def test_check_dominance_refuses_bad_agents():
+    with pytest.raises(ValueError, match="more than one participant, got 1"):
+        check_dominance(1, ((0, 1),), GRID0_2)
+    with pytest.raises(ValueError, match=r"\[1, 0, 1\] must be distinct and in 0\.\.2"):
+        check_dominance(3, ((1, 1), (0, 2), (1, 2)), GRID0_2)
+    for index in (2, 5, -1):
+        with pytest.raises(ValueError, match=r"must be distinct and in 0\.\.1"):
+            check_dominance(2, ((0, 1), (index, 1)), GRID0_2)
+    with pytest.raises(ValueError, match="negative valuation -1"):
+        check_dominance(2, ((0, -1),), GRID0_2)
+
+
+def test_agent_0_alone_finds_the_full_sweeps_counterexample():
+    grid = abstract_grid(10, 1)
+    for n in range(2, 6):
+        one = check_dominance(n, ((0, 10),), grid, run_first_price)
+        full = check_weak_dominance((10,) * n, grid, run_first_price)
+        # agent 0 comes first in both sweeps, so both stop at its first hit
+        assert one.counterexample == full.counterexample
+        assert one.counterexample.agent == 0
+        assert one.cells == len(grid.points) ** n
 
 
 def test_parallel_dominance_matches_sequential():
@@ -336,6 +362,13 @@ def test_parse_grid_sizes_a_list_before_converting_it(monkeypatch):
     assert calls == []
     assert parse_grid("0,1,2,3,4", budget=5).points == tuple(range(5))
     assert calls  # the counter sees the conversions of a grid within budget
+
+
+def test_parse_grid_converts_each_list_entry_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(auctions, "to_amount", lambda v: calls.append(v) or to_amount(v))
+    assert parse_grid("0,1,2,3,4").points == tuple(range(5))
+    assert calls == ["0", "1", "2", "3", "4"]
 
 
 def test_bidgrid_validation():

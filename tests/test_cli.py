@@ -544,6 +544,29 @@ def test_abstract_sweep_over_budget_is_refused_before_any_rule_call(capsys, monk
     assert calls == []
 
 
+def test_soundness_sweep_over_more_bidders_than_the_budget_is_refused_before_any_rule_call(
+    capsys, monkeypatch
+):
+    calls = []
+    rule = auctions.RULES["second-price"]
+    monkeypatch.setitem(auctions.RULES, "second-price", lambda bids: calls.append(bids) or rule(bids))
+    monkeypatch.setenv("IMPLAB_BUDGET", "100")
+    # a one-point grid has one bid vector at any n, but it holds n bids
+    assert main(["vickrey", "soundness", "--n", "101", "--grid", "0"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: soundness sweep over 101 bidders exceeds budget 100\n")
+    assert calls == []
+    code, report = run_cli(capsys, "vickrey", "soundness", "--n", "100", "--grid", "0")
+    assert (code, report["verdict"], report["swept"]) == (0, "sound", 1)
+    assert calls == [(0,) * 100] * auctions.SOUNDNESS_RUNS
+
+
+def test_abstract_negative_value_is_refused_by_name(capsys):
+    assert main(["vickrey", "abstract", "--value", "-1", "--delta", "1"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: negative value -1\n")
+
+
 def test_grids_at_the_point_limit_give_the_same_reports(capsys, monkeypatch):
     dominance = ["vickrey", "dominance", "--n", "2", "--values", "1,2", "--grid"]
     soundness = ["vickrey", "soundness", "--n", "3", "--grid"]
