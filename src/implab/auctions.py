@@ -11,6 +11,14 @@ exact for any rule that meets the scaling contract stated on AuctionRule,
 and each dominance counterexample or unsound bid vector is re-run through
 the rule on the unscaled amounts to confirm it.
 
+The dominance sweep runs each bid vector in grid^n through the rule once:
+every vector is a deviation of every agent.  Each checked agent compares
+its payoff from that outcome with its truthful payoff against the same
+opponents' bids, which is computed once, on first use.  The vectors are
+visited with the first checked agent's bid innermost, so that agent's
+first hit ends the sweep; a hit of a later agent is kept only while no
+hit earlier in the per-agent order is found.
+
 Tie-breaking: the lowest-index participant among the maximal bidders wins.
 Weak dominance of truthful bidding and valuation-wise efficiency both hold
 under this rule; it also makes the outcome a function of the bids, which
@@ -26,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Protocol, Sequence
 
-from .parallel import pool_map
+from .parallel import pool_map, worker_count
 
 DEFAULT_SWEEP_BUDGET = 10_000_000
 SOUNDNESS_RUNS = 3
@@ -231,30 +239,61 @@ class DominanceResult:
     counterexample: DominanceCounterexample | None = None
 
 
-def _agent_counterexample(task: tuple) -> DominanceCounterexample | None:
-    """First (by canonical sweep order) profitable deviation for agent i.
+def _sweep_range(task: tuple) -> tuple[tuple[int, int, int], DominanceCounterexample] | None:
+    """The least-keyed profitable deviation among the bid vectors of grid^n
+    whose outermost iterated coordinate has a grid index in range(lo, hi).
 
-    task is (i, v_i, n, opponent_grid, deviations, rule), one tuple so that
-    pool_map can hand it to a worker.
+    task is (n, checks, points, rule, lo, hi), checks being the (index,
+    valuation) pairs in agents order, one tuple so that pool_map can hand it
+    to a worker.  A hit's key is (position in checks, position of the
+    opponents' bids in product order, grid index of the deviation), so the
+    least key is the first hit in the per-agent order.
     """
-    i, v_i, n, opponent_grid, deviations, rule = task
-    for others in itertools.product(opponent_grid, repeat=n - 1):
-        truthful = others[:i] + (v_i,) + others[i:]
+    n, checks, points, rule, lo, hi = task
+    k = len(points)
+    (a0, v0), later = checks[0], checks[1:]
+    # checks[0]'s coordinate is iterated innermost, so its first hit has the least key
+    outer = [j for j in range(n) if j != a0]
+    sweeps = []
+    for p, (i, v_i) in enumerate(later, 1):
+        # coordinate j's weight in the position of agent i's opponents' bids in product order
+        weight = [0 if j == i else k ** (n - 2 - j + (j > i)) for j in range(n)]
+        # truthful payoffs by that position, each computed on first use
+        table = [None] * k ** (n - 1)
+        sweeps.append((p, i, v_i, outer.index(i), [weight[j] for j in outer], weight[a0], table))
+    best = None
+    ranges = [range(lo, hi)] + [range(k)] * (n - 2)
+    for o, digits in enumerate(itertools.product(*ranges), lo * k ** (n - 2)):
+        # from a list: tuple() over a generator resizes its result, which
+        # parks a spare tuple on the interpreter's free list at every step
+        head = tuple([points[d] for d in digits])
+        pre, post = head[:a0], head[a0:]
+        truthful = pre + (v0,) + post
         out = rule(truthful)
-        truth_pay = payoff(v_i, out.x[i], out.p[i])
-        for dev in deviations:
-            dev_bids = others[:i] + (dev,) + others[i:]
-            dev_out = rule(dev_bids)
-            dev_pay = payoff(v_i, dev_out.x[i], dev_out.p[i])
+        truth_pay = payoff(v0, out.x[a0], out.p[a0])
+        # an agent after the best hit's cannot beat its key
+        live = [
+            (p, i, v_i, digits[q], sum(d * w for d, w in zip(digits, ws)), wa, table)
+            for p, i, v_i, q, ws, wa, table in sweeps
+            if best is None or p <= best[0][0]
+        ]
+        for t, b in enumerate(points):
+            bids = pre + (b,) + post
+            out = rule(bids)
+            dev_pay = payoff(v0, out.x[a0], out.p[a0])
             if dev_pay > truth_pay:
-                return DominanceCounterexample(
-                    agent=i,
-                    truthful_bids=truthful,
-                    deviation_bids=dev_bids,
-                    truthful_payoff=truth_pay,
-                    deviation_payoff=dev_pay,
-                )
-    return None
+                return (0, o, t), DominanceCounterexample(a0, truthful, bids, truth_pay, dev_pay)
+            for p, i, v_i, dev, base, wa, table in live:
+                o_i = base + t * wa
+                truth_i = table[o_i]
+                if truth_i is None:
+                    t_out = rule(bids[:i] + (v_i,) + bids[i + 1 :])
+                    truth_i = table[o_i] = payoff(v_i, t_out.x[i], t_out.p[i])
+                dev_i = payoff(v_i, out.x[i], out.p[i])
+                if dev_i > truth_i and (best is None or (p, o_i, dev) < best[0]):
+                    ce = DominanceCounterexample(i, bids[:i] + (v_i,) + bids[i + 1 :], bids, truth_i, dev_i)
+                    best = (p, o_i, dev), ce
+    return best
 
 
 def _scaled(*groups: tuple[Amount, ...]) -> tuple[int, list[tuple[int, ...]]]:
@@ -307,24 +346,34 @@ def check_dominance(
     out of n.  For each, the opponents range over the grid and the deviation
     domain is the grid plus the participant's own valuation.  The sweep runs
     on every amount times the least common multiple of their denominators.
-    The counterexample reported is the first found in agents order.
+    Each bid vector in grid^n goes through the rule once and is compared,
+    for every checked agent, against that agent's truthful payoff on the
+    same opponents' bids.  The counterexample reported is the first in
+    agents order, then in the per-agent order of opponents' bids (product
+    order) and deviations (ascending).  jobs splits the outermost iterated
+    coordinate's grid points into contiguous ranges, one per worker; the
+    result does not depend on it.
     """
     indices = tuple(i for i, _ in agents)
     v = to_amounts((v_i for _, v_i in agents), "valuation")
     if n < 2:
         raise ValueError(f"dominance check needs more than one participant, got {n}")
+    if not indices:
+        raise ValueError("no agents to check")
     if len(set(indices)) != len(indices) or not all(0 <= i < n for i in indices):
         raise ValueError(f"agent indices {list(indices)} must be distinct and in 0..{n - 1}")
     d, (points, values) = _scaled(grid.points, v)
-    dev_domains = [tuple(sorted(set(points) | {v_i})) for v_i in values]
-    cells = sum(len(points) ** (n - 1) * len(dev) for dev in dev_domains)
+    k = len(points)
+    # a deviation to an off-grid valuation is the truthful vector, counted but not re-run
+    cells = sum(k ** (n - 1) * len(set(points) | {v_i}) for v_i in values)
     if cells > sweep_budget:
         raise ValueError(f"dominance sweep of {cells} cells exceeds budget {sweep_budget}")
-    tasks = [(i, v_i, n, points, dev, rule) for i, v_i, dev in zip(indices, values, dev_domains)]
-    # at most one hit per agent, so the first in agents order is the canonical one
-    ce = next((h for h in pool_map(_agent_counterexample, tasks, jobs) if h is not None), None)
-    if ce is not None:
-        return DominanceResult(False, cells, _unscaled(ce, d, rule))
+    checks = tuple(zip(indices, values))
+    w = worker_count(jobs, k)
+    tasks = [(n, checks, points, rule, k * r // w, k * (r + 1) // w) for r in range(w)]
+    hits = [h for h in pool_map(_sweep_range, tasks, jobs) if h is not None]
+    if hits:
+        return DominanceResult(False, cells, _unscaled(min(hits, key=lambda h: h[0])[1], d, rule))
     return DominanceResult(True, cells)
 
 

@@ -16,6 +16,7 @@ of variables a `sat` header may declare.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -297,6 +298,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# One parser per process: an argparse parser is a web of reference cycles, and
+# one built per main() call lingers as garbage until a full collection.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="implab",

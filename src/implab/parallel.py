@@ -1,4 +1,5 @@
-"""The process-pool helper behind the `--jobs` sweep of `vickrey dominance`."""
+"""The process-pool helper behind the `--jobs` sweep of `vickrey dominance`,
+which hands each worker a contiguous range of one bid coordinate's grid points."""
 
 from __future__ import annotations
 

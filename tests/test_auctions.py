@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from implab.auctions import (
     RULES,
     AuctionOutcome,
     BidGrid,
+    DominanceCounterexample,
+    DominanceResult,
     abstract_grid,
     check_dominance,
     check_efficiency,
@@ -297,6 +300,8 @@ def test_check_dominance_refuses_bad_agents():
             check_dominance(2, ((0, 1), (index, 1)), GRID0_2)
     with pytest.raises(ValueError, match="negative valuation -1"):
         check_dominance(2, ((0, -1),), GRID0_2)
+    with pytest.raises(ValueError, match="no agents to check"):
+        check_dominance(2, (), GRID0_2)
 
 
 def test_agent_0_alone_finds_the_full_sweeps_counterexample():
@@ -325,6 +330,67 @@ def test_parallel_dominance_matches_sequential():
         assert seq == check_weak_dominance(values, grid, rule=rule, jobs=2)
     assert seq.counterexample.truthful_bids == (Fraction(1, 6), 0, 0)
     assert seq.counterexample.deviation_payoff == Fraction(1, 6)
+
+
+def per_agent_dominance(n, agents, grid, rule):
+    """Reference for check_dominance: each agent in agents order sweeps its
+    opponents' bids in product order and, for each, its deviations in
+    ascending order, on the unscaled amounts, and the first profitable
+    deviation is the counterexample."""
+    points = grid.points
+    domains = [tuple(sorted(set(points) | {to_amount(v_i)})) for _, v_i in agents]
+    cells = sum(len(points) ** (n - 1) * len(dev) for dev in domains)
+    for (i, v_i), deviations in zip(agents, domains):
+        v_i = to_amount(v_i)
+        for others in itertools.product(points, repeat=n - 1):
+            truthful = others[:i] + (v_i,) + others[i:]
+            out = rule(truthful)
+            truth_pay = payoff(v_i, out.x[i], out.p[i])
+            for dev in deviations:
+                dev_bids = others[:i] + (dev,) + others[i:]
+                dev_out = rule(dev_bids)
+                dev_pay = payoff(v_i, dev_out.x[i], dev_out.p[i])
+                if dev_pay > truth_pay:
+                    ce = DominanceCounterexample(i, truthful, dev_bids, truth_pay, dev_pay)
+                    return DominanceResult(False, cells, ce)
+    return DominanceResult(True, cells)
+
+
+@dataclass(frozen=True)
+class FirstPriceExcept:
+    """Mutant rule: second price when agent exempt wins, first price when
+    another agent does, so only the agents other than exempt can gain."""
+
+    exempt: int
+
+    def __call__(self, bids):
+        out = run_spa(bids)
+        return out if out.x[self.exempt] else run_first_price(bids)
+
+
+def test_dominance_sweep_matches_the_per_agent_reference():
+    rng = random.Random(2016)
+    seen = set()
+    for _ in range(120):
+        n = rng.randint(2, 4)
+        den = rng.randint(1, 3)
+        candidates = [Fraction(a, den) for a in range(3 * den + 1)]
+        grid = BidGrid(tuple(sorted(rng.sample(candidates, rng.randint(1, 4)))))
+        subset = rng.sample(range(n), rng.randint(1, n))
+        # on-grid and off-grid valuations; an off-grid one joins the deviations
+        agents = tuple(
+            (i, rng.choice(grid.points) if rng.random() < 0.5 else Fraction(rng.randint(0, 12), rng.randint(1, 4)))
+            for i in subset
+        )
+        rule = rng.choice((run_spa, run_first_price, FirstPriceExcept(subset[0])))
+        expected = per_agent_dominance(n, agents, grid, rule)
+        assert check_dominance(n, agents, grid, rule) == expected, (n, agents, grid, rule)
+        assert check_dominance(n, agents, grid, rule, jobs=2) == expected, (n, agents, grid, rule)
+        if not expected.holds:
+            seen.add("first agent" if expected.counterexample.agent == subset[0] else "later agent")
+        else:
+            seen.add("holds")
+    assert seen == {"holds", "first agent", "later agent"}
 
 
 def test_max_constructive_folds_long_lists_without_recursion():
@@ -403,7 +469,8 @@ def test_dominance_sweep_calls_the_rule_once_per_cell_and_per_truthful_profile()
     n, k = len(values), len(GRID0_4.points)
     assert res.holds
     assert res.cells == 6 * 25 + 6 * 25 + 5 * 25
-    assert len(calls) == res.cells + n * k ** (n - 1)
+    # each bid vector once, for every agent, plus one truthful profile per agent and opponents' bids
+    assert len(calls) == k**n + n * k ** (n - 1) == 200
 
 
 @pytest.mark.parametrize("name", sorted(RULES))

@@ -330,6 +330,12 @@ VICKREY_REPORT_SHA256 = {
     # taken on Fraction bids, before the soundness sweep moved to scaled integers
     ("soundness", "--n", "3", "--grid", "0:2:1/3"):
         (0, "31c372215002e9dcfa3c6e63df9cdf5f2a14173430681e7d09a3df83821eab7b"),
+    # taken on the per-agent sweep, before each bid vector went through the rule once for every agent
+    ("dominance", "--n", "5", "--grid", "0:6:1", "--values", "7/2,1/3,11/2,5/2,4"):
+        (0, "a51332e28bdd8b778ebc6c46e27b448c627d22192593409f3a39ce36ffb1a7c0"),
+    # agent 0 values the good at 0 and never gains, so the other agents' hits decide the witness
+    ("dominance", "--n", "5", "--grid", "0:6:1", "--values", "0,7/2,11/3,5/2,4", "--rule", "first-price"):
+        (3, "b39d2ed226779700ba2824e7292a4e8b9f798fbd165658e1e856b6b3d9358a55"),
 }
 
 

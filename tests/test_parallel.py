@@ -51,8 +51,9 @@ def test_pool_map_stays_in_process_for_one_worker(pools, monkeypatch):
     assert pools == []
 
 
-def test_dominance_pool_is_clamped_to_the_agent_count(pools):
-    grid = parse_grid("0:3:1")
+def test_dominance_pool_is_clamped_to_the_grid_size(pools):
+    # the sweep splits one coordinate's grid points between the workers: min(jobs, CPUs, k)
+    grid = parse_grid("0:2:1")
     assert check_weak_dominance([3, 1, 2], grid, jobs=HUGE) == check_weak_dominance([3, 1, 2], grid)
     assert pools == [3]
 
@@ -78,7 +79,7 @@ def test_cli_huge_jobs_uses_the_clamped_pool(pools, capsys):
     seq = capsys.readouterr().out
     assert main(["--jobs", str(HUGE), *argv]) == 0
     par = capsys.readouterr().out
-    assert pools == [2]
+    assert pools == [4]
 
     def body(text):
         return [line for line in text.splitlines() if "duration_seconds" not in line and "jobs" not in line]
