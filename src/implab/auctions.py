@@ -4,12 +4,14 @@ All money amounts are exact: an int or a fractions.Fraction, never a float.
 Dominance is a family of inequalities whose boundary cases (a deviation
 tying the best competing bid) must not be blurred by floating point.
 
-All three sweeps run on integers: they validate their amounts once,
-multiply every grid point and valuation by D, the least common multiple of
-their denominators, and map what they find back by dividing by D.  That is
-exact for any rule that meets the scaling contract stated on AuctionRule,
-and each dominance counterexample or unsound bid vector is re-run through
-the rule on the unscaled amounts to confirm it.
+All three sweeps run on integers: they validate their amounts once per
+sweep, multiply every grid point and valuation by D, the least common
+multiple of their denominators, and map what they find back by dividing by
+D.  Inside a sweep, payoffs and soundness checks take the scaled ints as
+they are, and only a payment that is not an int goes through to_amount.
+That is exact for any rule that meets the scaling contract stated on
+AuctionRule, and each dominance counterexample or unsound bid vector is
+re-run through the rule on the unscaled amounts to confirm it.
 
 The dominance sweep runs each bid vector in grid^n through the rule once:
 every vector is a deviation of every agent.  Each checked agent compares
@@ -149,9 +151,9 @@ def _outcome(n: int, winner: int, price: Amount) -> AuctionOutcome:
     x, p = [0] * n, [0] * n
     x[winner], p[winner] = 1, price
     out = AuctionOutcome(tuple(x), tuple(p))
-    problems = outcome_violations(out, n)
-    if problems:
-        raise RuntimeError(f"auction rule produced an unsound outcome: {problems}")
+    # one winner and zeros elsewhere: the price is all outcome_violations could flag
+    if price < 0:
+        raise RuntimeError(f"auction rule produced an unsound outcome: {outcome_violations(out, n)}")
     return out
 
 
@@ -248,10 +250,16 @@ def _sweep_range(task: tuple) -> tuple[tuple[int, int, int], DominanceCounterexa
     to a worker.  A hit's key is (position in checks, position of the
     opponents' bids in product order, grid index of the deviation), so the
     least key is the first hit in the per-agent order.
+
+    When checks[0]'s valuation is a grid point, its truthful vector is one
+    of its deviations, and that outcome is reused rather than run again.  A
+    later agent on the grid still pays k**(n-1) extra rule calls, for the
+    truthful profiles that fill its payoff table.
     """
     n, checks, points, rule, lo, hi = task
     k = len(points)
     (a0, v0), later = checks[0], checks[1:]
+    t0 = points.index(v0) if v0 in points else None
     # checks[0]'s coordinate is iterated innermost, so its first hit has the least key
     outer = [j for j in range(n) if j != a0]
     sweeps = []
@@ -269,8 +277,10 @@ def _sweep_range(task: tuple) -> tuple[tuple[int, int, int], DominanceCounterexa
         head = tuple([points[d] for d in digits])
         pre, post = head[:a0], head[a0:]
         truthful = pre + (v0,) + post
-        out = rule(truthful)
-        truth_pay = payoff(v0, out.x[a0], out.p[a0])
+        t_out = rule(truthful)
+        # payoff() inlined: amounts are scaled ints, a payment is converted unless it is one
+        pay = t_out.p[a0]
+        truth_pay = v0 * t_out.x[a0] - (pay if type(pay) is int else to_amount(pay))
         # an agent after the best hit's cannot beat its key
         live = [
             (p, i, v_i, digits[q], sum(d * w for d, w in zip(digits, ws)), wa, table)
@@ -279,17 +289,20 @@ def _sweep_range(task: tuple) -> tuple[tuple[int, int, int], DominanceCounterexa
         ]
         for t, b in enumerate(points):
             bids = pre + (b,) + post
-            out = rule(bids)
-            dev_pay = payoff(v0, out.x[a0], out.p[a0])
+            out = t_out if t == t0 else rule(bids)
+            pay = out.p[a0]
+            dev_pay = v0 * out.x[a0] - (pay if type(pay) is int else to_amount(pay))
             if dev_pay > truth_pay:
                 return (0, o, t), DominanceCounterexample(a0, truthful, bids, truth_pay, dev_pay)
             for p, i, v_i, dev, base, wa, table in live:
                 o_i = base + t * wa
                 truth_i = table[o_i]
                 if truth_i is None:
-                    t_out = rule(bids[:i] + (v_i,) + bids[i + 1 :])
-                    truth_i = table[o_i] = payoff(v_i, t_out.x[i], t_out.p[i])
-                dev_i = payoff(v_i, out.x[i], out.p[i])
+                    i_out = rule(bids[:i] + (v_i,) + bids[i + 1 :])
+                    pay = i_out.p[i]
+                    truth_i = table[o_i] = v_i * i_out.x[i] - (pay if type(pay) is int else to_amount(pay))
+                pay = out.p[i]
+                dev_i = v_i * out.x[i] - (pay if type(pay) is int else to_amount(pay))
                 if dev_i > truth_i and (best is None or (p, o_i, dev) < best[0]):
                     ce = DominanceCounterexample(i, bids[:i] + (v_i,) + bids[i + 1 :], bids, truth_i, dev_i)
                     best = (p, o_i, dev), ce
@@ -421,9 +434,9 @@ class SoundnessReport:
         return not self.violations
 
 
-def check_soundness(bids: Sequence, rule: AuctionRule = run_spa) -> SoundnessReport:
-    """Outcome invariants plus determinism across SOUNDNESS_RUNS evaluations."""
-    b = to_amounts(bids, "bid")
+def _soundness(b: tuple[Amount, ...], rule: AuctionRule) -> tuple[AuctionOutcome, list[str]]:
+    """The first outcome of rule on validated bids b, and its soundness
+    defects, a nondeterministic outcome over SOUNDNESS_RUNS runs among them."""
     first = rule(b)
     problems = outcome_violations(first, len(b))
     for _ in range(SOUNDNESS_RUNS - 1):
@@ -431,6 +444,13 @@ def check_soundness(bids: Sequence, rule: AuctionRule = run_spa) -> SoundnessRep
         if again != first:
             problems.append(f"nondeterministic outcome: {again} != {first}")
             break
+    return first, problems
+
+
+def check_soundness(bids: Sequence, rule: AuctionRule = run_spa) -> SoundnessReport:
+    """Outcome invariants plus determinism across SOUNDNESS_RUNS evaluations."""
+    b = to_amounts(bids, "bid")
+    first, problems = _soundness(b, rule)
     return SoundnessReport(b, tuple(problems), first)
 
 
@@ -448,9 +468,12 @@ def sweep_soundness(
     """check_soundness over every bid vector in grid^n.
 
     The sweep runs on every grid point times the lcm D of their
-    denominators.  A vector flagged unsound is re-run on the original bids,
-    and that report is the one kept.  RuntimeError if the re-run is sound:
-    the rule breaks the scaling contract.
+    denominators.  The grid's points were validated when it was built, so
+    a sound bid vector goes through the rule SOUNDNESS_RUNS times without
+    being converted again, and no report is built for it.  A
+    vector flagged unsound is re-run through check_soundness on the
+    original bids, and that report is the one kept.  RuntimeError if the
+    re-run is sound: the rule breaks the scaling contract.
     """
     # a one-point grid has 1**n = 1 bid vector, but that vector holds n bids
     if n > sweep_budget:
@@ -463,15 +486,15 @@ def sweep_soundness(
     unscaled = dict(zip(points, grid.points))
     unsound = []
     for bids in itertools.product(points, repeat=n):
-        rep = check_soundness(bids, rule)
-        if rep.sound:
+        _, problems = _soundness(bids, rule)
+        if not problems:
             continue
         original = tuple(unscaled[b] for b in bids)
         back = check_soundness(original, rule)
         if back.sound:
             raise RuntimeError(
                 f"auction rule breaks the scaling contract: bids ({', '.join(map(str, original))}) "
-                f"are sound, but on the bids times {d}: {'; '.join(rep.violations)}"
+                f"are sound, but on the bids times {d}: {'; '.join(problems)}"
             )
         unsound.append(back)
     return SoundnessSweep(cells, tuple(unsound))

@@ -238,6 +238,15 @@ def test_outcome_violations_catalogue():
     )
 
 
+@pytest.mark.parametrize("price", [-1, Fraction(-1, 3)])
+def test_outcome_with_a_negative_price_is_refused_with_the_catalogue_message(price):
+    with pytest.raises(RuntimeError) as err:
+        auctions._outcome(3, 1, price)
+    assert str(err.value) == f"auction rule produced an unsound outcome: ['negative payment {price} for participant 1']"
+    assert auctions._outcome(3, 1, 0) == AuctionOutcome((0, 1, 0), (0, 0, 0))
+    assert auctions._outcome(1, 0, -price) == AuctionOutcome((1,), (-price,))
+
+
 def test_max_examples():
     assert max_classical([7]) == max_constructive([7]) == 7
     assert max_classical([1, 3, 2]) == max_constructive([1, 3, 2]) == 3
@@ -473,6 +482,47 @@ def test_dominance_sweep_calls_the_rule_once_per_cell_and_per_truthful_profile()
     assert len(calls) == k**n + n * k ** (n - 1) == 200
 
 
+def test_dominance_sweep_reuses_an_on_grid_first_agents_truthful_outcome():
+    calls = []
+
+    def counting(bids):
+        calls.append(bids)
+        return run_spa(bids)
+
+    n, k = 3, len(GRID0_4.points)
+    # agents[0]'s truthful vector is one of its deviations; the later on-grid agent 2 is not spared
+    for agents in (((0, 3), (1, Fraction(5, 2)), (2, 1)), ((2, 1), (0, Fraction(7, 2)), (1, 4))):
+        calls.clear()
+        res = check_dominance(n, agents, GRID0_4, counting)
+        assert res == per_agent_dominance(n, agents, GRID0_4, run_spa) and res.holds
+        a = len(agents)
+        assert len(calls) == k**n + a * k ** (n - 1) - k ** (n - 1) == 175
+    calls.clear()
+    assert check_dominance(n, ((1, 2),), GRID0_4, counting).holds
+    assert len(calls) == k**n
+
+
+@dataclass(frozen=True)
+class FloatPayment:
+    """Mutant rule: second price, with agent's payment turned into a float."""
+
+    agent: int
+
+    def __call__(self, bids):
+        out = run_spa(bids)
+        return AuctionOutcome(out.x, tuple(float(p) if i == self.agent else p for i, p in enumerate(out.p)))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("agent", [0, 1])
+def test_dominance_refuses_a_rule_that_pays_a_float(agent, jobs):
+    # agent 0 is checked first; agent 1's float payments reach only the later agent's payoffs
+    with pytest.raises(TypeError, match="refusing float"):
+        check_weak_dominance([1, 2], GRID0_2, rule=FloatPayment(agent), jobs=jobs)
+    with pytest.raises(TypeError, match="refusing float"):
+        check_weak_dominance([Fraction(1, 2), 2, 1], GRID0_2, rule=FloatPayment(agent), jobs=jobs)
+
+
 @pytest.mark.parametrize("name", sorted(RULES))
 def test_rules_commute_with_scaling(name):
     rule = RULES[name]
@@ -618,3 +668,58 @@ def test_soundness_sweep_catches_a_rule_unsound_only_on_scaled_integers():
     with pytest.raises(RuntimeError, match="breaks the scaling contract"):
         sweep_soundness(2, parse_grid("0:1:1/2"), rule=unsound_above_one)
     assert sweep_soundness(2, parse_grid("0:1:1"), rule=unsound_above_one).unsound == ()
+
+
+class SecondRunFirstPrice:
+    """Nondeterministic rule: second price, but first price when it is
+    called again on the bids of its previous call."""
+
+    def __init__(self):
+        self.last = None
+
+    def __call__(self, bids):
+        again, self.last = tuple(bids) == self.last, tuple(bids)
+        return run_first_price(bids) if again else run_spa(bids)
+
+
+def test_soundness_sweep_reports_a_nondeterministic_rule_as_the_fraction_sweep_does():
+    # no all-zero vector: scaled by 2, no bid vector equals its original, so
+    # the re-run on the original bids starts as a first call, as it does in the reference
+    grid = parse_grid("1/2:2:1/2")
+    got = sweep_soundness(3, grid, rule=SecondRunFirstPrice())
+    want = [r for r in fraction_sweep(3, grid, SecondRunFirstPrice()) if not r.sound]
+    assert got.cells == 4**3
+    assert want and all("nondeterministic outcome" in r.violations[0] for r in want)
+    assert unsound_facts(got.unsound) == unsound_facts(want)
+
+
+@pytest.mark.parametrize("runs", [1, 2, 4])
+def test_soundness_sweep_runs_the_rule_soundness_runs_times_per_sound_vector(monkeypatch, runs):
+    monkeypatch.setattr(auctions, "SOUNDNESS_RUNS", runs)
+    calls = []
+
+    def counting(bids):
+        calls.append(bids)
+        return run_spa(bids)
+
+    grid = parse_grid("0:2:1/2")
+    assert sweep_soundness(2, grid, rule=counting).unsound == ()
+    # the grid times D = 2, each vector run SOUNDNESS_RUNS times in a row
+    vectors = list(itertools.product((0, 1, 2, 3, 4), repeat=2))
+    assert calls == [bids for bids in vectors for _ in range(runs)]
+
+
+def test_soundness_sweep_converts_its_amounts_a_fixed_number_of_times(monkeypatch):
+    conversions = []
+    monkeypatch.setattr(auctions, "to_amounts", lambda *a: conversions.append(a) or to_amounts(*a))
+
+    def lowest_index_wins_free(bids):
+        # never converts its bids, so every to_amounts call is the sweep's
+        return AuctionOutcome((1,) + (0,) * (len(bids) - 1), (0,) * len(bids))
+
+    counts = set()
+    for grid in map(parse_grid, ("0", "0:2:1", "0:3:1/2", "0:4:1/3")):
+        conversions.clear()
+        assert sweep_soundness(3, grid, rule=lowest_index_wins_free).unsound == ()
+        counts.add(len(conversions))
+    assert len(counts) == 1
