@@ -107,7 +107,7 @@ def cmd_ranksets(args) -> tuple[dict, int]:
     if args.ranksets_cmd == "check":
         cls = RelationClass(args.relation_class)
         u = Universe(args.m)
-        axioms = [Axiom(a) for a in args.axioms.split(",")]
+        axioms = ranksets.distinct_axioms(Axiom(a) for a in args.axioms.split(","))
         cnf = ranksets.encode_ranksets(u, axioms, cls)
         res = satkit.solve(cnf)
         if args.emit_dimacs:

@@ -115,30 +115,46 @@ class SetRelation:
         return self.geq[a - 1][b - 1] and not self.geq[b - 1][a - 1]
 
 
+def _mask(bits) -> int:
+    """The booleans of a row or column as an int, entry i at bit i."""
+    return sum(1 << i for i, v in enumerate(bits) if v)
+
+
+def _low(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 def class_violation(geq, relation_class: RelationClass) -> str | None:
-    """First failed class constraint, scanning masks in ascending order."""
+    """First failed class constraint, scanning masks in ascending order.
+
+    Rows and columns are int bitmasks: transitivity fails at (a, b, c) when
+    c is in row b but not in row a, so the lowest bit of rows[b] & ~rows[a]
+    is the first failing c for each (a, b) with geq[a][b].
+    """
     size = len(geq)
-    for a in range(size):
-        for b in range(size):
-            if not geq[a][b]:
-                continue
-            row_c = geq[b]
-            out = geq[a]
-            for c in range(size):
-                if row_c[c] and not out[c]:
-                    return f"transitivity fails at ({a + 1},{b + 1},{c + 1})"
+    rows = [_mask(row) for row in geq]
+    for a, out in enumerate(rows):
+        pending = out
+        while pending:
+            b = _low(pending)
+            pending &= pending - 1
+            missing = rows[b] & ~out
+            if missing:
+                return f"transitivity fails at ({a + 1},{b + 1},{_low(missing) + 1})"
     if relation_class is RelationClass.TRANSITIVE:
         return None
+    cols = [_mask(col) for col in zip(*geq)]
+    full = (1 << size) - 1
     for a in range(size):
-        for b in range(a, size):
-            if not geq[a][b] and not geq[b][a]:
-                return f"totality fails at ({a + 1},{b + 1})"
+        missing = full & ~(rows[a] | cols[a]) >> a << a
+        if missing:
+            return f"totality fails at ({a + 1},{_low(missing) + 1})"
     if relation_class is RelationClass.WEAK_ORDER:
         return None
     for a in range(size):
-        for b in range(a + 1, size):
-            if geq[a][b] and geq[b][a]:
-                return f"antisymmetry fails at ({a + 1},{b + 1})"
+        both = rows[a] & cols[a] >> (a + 1) << (a + 1)
+        if both:
+            return f"antisymmetry fails at ({a + 1},{_low(both) + 1})"
     return None
 
 
@@ -212,15 +228,28 @@ class AxiomCheck:
 
 def check_relation(rel: SetRelation, ax: Axiom) -> AxiomCheck:
     """First ground constraint the relation violates, in canonical order."""
-    grounded = ground_axiom(rel.universe, ax)
+    return check_grounded(rel, ground_axiom(rel.universe, ax))
+
+
+def check_grounded(rel: SetRelation, grounded: GroundedAxiom) -> AxiomCheck:
+    """check_relation over an axiom already grounded on the relation's universe."""
     for c in grounded.constraints:
         if c.antecedent is not None and not rel.strict(*c.antecedent):
             continue
         a, b = c.consequent
         ok = rel.strict(a, b) if c.strict else rel.geq_at(a, b)
         if not ok:
-            return AxiomCheck(ax, False, grounded.vacuous, c)
-    return AxiomCheck(ax, True, grounded.vacuous)
+            return AxiomCheck(grounded.axiom, False, grounded.vacuous, c)
+    return AxiomCheck(grounded.axiom, True, grounded.vacuous)
+
+
+def distinct_axioms(axioms) -> tuple[Axiom, ...]:
+    """The axioms as a tuple, refusing one listed twice."""
+    axioms = tuple(axioms)
+    for k, ax in enumerate(axioms):
+        if ax in axioms[:k]:
+            raise ValueError(f"axiom {ax.value} is listed more than once")
+    return axioms
 
 
 def _var(u: Universe, a: int, b: int) -> int:
@@ -237,50 +266,55 @@ def _class_clauses(u: Universe, relation_class: RelationClass) -> list[tuple[int
     transitive iff it has no 3-cycle, so the models are the same.  Without
     antisymmetry the rotations of a triple are not equivalent, so the
     transitive and weak-order classes keep the full transitivity clauses.
+
+    The atom of (a, b) is _var's (a - 1) * size + b, written out inline.
     """
     clauses: list[tuple[int, ...]] = []
+    size = (1 << u.m) - 1
     masks = list(u.subsets())
     if relation_class is RelationClass.LINEAR_ORDER:
         for a, b, c in itertools.combinations(masks, 3):
-            clauses.append((-_var(u, a, b), -_var(u, b, c), -_var(u, c, a)))
-            clauses.append((-_var(u, a, c), -_var(u, c, b), -_var(u, b, a)))
+            ra, rb, rc = (a - 1) * size, (b - 1) * size, (c - 1) * size
+            clauses.append((-(ra + b), -(rb + c), -(rc + a)))
+            clauses.append((-(ra + c), -(rc + b), -(rb + a)))
     else:
         for a in masks:
+            ra = (a - 1) * size
             for b in masks:
                 if a == b:
                     continue
-                for c in masks:
-                    if c == b:
-                        continue
-                    clauses.append((-_var(u, a, b), -_var(u, b, c), _var(u, a, c)))
+                ab, rb = ra + b, (b - 1) * size
+                clauses.extend((-ab, -(rb + c), ra + c) for c in masks if c != b)
     if relation_class in (RelationClass.WEAK_ORDER, RelationClass.LINEAR_ORDER):
         for a in masks:
+            ra = (a - 1) * size
             for b in masks:
                 if a < b:
-                    clauses.append((_var(u, a, b), _var(u, b, a)))
+                    clauses.append((ra + b, (b - 1) * size + a))
                 elif a == b:
-                    clauses.append((_var(u, a, a),))
+                    clauses.append((ra + a,))
     if relation_class is RelationClass.LINEAR_ORDER:
         for a in masks:
-            for b in masks:
-                if a < b:
-                    clauses.append((-_var(u, a, b), -_var(u, b, a)))
+            ra = (a - 1) * size
+            clauses.extend((-(ra + b), -((b - 1) * size + a)) for b in masks if a < b)
     return clauses
 
 
-def _axiom_clauses(u: Universe, ax: Axiom) -> list[tuple[int, ...]]:
-    """The ground constraints of one axiom as clauses over the geq atoms."""
+def _axiom_clauses(u: Universe, grounded: GroundedAxiom) -> list[tuple[int, ...]]:
+    """The ground constraints of one axiom as clauses over the geq atoms,
+    with _var's atom of (a, b) written out inline as (a - 1) * size + b."""
+    size = (1 << u.m) - 1
     clauses: list[tuple[int, ...]] = []
-    for c in ground_axiom(u, ax).constraints:
+    for c in grounded.constraints:
         ca, cb = c.consequent
-        cons_lits = [(_var(u, ca, cb),)]
+        cons_lits = [((ca - 1) * size + cb,)]
         if c.strict:
-            cons_lits.append((-_var(u, cb, ca),))
+            cons_lits.append((-((cb - 1) * size + ca),))
         if c.antecedent is None:
             clauses.extend(cons_lits)
         else:
             aa, ab = c.antecedent
-            guard = (-_var(u, aa, ab), _var(u, ab, aa))
+            guard = (-((aa - 1) * size + ab), (ab - 1) * size + aa)
             for lits in cons_lits:
                 clauses.append(guard + lits)
     return clauses
@@ -294,7 +328,7 @@ def encode_ranksets(
     clauses = _class_clauses(u, relation_class)
     for ax in CATALOG:
         if ax in wanted:
-            clauses.extend(_axiom_clauses(u, ax))
+            clauses.extend(_axiom_clauses(u, ground_axiom(u, ax)))
     ordered = sorted(set(tuple(sorted(cl, key=abs)) for cl in clauses))
     size = (1 << u.m) - 1
     masks = list(u.subsets())
@@ -304,16 +338,17 @@ def encode_ranksets(
     return Cnf(size * size, tuple(ordered), var_names=names)
 
 
-def _guarded_solver(u: Universe, catalog: tuple[Axiom, ...], relation_class: RelationClass) -> Solver:
+def _guarded_solver(u: Universe, grounded, relation_class: RelationClass) -> Solver:
     """One solver for every axiom subset at one universe size.
 
+    `grounded` holds the catalog's axioms grounded on u, in catalog order.
     Axiom k of the catalog gets the selector variable numbered k after the
     geq atoms, and each of its clauses is guarded as (-selector, *clause).
     """
     atoms = ((1 << u.m) - 1) ** 2
-    solver = Solver(atoms + len(catalog), _class_clauses(u, relation_class))
-    for k, ax in enumerate(catalog, 1):
-        for c in _axiom_clauses(u, ax):
+    solver = Solver(atoms + len(grounded), _class_clauses(u, relation_class))
+    for k, g in enumerate(grounded, 1):
+        for c in _axiom_clauses(u, g):
             solver.add_clause((-(atoms + k), *c))
     return solver
 
@@ -361,45 +396,75 @@ def find_inconsistent_subsets(
 ) -> DiscoveryReport:
     """Minimal universe size at which each axiom subset becomes unsatisfiable.
 
-    Subsets are solved in order, in-process, on one solver per universe
-    size whose axiom clauses are switched on and off by assumptions.  With
-    prune enabled, strict supersets of a subset already found inconsistent
-    are skipped (and marked), mirroring the obvious implication.
+    Subsets are taken in order, smallest first, in-process, on one solver
+    per universe size whose axiom clauses are switched on and off by
+    assumptions.  With prune enabled, strict supersets of a subset already
+    found inconsistent are skipped (and marked), mirroring the obvious
+    implication.
+
+    A cell (subset S, size m) is answered without a solve when the witness
+    of some S - {ax} at m passes check_grounded for ax; only otherwise is S
+    solved.  That is exact because of how the witnesses are chosen: every
+    Sat answer of the solver is the lexicographically greatest model over
+    the geq atoms (the selectors are numbered after them), and the greatest
+    model of F, if it satisfies G, is also the greatest model of F and G.
+    So the reused witness is the one a solve of S would return, and each
+    report is what solving every cell gives.  The reuse depends on that
+    canonical choice of model: a solver that may return any model, such as
+    a heuristic CDCL answering bare verdicts, must not back these
+    witnesses.  A reused witness was checked against the class clauses and
+    the axioms of S - {ax} when it was solved and decoded, and against ax
+    by check_grounded.
     """
     if not 2 <= u_max <= 6:
         raise ValueError(f"u_max {u_max} outside supported range 2..6")
-    catalog = tuple(catalog)
-    subsets: list[tuple[Axiom, ...]] = []
-    for r in range(1, len(catalog) + 1):
-        subsets.extend(itertools.combinations(catalog, r))
+    catalog = distinct_axioms(catalog)
     sizes = range(2, u_max + 1)
-    solvers: dict[int, Solver] = {}
+    grounded = {m: {ax: ground_axiom(Universe(m), ax) for ax in catalog} for m in sizes}
+    solvers = {m: _guarded_solver(Universe(m), grounded[m].values(), relation_class) for m in sizes}
 
+    def solved(m: int, subset) -> SetRelation | None:
+        res = _solve_subset(solvers[m], catalog, subset)
+        return decode_ranksets(Universe(m), res.assignment, relation_class) if res.satisfiable else None
+
+    # per subset of the layer below, its witness at each m, None where unsat
+    smaller = {frozenset(): {m: solved(m, ()) for m in sizes}}
     findings: list[SubsetFinding] = []
-    inconsistent: list[set[Axiom]] = []
-    for subset in subsets:
-        if prune and any(known < set(subset) for known in inconsistent):
+    inconsistent: list[frozenset[Axiom]] = []
+    for r in range(1, len(catalog) + 1):
+        layer: dict[frozenset[Axiom], dict[int, SetRelation | None]] = {}
+        for subset in itertools.combinations(catalog, r):
+            key = frozenset(subset)
+            if prune and any(known < key for known in inconsistent):
+                findings.append(
+                    SubsetFinding(subset, relation_class, {}, minimal_unsat_m=None, pruned=True)
+                )
+                continue
+            witnesses: dict[int, SetRelation | None] = {}
+            for m in sizes:
+                for ax in subset:
+                    w = smaller[key - {ax}][m]
+                    if w is not None and check_grounded(w, grounded[m][ax]).holds:
+                        break
+                else:
+                    w = solved(m, subset)
+                witnesses[m] = w
+            layer[key] = witnesses
+            statuses = {m: "sat" if w is not None else "unsat" for m, w in witnesses.items()}
+            unsat = [m for m, w in witnesses.items() if w is None]
+            sat = [w for w in witnesses.values() if w is not None]
+            if unsat:
+                inconsistent.append(key)
             findings.append(
-                SubsetFinding(subset, relation_class, {}, minimal_unsat_m=None, pruned=True)
+                SubsetFinding(
+                    subset,
+                    relation_class,
+                    statuses,
+                    minimal_unsat_m=unsat[0] if unsat else None,
+                    witness=sat[-1] if sat else None,
+                )
             )
-            continue
-        statuses: dict[int, str] = {}
-        minimal: int | None = None
-        witness: SetRelation | None = None
-        for m in sizes:
-            if m not in solvers:
-                solvers[m] = _guarded_solver(Universe(m), catalog, relation_class)
-            res = _solve_subset(solvers[m], catalog, subset)
-            statuses[m] = "sat" if res.satisfiable else "unsat"
-            if res.satisfiable:
-                witness = decode_ranksets(Universe(m), res.assignment, relation_class)
-            elif minimal is None:
-                minimal = m
-        if minimal is not None:
-            inconsistent.append(set(subset))
-        findings.append(
-            SubsetFinding(subset, relation_class, statuses, minimal, witness=witness)
-        )
+        smaller = layer
     return DiscoveryReport(u_max, relation_class, tuple(findings))
 
 

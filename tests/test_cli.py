@@ -191,6 +191,13 @@ def test_ranksets_check_sat_includes_verified_model(capsys):
     assert len(report["model"]["geq_rows"]) == 7
 
 
+def test_ranksets_check_refuses_a_repeated_axiom(capsys):
+    assert main(["ranksets", "check", "--axioms", "dominance,dominance", "--m", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: axiom dominance is listed more than once" in captured.err
+
+
 def test_ranksets_minmax_independence_witness(capsys):
     code, report = run_cli(capsys, "ranksets", "minmax", "--m", "4", "--axiom", "independence")
     assert code == 0

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -8,9 +9,11 @@ import pytest
 from implab.ranksets import (
     CATALOG,
     Axiom,
+    DiscoveryReport,
     GroundConstraint,
     RelationClass,
     SetRelation,
+    SubsetFinding,
     Universe,
     _axiom_clauses,
     _class_clauses,
@@ -27,7 +30,7 @@ from implab.ranksets import (
     relation_to_json,
     strongest_class,
 )
-from implab.satkit import Cnf, enumerate_models, solve, to_dimacs
+from implab.satkit import Cnf, Solver, enumerate_models, solve, to_dimacs
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -297,7 +300,7 @@ def test_guarded_solver_answers_every_subset_like_a_fresh_encoding():
     for cls in RelationClass:
         for m in (2, 3, 4):
             u = Universe(m)
-            solver = _guarded_solver(u, CATALOG, cls)
+            solver = _guarded_solver(u, [ground_axiom(u, ax) for ax in CATALOG], cls)
             for subset in subsets:
                 guarded = _solve_subset(solver, CATALOG, subset)
                 fresh = solve(encode_ranksets(u, subset, cls))
@@ -344,11 +347,11 @@ def test_linear_guarded_solver_matches_the_full_transitivity_encoding():
     cls = RelationClass.LINEAR_ORDER
     for m in (2, 3, 4):
         u = Universe(m)
-        solver = _guarded_solver(u, CATALOG, cls)
+        solver = _guarded_solver(u, [ground_axiom(u, ax) for ax in CATALOG], cls)
         oracle_class = _full_transitivity_linear_clauses(u)
         for subset in subsets:
             guarded = _solve_subset(solver, CATALOG, subset)
-            clauses = oracle_class + [c for ax in subset for c in _axiom_clauses(u, ax)]
+            clauses = oracle_class + [c for ax in subset for c in _var_axiom_clauses(u, ax)]
             oracle = solve(Cnf(((1 << m) - 1) ** 2, clauses))
             assert guarded.satisfiable == oracle.satisfiable, (m, subset)
             if oracle.satisfiable:
@@ -385,3 +388,180 @@ def test_encoding_budget_and_u_max_guard():
         find_inconsistent_subsets(7)
     with pytest.raises(ValueError):
         find_inconsistent_subsets(1)
+
+
+def _var_class_clauses(u: Universe, relation_class: RelationClass) -> list[tuple[int, ...]]:
+    """The class clauses built through _var, the reference for the inline indices."""
+    clauses: list[tuple[int, ...]] = []
+    masks = list(u.subsets())
+    if relation_class is RelationClass.LINEAR_ORDER:
+        for a, b, c in itertools.combinations(masks, 3):
+            clauses.append((-_var(u, a, b), -_var(u, b, c), -_var(u, c, a)))
+            clauses.append((-_var(u, a, c), -_var(u, c, b), -_var(u, b, a)))
+    else:
+        for a in masks:
+            for b in masks:
+                if a == b:
+                    continue
+                for c in masks:
+                    if c == b:
+                        continue
+                    clauses.append((-_var(u, a, b), -_var(u, b, c), _var(u, a, c)))
+    if relation_class in (RelationClass.WEAK_ORDER, RelationClass.LINEAR_ORDER):
+        for a in masks:
+            for b in masks:
+                if a < b:
+                    clauses.append((_var(u, a, b), _var(u, b, a)))
+                elif a == b:
+                    clauses.append((_var(u, a, a),))
+    if relation_class is RelationClass.LINEAR_ORDER:
+        for a in masks:
+            for b in masks:
+                if a < b:
+                    clauses.append((-_var(u, a, b), -_var(u, b, a)))
+    return clauses
+
+
+def _var_axiom_clauses(u: Universe, ax: Axiom) -> list[tuple[int, ...]]:
+    """One axiom's clauses built through _var, the reference for the inline indices."""
+    clauses: list[tuple[int, ...]] = []
+    for c in ground_axiom(u, ax).constraints:
+        ca, cb = c.consequent
+        cons_lits = [(_var(u, ca, cb),)]
+        if c.strict:
+            cons_lits.append((-_var(u, cb, ca),))
+        if c.antecedent is None:
+            clauses.extend(cons_lits)
+        else:
+            aa, ab = c.antecedent
+            guard = (-_var(u, aa, ab), _var(u, ab, aa))
+            for lits in cons_lits:
+                clauses.append(guard + lits)
+    return clauses
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_inline_atom_indices_give_the_var_built_clause_lists(m):
+    u = Universe(m)
+    for cls in RelationClass:
+        assert _class_clauses(u, cls) == _var_class_clauses(u, cls), cls
+    for ax in CATALOG:
+        assert _axiom_clauses(u, ground_axiom(u, ax)) == _var_axiom_clauses(u, ax), ax
+
+
+def _loop_class_violation(geq, relation_class: RelationClass) -> str | None:
+    """class_violation as a triple loop over the matrix, the reference for the bitmasks."""
+    size = len(geq)
+    for a in range(size):
+        for b in range(size):
+            if not geq[a][b]:
+                continue
+            for c in range(size):
+                if geq[b][c] and not geq[a][c]:
+                    return f"transitivity fails at ({a + 1},{b + 1},{c + 1})"
+    if relation_class is RelationClass.TRANSITIVE:
+        return None
+    for a in range(size):
+        for b in range(a, size):
+            if not geq[a][b] and not geq[b][a]:
+                return f"totality fails at ({a + 1},{b + 1})"
+    if relation_class is RelationClass.WEAK_ORDER:
+        return None
+    for a in range(size):
+        for b in range(a + 1, size):
+            if geq[a][b] and geq[b][a]:
+                return f"antisymmetry fails at ({a + 1},{b + 1})"
+    return None
+
+
+def _random_relation(rng: random.Random) -> list[list[bool]]:
+    """A random matrix, weak order, linear order or product order, with up to
+    two entries flipped, so every branch of class_violation is reached."""
+    size = rng.randint(1, 12)
+    kind = rng.randrange(4)
+    if kind == 0:
+        geq = [[rng.random() < 0.5 for _ in range(size)] for _ in range(size)]
+    elif kind == 3:
+        pts = [(rng.randrange(3), rng.randrange(3)) for _ in range(size)]
+        geq = [[p[0] <= q[0] and p[1] <= q[1] for q in pts] for p in pts]
+    else:
+        score = [rng.randrange(3 if kind == 1 else 10**6) for _ in range(size)]
+        geq = [[sa <= sb for sb in score] for sa in score]
+    for _ in range(rng.randrange(3)):
+        a, b = rng.randrange(size), rng.randrange(size)
+        geq[a][b] = not geq[a][b]
+    return geq
+
+
+def test_class_violation_matches_the_triple_loop_on_random_relations():
+    rng = random.Random(20111)
+    kinds = set()
+    for _ in range(3000):
+        geq = _random_relation(rng)
+        for cls in RelationClass:
+            got = class_violation(geq, cls)
+            assert got == _loop_class_violation(geq, cls), (geq, cls)
+            kinds.add(got.split()[0] if got else None)
+    assert kinds == {"transitivity", "totality", "antisymmetry", None}
+
+
+def _solve_every_cell(u_max, catalog, relation_class, prune) -> DiscoveryReport:
+    """find_inconsistent_subsets with one solve per (subset, size) cell: the
+    reference for the search that takes witnesses from smaller subsets."""
+    catalog = tuple(catalog)
+    subsets = [s for r in range(1, len(catalog) + 1) for s in itertools.combinations(catalog, r)]
+    solvers = {}
+    findings = []
+    inconsistent = []
+    for subset in subsets:
+        if prune and any(known < set(subset) for known in inconsistent):
+            findings.append(SubsetFinding(subset, relation_class, {}, minimal_unsat_m=None, pruned=True))
+            continue
+        statuses, minimal, witness = {}, None, None
+        for m in range(2, u_max + 1):
+            u = Universe(m)
+            if m not in solvers:
+                solvers[m] = _guarded_solver(u, [ground_axiom(u, ax) for ax in catalog], relation_class)
+            res = _solve_subset(solvers[m], catalog, subset)
+            statuses[m] = "sat" if res.satisfiable else "unsat"
+            if res.satisfiable:
+                witness = decode_ranksets(u, res.assignment, relation_class)
+            elif minimal is None:
+                minimal = m
+        if minimal is not None:
+            inconsistent.append(set(subset))
+        findings.append(SubsetFinding(subset, relation_class, statuses, minimal, witness=witness))
+    return DiscoveryReport(u_max, relation_class, tuple(findings))
+
+
+@pytest.mark.parametrize("prune", [False, True], ids=["all", "prune"])
+@pytest.mark.parametrize("cls", list(RelationClass), ids=lambda c: c.value)
+def test_discover_reports_equal_solving_every_cell(cls, prune):
+    for u_max in (2, 3, 4, 5):
+        want = _solve_every_cell(u_max, CATALOG, cls, prune)
+        assert find_inconsistent_subsets(u_max, relation_class=cls, prune=prune) == want, u_max
+
+
+@pytest.mark.parametrize(
+    "cls, solves",
+    [(RelationClass.LINEAR_ORDER, 60), (RelationClass.WEAK_ORDER, 73), (RelationClass.TRANSITIVE, 73)],
+    ids=lambda v: getattr(v, "value", v),
+)
+def test_discover_solves_only_cells_no_smaller_witness_answers(monkeypatch, cls, solves):
+    # 124 cells (31 subsets x m = 2..5) when every cell is solved
+    calls = []
+    solve_ = Solver.solve
+
+    def counting(self, assumptions=()):
+        calls.append(assumptions)
+        return solve_(self, assumptions)
+
+    monkeypatch.setattr(Solver, "solve", counting)
+    find_inconsistent_subsets(5, relation_class=cls)
+    assert len(calls) == solves
+
+
+def test_discover_refuses_a_repeated_axiom():
+    catalog = (Axiom.SIMPLE_DOMINANCE, Axiom.INDEPENDENCE, Axiom.SIMPLE_DOMINANCE)
+    with pytest.raises(ValueError, match="axiom dominance is listed more than once"):
+        find_inconsistent_subsets(3, catalog=catalog)
