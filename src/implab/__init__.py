@@ -3,18 +3,15 @@ and second-price auction properties."""
 
 __version__ = "0.1.0"
 
-from .orders import LinearOrder, Profile, all_linear_orders, all_profiles, bits_of_order, kendall_tau, order_of_bits
+from .orders import LinearOrder, all_linear_orders, bits_of_order, order_of_bits
 from .satkit import Cnf, Solver, SolveResult, enumerate_models, from_dimacs, solve, to_dimacs
 from .swf import encode_arrow
 
 __all__ = [
     "__version__",
     "LinearOrder",
-    "Profile",
     "all_linear_orders",
-    "all_profiles",
     "bits_of_order",
-    "kendall_tau",
     "order_of_bits",
     "Cnf",
     "SolveResult",

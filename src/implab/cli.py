@@ -109,9 +109,9 @@ def cmd_ranksets(args) -> tuple[dict, int]:
         u = Universe(args.m)
         axioms = ranksets.distinct_axioms(Axiom(a) for a in args.axioms.split(","))
         cnf = ranksets.encode_ranksets(u, axioms, cls)
-        res = satkit.solve(cnf)
         if args.emit_dimacs:
             _emit_dimacs(cnf, args.emit_dimacs)
+        res = satkit.solve(cnf)
         payload = {
             "verdict": "SAT" if res.satisfiable else "UNSAT",
             "m": args.m,

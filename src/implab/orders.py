@@ -1,5 +1,4 @@
-"""Alternatives, strict linear orders, preference profiles, and the
-three-alternative bit codec.
+"""Alternatives, strict linear orders, and the three-alternative bit codec.
 
 Alternatives are indices 0..m-1 with display names a, b, c, ... (m <= 6
 everywhere in this package).  A linear order is a permutation of the
@@ -11,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
 
 ALTERNATIVE_NAMES = "abcdef"
 
@@ -23,7 +21,6 @@ PAIR_NAMES = ("ab", "ac", "bc")
 CYCLIC_CODES = frozenset({(0, 1, 0), (1, 0, 1)})
 
 ORDER_CAP = 6
-PROFILE_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -44,36 +41,8 @@ class LinearOrder:
     def prefers(self, x: int, y: int) -> bool:
         return self.ranking.index(x) < self.ranking.index(y)
 
-    def reversed(self) -> "LinearOrder":
-        return LinearOrder(self.ranking[::-1])
-
     def __str__(self) -> str:
         return ">".join(ALTERNATIVE_NAMES[i] for i in self.ranking)
-
-
-@dataclass(frozen=True)
-class Profile:
-    """One linear order per agent, all over the same alternatives."""
-
-    orders: tuple[LinearOrder, ...]
-
-    def __post_init__(self):
-        if not self.orders:
-            raise ValueError("a profile needs at least one agent")
-        m = self.orders[0].m
-        if any(o.m != m for o in self.orders):
-            raise ValueError("all orders in a profile must share the same m")
-
-    @property
-    def n(self) -> int:
-        return len(self.orders)
-
-    @property
-    def m(self) -> int:
-        return self.orders[0].m
-
-    def __str__(self) -> str:
-        return ";".join(str(o) for o in self.orders)
 
 
 def all_linear_orders(m: int) -> list[LinearOrder]:
@@ -106,30 +75,6 @@ def order_of_bits(code: tuple[int, int, int]) -> LinearOrder:
 
 def format_bits(code: tuple[int, int, int]) -> str:
     return "".join(str(int(b)) for b in code)
-
-
-def kendall_tau(o1: LinearOrder, o2: LinearOrder) -> int:
-    """Number of unordered pairs the two orders rank oppositely."""
-    if o1.m != o2.m:
-        raise ValueError(f"orders have mismatched sizes {o1.m} and {o2.m}")
-    pos1 = {x: i for i, x in enumerate(o1.ranking)}
-    pos2 = {x: i for i, x in enumerate(o2.ranking)}
-    return sum(
-        1
-        for x, y in itertools.combinations(range(o1.m), 2)
-        if (pos1[x] < pos1[y]) != (pos2[x] < pos2[y])
-    )
-
-
-def all_profiles(n: int, m: int) -> list[Profile]:
-    """All (m!)^n profiles, lexicographic over per-agent canonical order indices."""
-    if n < 1:
-        raise ValueError(f"agent count must be positive, got {n}")
-    count = factorial(m) ** n
-    if count > PROFILE_BUDGET:
-        raise ValueError(f"profile enumeration of {count} profiles exceeds budget {PROFILE_BUDGET}")
-    orders = all_linear_orders(m)
-    return [Profile(combo) for combo in itertools.product(orders, repeat=n)]
 
 
 _ORDER_BY_BITS = {

@@ -2,8 +2,9 @@
 
 A pairwise SWF stores one truth table per alternative pair; the social bit
 for a pair is a function of the agents' bits for that same pair, so
-independence of irrelevant alternatives holds by construction.  `evaluate`
-states what a table triple means on a profile.
+independence of irrelevant alternatives holds by construction.  On a
+profile, one order per agent, the social order is the (ab, ac, bc) code
+read from the three entries that the profile selects.
 
 SWFs are classified on their tables: dictatorship is a table equal to an
 agent's bit projection, and the range is read off entry-pair groups, which
@@ -33,16 +34,13 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import factorial
 
 from .orders import (
     CYCLIC_CODES,
     PAIR_NAMES,
     LinearOrder,
-    Profile,
     all_linear_orders,
     bits_of_order,
-    kendall_tau,
     order_of_bits,
 )
 from .satkit import Cnf
@@ -107,8 +105,9 @@ class SwfClass:
 
 @lru_cache(maxsize=None)
 def _within_one_swap(o1: LinearOrder, o2: LinearOrder) -> bool:
-    """Kendall distance <= 1, computed once per pair of orders."""
-    return kendall_tau(o1, o2) <= 1
+    """Kendall distance <= 1, computed once per pair of orders.  At m=3 the
+    distance is the Hamming distance of the (ab, ac, bc) codes."""
+    return sum(a != b for a, b in zip(bits_of_order(o1), bits_of_order(o2))) <= 1
 
 
 @lru_cache(maxsize=None)
@@ -118,7 +117,9 @@ def _codes6() -> tuple[tuple[int, int, int], ...]:
 
 @lru_cache(maxsize=None)
 def profile_pair_indices(n: int) -> tuple[tuple[int, int, int], ...]:
-    """Per canonical profile: the three table entry indices it selects."""
+    """Per profile: the three table entry indices it selects.  Profiles come
+    in canonical order, the product of all_linear_orders(3) over the agents
+    with agent 0 outermost."""
     out = []
     for combo in itertools.product(_codes6(), repeat=n):
         idx = [0, 0, 0]
@@ -163,30 +164,6 @@ def _bc_entries_met(n: int, ab: tuple[int, ...], ac: tuple[int, ...]) -> list[in
     for i1, i2, mask in _entry_pair_groups(n):
         met[ab[i1] << 1 | ac[i2]] |= mask
     return met
-
-
-@lru_cache(maxsize=None)
-def _order_rank(m: int) -> dict[LinearOrder, int]:
-    return {o: i for i, o in enumerate(all_linear_orders(m))}
-
-
-def profile_index(p: Profile) -> int:
-    """Canonical position of p in all_profiles(p.n, p.m)."""
-    rank = _order_rank(p.m)
-    base = factorial(p.m)
-    idx = 0
-    for o in p.orders:
-        idx = idx * base + rank[o]
-    return idx
-
-
-def evaluate(swf: PairwiseSwf, p: Profile) -> LinearOrder:
-    """The social order for profile p."""
-    if p.n != swf.n or p.m != 3:
-        raise ValueError(f"profile dimensions ({p.n},{p.m}) do not match SWF ({swf.n},3)")
-    t0, t1, t2 = swf.tables
-    i1, i2, i3 = profile_pair_indices(swf.n)[profile_index(p)]
-    return order_of_bits((t0[i1], t1[i2], t2[i3]))
 
 
 def satisfies_unanimity(swf: PairwiseSwf) -> bool:

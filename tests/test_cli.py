@@ -667,6 +667,23 @@ def test_ranksets_emit_dimacs(capsys, tmp_path):
     assert sidecar["1"] == "geq({a},{a})"
 
 
+def test_ranksets_emit_dimacs_is_written_before_the_solve(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "rs.cnf"
+
+    def failing_solve(cnf):
+        raise RuntimeError("solver stopped")
+
+    monkeypatch.setattr(satkit, "solve", failing_solve)
+    code = main(
+        ["ranksets", "check", "--axioms", "aversion,appeal", "--m", "3", "--emit-dimacs", str(path)]
+    )
+    assert code == 4
+    assert capsys.readouterr().err == "error: solver stopped\n"
+    header = path.read_text().splitlines()[0].split()
+    assert header[:3] == ["p", "cnf", "49"]
+    assert (tmp_path / "rs.cnf.vars.json").exists()
+
+
 def readme_commands() -> list[list[str]]:
     """The `implab ...` lines of the README's command block, as argv lists."""
     block = re.search(r"## Command line\n.*?```sh\n(.*?)```", README.read_text(), re.S).group(1)

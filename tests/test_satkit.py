@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from implab import satkit, swf
-from implab.orders import all_profiles
+from implab.orders import all_linear_orders
 from implab.satkit import Cnf, Solver, enumerate_models, from_dimacs, solve, to_dimacs
 from implab.swf import (
     DICTATORIAL,
@@ -359,7 +359,7 @@ def test_arrow_encoding_round_trip():
 
 def test_encoded_acyclicity_matches_profile_count():
     # two clauses per profile, plus 6 unanimity units and 2 non-dictatorship clauses
-    n2_profiles = len(all_profiles(2, 3))
+    n2_profiles = len(all_linear_orders(3)) ** 2
     assert len(encode_arrow(2).cnf.clauses) == 2 * n2_profiles
     assert len(encode_arrow(2, {UN, ND}).cnf.clauses) == 2 * n2_profiles + 6 + 2
 

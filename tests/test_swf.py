@@ -7,16 +7,14 @@ from pathlib import Path
 
 import pytest
 
+import implab
 from implab import swf as swf_module
 from implab.orders import (
     CYCLIC_CODES,
     PAIRS3,
     LinearOrder,
-    Profile,
     all_linear_orders,
-    all_profiles,
     bits_of_order,
-    kendall_tau,
 )
 from implab.swf import (
     CLASS_TAGS,
@@ -34,18 +32,18 @@ from implab.swf import (
     decode_model,
     encode_arrow,
     enumerate_iia_swfs,
-    evaluate,
     is_dictatorial,
     is_inversely_dictatorial,
     onto_survivors,
     pairwise_to_json,
-    profile_index,
     range_of,
     recount_small_range,
     satisfies_unanimity,
     survivors,
     swf_class_to_json,
 )
+
+from test_orders import _inversion_count_oracle
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -86,14 +84,24 @@ def two_outcome_swf() -> PairwiseSwf:
     return PairwiseSwf(2, ((1, 1, 1, 1), (1, 1, 1, 1), (0, 1, 1, 1)))
 
 
-# The profile route, as an oracle: an SWF is a tuple of outputs, one social
-# order per profile in canonical profile order.  Each profile's table entries
-# are computed here from LinearOrder.prefers, not from swf's own packing.
+# The profile route, as an oracle: a profile is a tuple of one LinearOrder
+# per agent, and an SWF is a tuple of outputs, one social order per profile
+# in canonical profile order.  Each profile's table entries are computed here
+# from LinearOrder.prefers, not from swf's own packing.
 
 
 @lru_cache(maxsize=None)
-def oracle_profiles(n: int) -> tuple[Profile, ...]:
-    return tuple(all_profiles(n, 3))
+def oracle_profiles(n: int) -> tuple[tuple[LinearOrder, ...], ...]:
+    return tuple(itertools.product(all_linear_orders(3), repeat=n))
+
+
+def oracle_index(p: tuple[LinearOrder, ...]) -> int:
+    """The position of profile p in canonical profile order."""
+    return oracle_profiles(len(p)).index(p)
+
+
+def oracle_reversed(o: LinearOrder) -> LinearOrder:
+    return LinearOrder(o.ranking[::-1])
 
 
 @lru_cache(maxsize=None)
@@ -101,7 +109,7 @@ def oracle_entries(n: int) -> tuple[tuple[int, int, int], ...]:
     """Per profile: the (ab, ac, bc) table entries, agent 0 the most significant bit."""
     return tuple(
         tuple(
-            sum(o.prefers(x, y) << (n - 1 - agent) for agent, o in enumerate(p.orders))
+            sum(o.prefers(x, y) << (n - 1 - agent) for agent, o in enumerate(p))
             for x, y in PAIRS3
         )
         for p in oracle_profiles(n)
@@ -117,7 +125,7 @@ def oracle_outputs(s: PairwiseSwf) -> tuple[LinearOrder, ...]:
 
 def oracle_dictator(n: int, outputs, invert: bool) -> int | None:
     for i in range(n):
-        copies = (p.orders[i].reversed() if invert else p.orders[i] for p in oracle_profiles(n))
+        copies = (oracle_reversed(p[i]) if invert else p[i] for p in oracle_profiles(n))
         if all(out == o for out, o in zip(outputs, copies)):
             return i
     return None
@@ -132,7 +140,7 @@ def oracle_classify(n: int, outputs) -> tuple:
     rng = tuple(sorted(set(outputs)))
     if len(rng) == 1:
         return CONSTANT, None, rng
-    if len(rng) == 2 and kendall_tau(*rng) == 1:
+    if len(rng) == 2 and _inversion_count_oracle(*rng) == 1:
         return SMALL_RANGE, None, rng
     return UNCLASSIFIED, None, rng
 
@@ -175,31 +183,23 @@ def oracle_rebuild_tables(n: int, outputs):
 
 def modified_dictator_outputs() -> tuple[LinearOrder, ...]:
     """Agent 0's dictatorship, except a>c>b on the profile (a>b>c, a>b>c): not IIA."""
-    outputs = [p.orders[0] for p in oracle_profiles(2)]
-    outputs[profile_index(Profile((ABC, ABC)))] = ACB
+    outputs = [p[0] for p in oracle_profiles(2)]
+    outputs[oracle_index((ABC, ABC))] = ACB
     return tuple(outputs)
 
 
 def test_evaluate_dictator_copies_agent_0():
-    p = Profile((ABC, CBA))
-    assert evaluate(dictator(2, 0), p) == ABC
-    assert evaluate(dictator(2, 1), p) == CBA
+    i = oracle_index((ABC, CBA))
+    assert oracle_outputs(dictator(2, 0))[i] == ABC
+    assert oracle_outputs(dictator(2, 1))[i] == CBA
 
 
 def test_evaluate_inverse_dictator_reverses():
-    p = Profile((ABC, ABC))
-    assert evaluate(inverse_dictator(2, 0), p) == CBA
+    assert oracle_outputs(inverse_dictator(2, 0))[oracle_index((ABC, ABC))] == CBA
 
 
 def test_evaluate_constant_ignores_profile():
-    swf = constant_swf(2, ACB)
-    for p in all_profiles(2, 3):
-        assert evaluate(swf, p) == ACB
-
-
-def test_evaluate_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        evaluate(dictator(2, 0), Profile((ABC,)))
+    assert oracle_outputs(constant_swf(2, ACB)) == (ACB,) * 36
 
 
 def test_pairwise_rejects_cyclic_tables():
@@ -210,10 +210,10 @@ def test_pairwise_rejects_cyclic_tables():
 
 def profile_walk_is_cyclic(n: int, tables) -> bool:
     """Reference: some profile's social bits (a>b, a>c, b>c) form a cycle."""
-    for p in all_profiles(n, 3):
+    for p in oracle_profiles(n):
         code = []
         for k, (x, y) in enumerate(PAIRS3):
-            entry = sum(int(o.prefers(x, y)) << (n - 1 - agent) for agent, o in enumerate(p.orders))
+            entry = sum(int(o.prefers(x, y)) << (n - 1 - agent) for agent, o in enumerate(p))
             code.append(tables[k][entry])
         if tuple(code) in {(0, 1, 0), (1, 0, 1)}:
             return True
@@ -257,22 +257,20 @@ def test_satisfies_iia_finds_witness_on_pair_bc():
     pair, profiles = oracle_iia_witness(2, outputs)
     assert pair == (1, 2)
     # canonically first witness, frozen from the definition scan
-    assert profiles == (Profile((ABC, ABC)), Profile((ABC, BAC)))
+    assert profiles == ((ABC, ABC), (ABC, BAC))
     p1, p2 = profiles
     x, y = pair
-    assert all(o1.prefers(x, y) == o2.prefers(x, y) for o1, o2 in zip(p1.orders, p2.orders))
-    assert outputs[profile_index(p1)].prefers(x, y) != outputs[profile_index(p2)].prefers(x, y)
+    assert all(o1.prefers(x, y) == o2.prefers(x, y) for o1, o2 in zip(p1, p2))
+    assert outputs[oracle_index(p1)].prefers(x, y) != outputs[oracle_index(p2)].prefers(x, y)
 
 
 def test_satisfies_iia_oracle_agreement_on_modified_dictator():
     # brute force over every (pair, profile, profile) triple
     outputs = modified_dictator_outputs()
-    profiles = all_profiles(2, 3)
     violated_pairs = set()
     for x, y in itertools.combinations(range(3), 2):
-        for p1, p2 in itertools.combinations(profiles, 2):
-            if all(o1.prefers(x, y) == o2.prefers(x, y) for o1, o2 in zip(p1.orders, p2.orders)):
-                out1, out2 = outputs[profile_index(p1)], outputs[profile_index(p2)]
+        for (p1, out1), (p2, out2) in itertools.combinations(zip(oracle_profiles(2), outputs), 2):
+            if all(o1.prefers(x, y) == o2.prefers(x, y) for o1, o2 in zip(p1, p2)):
                 if out1.prefers(x, y) != out2.prefers(x, y):
                     violated_pairs.add((x, y))
     assert violated_pairs == {(1, 2)}
@@ -282,13 +280,13 @@ def test_unanimity_of_dictator_and_inverse():
     assert satisfies_unanimity(dictator(2, 1)) is True
     assert satisfies_unanimity(inverse_dictator(2, 0)) is False
     # on the profile unanimous for a>b>c the inverse dictator reverses every pair
-    assert evaluate(inverse_dictator(2, 0), Profile((ABC, ABC))) == CBA
+    assert oracle_outputs(inverse_dictator(2, 0))[oracle_index((ABC, ABC))] == CBA
 
 
 def test_unanimity_of_constant_fails_on_reversed_profile():
     assert satisfies_unanimity(constant_swf(2, ABC)) is False
     # all agents rank every pair opposite to a>b>c, and the output is still a>b>c
-    assert evaluate(constant_swf(2, ABC), Profile((CBA, CBA))) == ABC
+    assert oracle_outputs(constant_swf(2, ABC))[oracle_index((CBA, CBA))] == ABC
 
 
 def test_unanimity_extensional_agrees_with_pairwise_path():
@@ -321,6 +319,12 @@ def test_swf_class_validation():
         SwfClass(SMALL_RANGE, orders=(ABC, CBA))  # distance 3
     with pytest.raises(ValueError):
         SwfClass("bogus")
+
+
+def test_within_one_swap_is_kendall_distance_at_most_one():
+    orders = all_linear_orders(3)
+    for o1, o2 in itertools.product(orders, orders):
+        assert swf_module._within_one_swap(o1, o2) == (_inversion_count_oracle(o1, o2) <= 1)
 
 
 def test_enumerate_iia_swfs_n2_has_94():
@@ -383,15 +387,13 @@ def test_enumerate_budget_admits_exactly_the_candidate_count():
 
 
 def test_every_enumerated_swf_passes_iia_extensionally():
-    profiles = all_profiles(2, 3)
     for s in enumerate_iia_swfs(2):
-        assert oracle_iia_witness(2, tuple(evaluate(s, p) for p in profiles)) is None
+        assert oracle_iia_witness(2, oracle_outputs(s)) is None
 
 
 def test_pairwise_extensional_round_trip_on_all_94():
-    profiles = all_profiles(2, 3)
     for s in enumerate_iia_swfs(2):
-        assert oracle_rebuild_tables(2, tuple(evaluate(s, p) for p in profiles)) == s.tables
+        assert oracle_rebuild_tables(2, oracle_outputs(s)) == s.tables
 
 
 def test_to_pairwise_rejects_non_iia():
@@ -403,7 +405,7 @@ def test_range_structure_of_the_94():
         rng = sorted(range_of(s))
         assert len(rng) in (1, 2, 6)
         if len(rng) == 2:
-            assert kendall_tau(rng[0], rng[1]) == 1
+            assert _inversion_count_oracle(rng[0], rng[1]) == 1
 
 
 def test_classify_is_exhaustive_and_exclusive_on_the_94():
@@ -419,12 +421,12 @@ def test_classify_is_exhaustive_and_exclusive_on_the_94():
 
 
 def test_detectors_agree_with_direct_evaluation_on_all_94():
-    profiles = all_profiles(2, 3)
+    profiles = oracle_profiles(2)
     for s in enumerate_iia_swfs(2):
-        outs = [evaluate(s, p) for p in profiles]
+        outs = oracle_outputs(s)
         for i in range(2):
-            copies = all(out == p.orders[i] for out, p in zip(outs, profiles))
-            reverses = all(out == p.orders[i].reversed() for out, p in zip(outs, profiles))
+            copies = all(out == p[i] for out, p in zip(outs, profiles))
+            reverses = all(out == oracle_reversed(p[i]) for out, p in zip(outs, profiles))
             assert (is_dictatorial(s) == i) == copies
             assert (is_inversely_dictatorial(s) == i) == reverses
 
@@ -442,10 +444,8 @@ def test_table_route_matches_profile_route_on_every_swf(n):
         special = [f(3, i) for f in (dictator, inverse_dictator) for i in range(3)]
         assert set(special) | {constant_swf(3, BAC)} <= set(swfs)
         assert {classify(s).tag for s in swfs} == set(CLASS_TAGS) - {UNCLASSIFIED}
-    profiles = all_profiles(n, 3)
     for s in swfs:
         outputs = oracle_outputs(s)
-        assert outputs == tuple(evaluate(s, p) for p in profiles)
         assert is_dictatorial(s) == oracle_dictator(n, outputs, False)
         assert is_inversely_dictatorial(s) == oracle_dictator(n, outputs, True)
         assert range_of(s) == frozenset(outputs)
@@ -464,6 +464,52 @@ def test_swf_has_one_swf_representation():
             assert node.name != "ExtensionalSwf"
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             assert "all_profiles" not in [alias.name for alias in node.names]
+
+
+PROFILE_LAYER = {
+    "Profile",
+    "all_profiles",
+    "PROFILE_BUDGET",
+    "kendall_tau",
+    "evaluate",
+    "profile_index",
+    "_order_rank",
+    "reversed",
+}
+
+
+def test_the_package_has_no_profile_layer():
+    for path in Path(implab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = [node.id]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            assert not PROFILE_LAYER & set(names), f"{path.name}:{node.lineno} {names}"
+
+
+def test_public_api_is_pinned():
+    assert implab.__all__ == [
+        "__version__",
+        "LinearOrder",
+        "all_linear_orders",
+        "bits_of_order",
+        "order_of_bits",
+        "Cnf",
+        "SolveResult",
+        "Solver",
+        "solve",
+        "enumerate_models",
+        "to_dimacs",
+        "from_dimacs",
+        "encode_arrow",
+    ]
+    for name in implab.__all__:
+        assert getattr(implab, name) is not None
 
 
 def sha256_of_json(obj) -> str:
@@ -513,7 +559,7 @@ def test_wilson_base_case_n2():
     assert tags == [DICTATORIAL, DICTATORIAL, INVERSELY_DICTATORIAL, INVERSELY_DICTATORIAL]
     # oracle: recompute ranges extensionally and refilter
     refiltered = [
-        s for s in enumerate_iia_swfs(2) if len({evaluate(s, p) for p in all_profiles(2, 3)}) == 6
+        s for s in enumerate_iia_swfs(2) if len(set(oracle_outputs(s))) == 6
     ]
     assert list(onto) == refiltered
 
