@@ -249,6 +249,8 @@ def cmd_vickrey(args) -> tuple[dict, int]:
     if args.vickrey_cmd == "maxcheck":
         if args.trials < 1:
             raise ValueError(f"--trials must be at least 1, got {args.trials}")
+        if args.trials > budget:
+            raise ValueError(f"maxcheck of {args.trials} trials exceeds budget {budget}")
         rng = random.Random(args.seed)
         disagreements = 0
         for _ in range(args.trials):
@@ -283,9 +285,9 @@ def cmd_sat(args) -> tuple[dict, int]:
         "model": {str(v): val for v, val in res.assignment.items()} if res.satisfiable else None,
     }
     if res.satisfiable and args.model_out:
-        lits = " ".join(str(v if res.assignment[v] else -v) for v in sorted(res.assignment))
+        lits = [str(v if res.assignment[v] else -v) for v in sorted(res.assignment)]
         with open(args.model_out, "w", encoding="utf-8") as f:
-            f.write(f"v {lits} 0\n")
+            f.write(" ".join(["v", *lits, "0"]) + "\n")
     return payload, 0 if res.satisfiable else 20
 
 

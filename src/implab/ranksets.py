@@ -50,14 +50,6 @@ class Universe:
     def subsets(self) -> range:
         return range(1, 1 << self.m)
 
-    def best_pos(self, mask: int) -> int:
-        """Rank of the best object in mask: its lowest set bit."""
-        return (mask & -mask).bit_length() - 1
-
-    def worst_pos(self, mask: int) -> int:
-        """Rank of the worst object in mask: its highest set bit."""
-        return mask.bit_length() - 1
-
     def subset_name(self, mask: int) -> str:
         return "{" + ",".join(ALTERNATIVE_NAMES[x] for x in range(self.m) if mask >> x & 1) + "}"
 
@@ -172,7 +164,8 @@ def minmax_relation(u: Universe) -> SetRelation:
     so the relation is a weak order rather than a linear one there.
     """
     masks = list(u.subsets())
-    wb = {mask: (u.worst_pos(mask), u.best_pos(mask)) for mask in masks}
+    # the worst object's rank is the highest set bit, the best's the lowest
+    wb = {mask: (mask.bit_length() - 1, _low(mask)) for mask in masks}
     geq = tuple(
         tuple(
             wb[a][0] < wb[b][0] or (wb[a][0] == wb[b][0] and wb[a][1] <= wb[b][1])
@@ -346,11 +339,8 @@ def _guarded_solver(u: Universe, grounded, relation_class: RelationClass) -> Sol
     geq atoms, and each of its clauses is guarded as (-selector, *clause).
     """
     atoms = ((1 << u.m) - 1) ** 2
-    solver = Solver(atoms + len(grounded), _class_clauses(u, relation_class))
-    for k, g in enumerate(grounded, 1):
-        for c in _axiom_clauses(u, g):
-            solver.add_clause((-(atoms + k), *c))
-    return solver
+    guarded = ((-(atoms + k), *c) for k, g in enumerate(grounded, 1) for c in _axiom_clauses(u, g))
+    return Solver(Cnf(atoms + len(grounded), (*_class_clauses(u, relation_class), *guarded)))
 
 
 def _solve_subset(solver: Solver, catalog: tuple[Axiom, ...], subset) -> SolveResult:

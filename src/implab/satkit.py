@@ -11,9 +11,9 @@ deterministic and every Sat answer is the lexicographically greatest model,
 except one: a solver with no clauses, asked without assumptions, answers
 the all-False assignment.
 
-`Solver` is persistent: it keeps its clauses and watch lists between
-calls, takes further clauses with `add_clause`, and answers
-`solve(assumptions)`, which fixes the assumption literals at the root of
+`Cnf` is the one place a clause is checked.  `Solver(cnf)` takes its
+formula once, fixed from then on, and keeps its watch lists between calls
+of `solve(assumptions)`, which fixes the assumption literals at the root of
 the search.  A clause guarded by a selector, (-s, *clause), is thus
 switched on or off per call, so one solver answers a family of related
 formulas.  `solve(cnf)` is a one-shot solver.  `enumerate_models` is
@@ -30,16 +30,6 @@ from dataclasses import dataclass
 DEFAULT_VAR_BUDGET = 1_000_000
 
 
-def _check_clause(clause, num_vars: int) -> None:
-    if not clause:
-        raise ValueError("empty clause not allowed at construction")
-    for lit in clause:
-        if lit == 0:
-            raise ValueError("literal 0 is reserved as the clause terminator")
-        if abs(lit) > num_vars:
-            raise ValueError(f"literal {lit} exceeds declared {num_vars} variable(s)")
-
-
 @dataclass(frozen=True)
 class Cnf:
     num_vars: int
@@ -48,10 +38,17 @@ class Cnf:
 
     def __post_init__(self):
         object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
-        if self.num_vars < 0:
+        num_vars = self.num_vars
+        if num_vars < 0:
             raise ValueError("num_vars must be non-negative")
         for c in self.clauses:
-            _check_clause(c, self.num_vars)
+            if not c:
+                raise ValueError("empty clause not allowed at construction")
+            for lit in c:
+                if lit == 0:
+                    raise ValueError("literal 0 is reserved as the clause terminator")
+                if abs(lit) > num_vars:
+                    raise ValueError(f"literal {lit} exceeds declared {num_vars} variable(s)")
 
 
 @dataclass(frozen=True)
@@ -72,9 +69,10 @@ def _check_model(clauses, assignment) -> bool:
 
 
 class Solver:
-    """DPLL over a growing clause set, answering each call under assumptions.
+    """DPLL over one fixed formula, answering each call under assumptions.
 
-    The clauses and their watch lists live as long as the solver.  Both
+    The solver holds the Cnf's clause tuples as they are, already checked
+    by Cnf, and their watch lists live as long as the solver.  Both
     solve(assumptions) and AllSAT run one search, `_search`, which starts
     from an empty trail, so solve's answer is that of a fresh solve of the
     clauses plus one unit clause per assumption; with the fixed decision
@@ -86,32 +84,25 @@ class Solver:
     list of 2 * num_vars + 1 entries.
     """
 
-    def __init__(self, num_vars: int, clauses=()):
-        if num_vars < 0:
-            raise ValueError("num_vars must be non-negative")
-        self.num_vars = num_vars
-        self.clauses: list[tuple[int, ...]] = []
+    def __init__(self, cnf: Cnf):
+        self.num_vars = num_vars = cnf.num_vars
+        self.clauses = cnf.clauses
         self._watched: list[list[int]] = []  # the two watched literals of each clause
         self._watches: list[list[int]] = [[] for _ in range(2 * num_vars + 1)]  # by literal
         self._units: list[int] = []
         self._value = [0] * (2 * num_vars + 1)  # by literal: 0 unassigned, 1 true, -1 false
         self._trail: list[int] = []  # literals made true, in order
-        for c in clauses:
-            self.add_clause(c)
-
-    def add_clause(self, clause) -> None:
-        # duplicate literals would let both watches collapse onto one literal
-        c = tuple(dict.fromkeys(clause))
-        _check_clause(c, self.num_vars)
-        ci = len(self.clauses)
-        self.clauses.append(c)
-        first, second = c[0], c[1] if len(c) > 1 else c[0]  # a unit clause watches its literal twice
-        self._watched.append([first, second])
-        self._watches[first].append(ci)
-        if second != first:
-            self._watches[second].append(ci)
-        else:
-            self._units.append(first)
+        for ci, c in enumerate(self.clauses):
+            # the second watch differs from the first, so a repeated literal
+            # cannot take both; a unit clause watches its literal twice
+            first = c[0]
+            second = next((lit for lit in c if lit != first), first)
+            self._watched.append([first, second])
+            self._watches[first].append(ci)
+            if second != first:
+                self._watches[second].append(ci)
+            else:
+                self._units.append(first)
 
     def solve(self, assumptions=()) -> SolveResult:
         """Lexicographically greatest model (variable 1 first, true above
@@ -129,8 +120,8 @@ class Solver:
 
         After a model the search goes on as if it were a conflict, flipping
         the latest untried decision, so no clause is added.  The search runs
-        on the solver's own trail: another solve or add_clause on the same
-        solver invalidates a live iterator.
+        on the solver's own trail: another solve on the same solver
+        invalidates a live iterator.
         """
         nvars = self.num_vars
         assumptions = tuple(assumptions)
@@ -219,14 +210,14 @@ class Solver:
 
 def solve(cnf: Cnf) -> SolveResult:
     """DPLL with unit propagation; Sat models are verified before return."""
-    return Solver(cnf.num_vars, cnf.clauses).solve()
+    return Solver(cnf).solve()
 
 
 def enumerate_models(cnf: Cnf, *, limit: int | None = None) -> ModelEnumeration:
     """AllSAT in lexicographically descending order by one continued DPLL
     search; truncated when a model beyond the first `limit` exists."""
     models: list[dict[int, bool]] = []
-    for res in Solver(cnf.num_vars, cnf.clauses)._search():
+    for res in Solver(cnf)._search():
         if limit is not None and len(models) == limit:
             return ModelEnumeration(tuple(models), True)
         models.append(res.assignment)

@@ -432,7 +432,7 @@ def test_sat_command_parse_error_exit_1(capsys, tmp_path):
 def test_sat_header_over_the_variable_budget_exits_1_before_any_solver(capsys, monkeypatch, tmp_path):
     built = []
     solver = satkit.Solver
-    monkeypatch.setattr(satkit, "Solver", lambda *a: built.append(a[0]) or solver(*a))
+    monkeypatch.setattr(satkit, "Solver", lambda cnf: built.append(cnf.num_vars) or solver(cnf))
     monkeypatch.setenv("IMPLAB_BUDGET", "10")
     path = tmp_path / "wide.cnf"
     path.write_text("p cnf 11 1\n1 0\n")
@@ -447,12 +447,12 @@ def test_sat_header_over_the_variable_budget_exits_1_before_any_solver(capsys, m
 
 def test_sat_command_model_out(capsys, tmp_path):
     path = tmp_path / "sat.cnf"
-    path.write_text("p cnf 2 1\n1 2 0\n")
     model_path = tmp_path / "model.txt"
-    code, _ = run_cli(capsys, "sat", str(path), "--model-out", str(model_path))
-    assert code == 0
-    assert model_path.read_text().startswith("v ")
-    assert model_path.read_text().strip().endswith("0")
+    for dimacs, line in (("p cnf 2 1\n1 2 0\n", "v 1 2 0\n"), ("p cnf 0 0\n", "v 0\n")):
+        path.write_text(dimacs)
+        code, _ = run_cli(capsys, "sat", str(path), "--model-out", str(model_path))
+        assert code == 0
+        assert model_path.read_text() == line
 
 
 def test_reports_are_deterministic_modulo_duration(capsys):
@@ -572,6 +572,20 @@ def test_soundness_sweep_over_more_bidders_than_the_budget_is_refused_before_any
     code, report = run_cli(capsys, "vickrey", "soundness", "--n", "100", "--grid", "0")
     assert (code, report["verdict"], report["swept"]) == (0, "sound", 1)
     assert calls == [(0,) * 100] * auctions.SOUNDNESS_RUNS
+
+
+def test_maxcheck_over_the_budget_is_refused_before_any_trial(capsys, monkeypatch):
+    calls = []
+    max_classical = auctions.max_classical
+    monkeypatch.setattr(auctions, "max_classical", lambda xs: calls.append(xs) or max_classical(xs))
+    monkeypatch.setenv("IMPLAB_BUDGET", "10")
+    assert main(["vickrey", "maxcheck", "--trials", "11"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: maxcheck of 11 trials exceeds budget 10\n")
+    assert calls == []
+    code, report = run_cli(capsys, "vickrey", "maxcheck", "--trials", "10")
+    assert (code, report["verdict"], report["trials"]) == (0, "equivalent", 10)
+    assert len(calls) == 10
 
 
 def test_abstract_negative_value_is_refused_by_name(capsys):

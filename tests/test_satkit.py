@@ -7,6 +7,7 @@ import pytest
 
 from implab import satkit, swf
 from implab.orders import all_linear_orders
+from implab.ranksets import CATALOG, RelationClass, Universe, _guarded_solver, ground_axiom
 from implab.satkit import Cnf, Solver, enumerate_models, from_dimacs, solve, to_dimacs
 from implab.swf import (
     DICTATORIAL,
@@ -110,22 +111,69 @@ def test_solve_agrees_with_truth_table_oracle_on_random_cnfs():
 def test_solve_handles_duplicate_literals_and_tautologies():
     assert solve(Cnf(2, ((1, 1, -2), (-1, 1), (2, 2)))).satisfiable
     assert not solve(Cnf(2, ((1, 1), (-1, -1), (2, -2)))).satisfiable
+    # a repeated first literal must not make (1, 1, 2) a unit clause
+    assert solve(Cnf(2, ((1, 1, 2), (-1,)))).assignment == {1: False, 2: True}
+    assert len(enumerate_models(Cnf(2, ((1, 1, 2), (2, 1, 2)))).models) == 3
 
 
 def test_cnf_validation():
     with pytest.raises(ValueError, match="empty clause"):
         Cnf(2, ((),))
+    with pytest.raises(ValueError, match="empty clause"):
+        Cnf(2, ((1, 2), ()))
     with pytest.raises(ValueError, match="exceeds"):
         Cnf(1, ((2,),))
+    with pytest.raises(ValueError, match="exceeds"):
+        Cnf(2, ((1, 2), (-3,)))
     with pytest.raises(ValueError, match="terminator"):
         Cnf(1, ((0,),))
+    with pytest.raises(ValueError, match="terminator"):
+        Cnf(2, ((1, 2), (1, 0)))
+    with pytest.raises(ValueError, match="non-negative"):
+        Cnf(-1, ())
+
+
+@pytest.fixture
+def literal_checks(monkeypatch):
+    """Count the literals satkit compares with num_vars, by wrapping the abs
+    its clause check calls."""
+    checked = []
+    monkeypatch.setattr(satkit, "abs", lambda lit: checked.append(lit) or abs(lit), raising=False)
+    return checked
+
+
+@pytest.mark.parametrize("run", [solve, enumerate_models], ids=["solve", "enumerate_models"])
+def test_each_literal_is_checked_once_on_the_cnf_path(literal_checks, run):
+    base = encode_arrow(2).cnf
+    literal_checks.clear()
+    cnf = Cnf(base.num_vars, base.clauses)
+    literals = [lit for c in cnf.clauses for lit in c]
+    assert literal_checks == literals
+    run(cnf)
+    assert literal_checks == literals
+
+
+def test_each_literal_is_checked_once_by_the_guarded_solver(literal_checks):
+    u = Universe(4)
+    grounded = [ground_axiom(u, ax) for ax in CATALOG]
+    for cls in RelationClass:
+        literal_checks.clear()
+        solver = _guarded_solver(u, grounded, cls)
+        assert literal_checks == [lit for c in solver.clauses for lit in c]
+
+
+def test_solver_takes_one_cnf_and_no_further_clauses():
+    assert not hasattr(Solver, "add_clause")
+    assert not hasattr(satkit, "_check_clause")
+    cnf = Cnf(2, ((1, 2),))
+    assert Solver(cnf).clauses is cnf.clauses
 
 
 def test_solver_under_assumptions_equals_a_fresh_solve_with_units():
     rng = random.Random(2024)
     for _ in range(150):
         cnf = random_3cnf(rng)
-        solver = Solver(cnf.num_vars, cnf.clauses)
+        solver = Solver(cnf)
         for _ in range(4):
             k = rng.randint(0, 3)
             a = [v if rng.random() < 0.5 else -v for v in rng.choices(range(1, cnf.num_vars + 1), k=k)]
@@ -133,43 +181,16 @@ def test_solver_under_assumptions_equals_a_fresh_solve_with_units():
             assert solver.solve(a) == fresh
 
 
-def test_solver_add_clause_after_sat_and_after_unsat_solves():
-    solver = Solver(2, [(1, 2)])
-    assert solver.solve().assignment == {1: True, 2: True}
-    solver.add_clause((-1,))
-    assert solver.solve().assignment == {1: False, 2: True}
-    assert not solver.solve([-2]).satisfiable
-    solver.add_clause((-2, 1, -2))
-    assert not solver.solve().satisfiable
-    assert not solver.solve([2]).satisfiable
-
-    solver = Solver(2, [(1, 2)])
-    assert not solver.solve([-1, -2]).satisfiable
-    solver.add_clause((1,))
-    assert solver.solve().assignment == {1: True, 2: True}
-    assert solver.solve([-2]).assignment == {1: True, 2: False}
-
-
 def test_solver_rejects_bad_literals():
-    with pytest.raises(ValueError, match="exceeds"):
-        Solver(2, [(1, 3)])
-    solver = Solver(2, [(1, 2)])
-    with pytest.raises(ValueError, match="terminator"):
-        solver.add_clause((1, 0))
-    with pytest.raises(ValueError, match="exceeds"):
-        solver.add_clause((-3,))
-    with pytest.raises(ValueError, match="empty clause"):
-        solver.add_clause(())
+    solver = Solver(Cnf(2, ((1, 2),)))
     with pytest.raises(ValueError, match="not a literal"):
         solver.solve([0])
     with pytest.raises(ValueError, match="not a literal"):
         solver.solve([-3])
-    with pytest.raises(ValueError, match="non-negative"):
-        Solver(-1)
 
 
 def test_solver_with_no_clauses_gives_all_false():
-    solver = Solver(3)
+    solver = Solver(Cnf(3, ()))
     assert solver.solve().assignment == {1: False, 2: False, 3: False}
     assert solver.solve([2]) == solve(Cnf(3, ((2,),)))
     assert solver.solve().assignment == {1: False, 2: False, 3: False}
@@ -178,7 +199,7 @@ def test_solver_with_no_clauses_gives_all_false():
 def test_solver_model_check_guards_every_answer(monkeypatch):
     monkeypatch.setattr(satkit, "_check_model", lambda clauses, assignment: False)
     with pytest.raises(RuntimeError, match="solver bug"):
-        Solver(2, [(1, 2)]).solve([-1])
+        Solver(Cnf(2, ((1, 2),))).solve([-1])
     with pytest.raises(RuntimeError, match="solver bug"):
         enumerate_models(Cnf(2, ((1, 2),)))
 
