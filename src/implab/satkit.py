@@ -25,6 +25,7 @@ models in lexicographically descending order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 # variables a DIMACS header may declare: the solver allocates per variable
 DEFAULT_VAR_BUDGET = 1_000_000
@@ -37,11 +38,22 @@ class Cnf:
     var_names: dict[int, str] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
+        clauses = tuple(map(tuple, self.clauses))
+        object.__setattr__(self, "clauses", clauses)
         num_vars = self.num_vars
         if num_vars < 0:
             raise ValueError("num_vars must be non-negative")
-        for c in self.clauses:
+        # one pass collects the distinct literals, which are then checked in
+        # bulk; only a formula that fails the bulk check is walked literal by
+        # literal, so that the error names its first bad clause or literal
+        try:
+            lits = set(chain.from_iterable(clauses))
+            lo, hi = min(lits, default=0), max(lits, default=0)
+            if all(clauses) and 0 not in lits and -num_vars <= lo and hi <= num_vars:
+                return
+        except TypeError:
+            pass
+        for c in clauses:
             if not c:
                 raise ValueError("empty clause not allowed at construction")
             for lit in c:
@@ -96,7 +108,9 @@ class Solver:
             # the second watch differs from the first, so a repeated literal
             # cannot take both; a unit clause watches its literal twice
             first = c[0]
-            second = next((lit for lit in c if lit != first), first)
+            second = c[1] if len(c) > 1 else first
+            if second == first:
+                second = next((lit for lit in c if lit != first), first)
             self._watched.append([first, second])
             self._watches[first].append(ci)
             if second != first:

@@ -58,6 +58,8 @@ SMALL_RANGE = "small_range"
 UNCLASSIFIED = "unclassified"
 CLASS_TAGS = (DICTATORIAL, INVERSELY_DICTATORIAL, CONSTANT, SMALL_RANGE, UNCLASSIFIED)
 
+_BITS = frozenset((0, 1))
+
 
 @dataclass(frozen=True)
 class PairwiseSwf:
@@ -72,10 +74,17 @@ class PairwiseSwf:
         size = 1 << self.n
         if len(self.tables) != 3 or any(len(t) != size for t in self.tables):
             raise ValueError(f"need 3 tables of {size} entries each")
-        if any(e not in (0, 1) for t in self.tables for e in t):
+        try:
+            bits = _BITS.issuperset(itertools.chain(*self.tables))
+        except TypeError:  # an unhashable entry; the per-entry test below decides
+            bits = False
+        if not bits and any(e not in (0, 1) for t in self.tables for e in t):
             raise ValueError("table entries must be 0 or 1")
-        # the cyclic codes are 010 and 101: ab != ac, and bc equal to ab
+        # the cyclic codes are 010 and 101: ab != ac, and bc equal to ab.
+        # The masks are kept for range_of, outside the fields, so equality,
+        # hashing and repr still read only n and the tables.
         met = _bc_entries_met(self.n, self.tables[0], self.tables[1])
+        object.__setattr__(self, "_bc_met", met)
         ones = _table_to_int(self.tables[2])
         if met[0b01] & ~ones:
             raise ValueError("tables produce cyclic social code (0, 1, 0) on some profile")
@@ -157,13 +166,13 @@ def _entry_pair_groups(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((i1, i2, mask) for (i1, i2), mask in sorted(masks.items()))
 
 
-def _bc_entries_met(n: int, ab: tuple[int, ...], ac: tuple[int, ...]) -> list[int]:
+def _bc_entries_met(n: int, ab: tuple[int, ...], ac: tuple[int, ...]) -> tuple[int, int, int, int]:
     """Indexed by 2*ab bit + ac bit: the mask of bc entries that some
     profile selects together with that pair of social bits."""
     met = [0, 0, 0, 0]
     for i1, i2, mask in _entry_pair_groups(n):
         met[ab[i1] << 1 | ac[i2]] |= mask
-    return met
+    return tuple(met)
 
 
 def satisfies_unanimity(swf: PairwiseSwf) -> bool:
@@ -207,7 +216,7 @@ def is_inversely_dictatorial(swf: PairwiseSwf) -> int | None:
 
 
 def range_of(swf: PairwiseSwf) -> frozenset[LinearOrder]:
-    met = _bc_entries_met(swf.n, swf.tables[0], swf.tables[1])
+    met = swf._bc_met  # computed once, by the constructor
     ones = _table_to_int(swf.tables[2])
     return frozenset(
         order_of_bits((k >> 1, k & 1, bc))
@@ -236,11 +245,13 @@ def classify(swf: PairwiseSwf) -> SwfClass:
 def enumerate_iia_swfs(n: int, candidate_budget: int = DEFAULT_CANDIDATE_BUDGET) -> list[PairwiseSwf]:
     """All acyclic-valid pairwise SWFs, lexicographic on concatenated tables.
 
-    Brute force over candidate table triples: for each (ab, ac) pair of
-    tables, the acyclicity constraint either forces or frees each bc entry,
-    so the bc tables are completed directly instead of rescanned.  The
-    forced entries for every ac table come from one table of ORs per ab
-    table.
+    For each ab table, a depth-first search sets the ac entries in order,
+    entry 0 first and bit 0 before bit 1.  Each ac bit forces some bc
+    entries (bit 1 forces a 1 where ab is 0, else the code is 010; bit 0
+    forces a 0 where ab is 1, else 101); the search carries the forced-1
+    and forced-0 masks and drops a branch as soon as they meet.  A complete
+    ac table leaves the other bc entries free, so its bc tables are
+    completed directly instead of scanned.
     """
     if n < 1:
         raise ValueError(f"agent count must be positive, got {n}")
@@ -256,30 +267,27 @@ def enumerate_iia_swfs(n: int, candidate_budget: int = DEFAULT_CANDIDATE_BUDGET)
     tables = [_int_to_table(x, size) for x in range(1 << size)]
     full = (1 << size) - 1
     out: list[PairwiseSwf] = []
-    for t1 in range(1 << size):
-        ab = tables[t1]
-        # per ac entry, as a bit position of the ac table: the bc entries an
-        # ac bit of 1 forces to 1 (ab=0, else 010) and an ac bit of 0 forces
-        # to 0 (ab=1, else 101)
+    for ab in tables:
+        # per ac entry: the bc entries its bit 1 forces to 1 and its bit 0 to 0
         force1 = [0] * size
         force0 = [0] * size
         for i1, i2, mask in groups:
             if ab[i1]:
-                force0[size - 1 - i2] |= mask
+                force0[i2] |= mask
             else:
-                force1[size - 1 - i2] |= mask
-        # the same forces ORed over every set of ac entries, built up from
-        # the set without its lowest bit
-        or1 = [0] * (1 << size)
-        or0 = [0] * (1 << size)
-        for t in range(1, 1 << size):
-            low = (t & -t).bit_length() - 1
-            or1[t] = or1[t & (t - 1)] | force1[low]
-            or0[t] = or0[t & (t - 1)] | force0[low]
-        for t2 in range(1 << size):
-            forced1 = or1[t2]
-            forced0 = or0[full ^ t2]
-            if forced1 & forced0:
+                force1[i2] |= mask
+        # (next ac entry, ac table so far, forced-1 mask, forced-0 mask); bit 1
+        # is pushed first, so bit 0 comes off the stack first
+        stack = [(0, 0, 0, 0)]
+        while stack:
+            j, t2, forced1, forced0 = stack.pop()
+            if j < size:
+                f1 = forced1 | force1[j]
+                if not f1 & forced0:
+                    stack.append((j + 1, t2 << 1 | 1, f1, forced0))
+                f0 = forced0 | force0[j]
+                if not forced1 & f0:
+                    stack.append((j + 1, t2 << 1, forced1, f0))
                 continue
             free = full ^ (forced1 | forced0)
             sub = 0  # the subsets of free, in increasing order

@@ -127,6 +127,16 @@ def test_arrow_three_agents_classifies_each_swf_once_and_never_calls_solve(capsy
     assert 0 < calls["range_of"] <= 1536
 
 
+def test_arrow_three_agents_computes_each_swfs_masks_once(capsys, monkeypatch):
+    calls = []
+    met = swf._bc_entries_met
+    monkeypatch.setattr(swf, "_bc_entries_met", lambda *args: calls.append(args) or met(*args))
+    code, report = run_cli(capsys, "arrow", "--agents", "3")
+    assert code == 0 and report["iia_count"] == 1536
+    # one per SWF, in its constructor; range_of reads the stored masks
+    assert len(calls) == 1536
+
+
 def test_arrow_budget_error_exits_1(capsys):
     code = main(["arrow", "--agents", "4"])
     err = capsys.readouterr().err

@@ -86,6 +86,38 @@ def test_order_of_bits_rejects_cycles_naming_them():
         order_of_bits((1, 0, 1))
 
 
+# each int code with the ranking it decodes to, or the message it is refused with
+DECODED = {
+    (0, 0, 0): (2, 1, 0),
+    (0, 0, 1): (1, 2, 0),
+    (0, 1, 0): "cyclic bit code 010: b>a, a>c, c>b",
+    (0, 1, 1): (1, 0, 2),
+    (1, 0, 0): (2, 0, 1),
+    (1, 0, 1): "cyclic bit code 101: a>b, c>a, b>c",
+    (1, 1, 0): (0, 2, 1),
+    (1, 1, 1): (0, 1, 2),
+}
+
+
+def test_order_of_bits_keeps_its_answers_and_messages():
+    cases = []
+    for code, expected in DECODED.items():
+        cases += [(code, expected), (tuple(map(bool, code)), expected), (list(code), expected)]
+    cases += [
+        ((0, 1), "bit code must be a triple of 0/1, got (0, 1)"),
+        ((1, 0, 1, 0), "bit code must be a triple of 0/1, got (1, 0, 1, 0)"),
+        ((0, 2, 1), "bit code must be a triple of 0/1, got (0, 2, 1)"),
+        ([2, 0, 0], "bit code must be a triple of 0/1, got (2, 0, 0)"),
+    ]
+    for code, expected in cases:
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as info:
+                order_of_bits(code)
+            assert str(info.value) == expected
+        else:
+            assert order_of_bits(code) == LinearOrder(expected)
+
+
 def test_format_bits():
     assert format_bits((1, 1, 0)) == "110"
 

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -134,32 +135,51 @@ def test_cnf_validation():
 
 
 @pytest.fixture
-def literal_checks(monkeypatch):
-    """Count the literals satkit compares with num_vars, by wrapping the abs
-    its clause check calls."""
+def cnf_checks(monkeypatch):
+    """Record each formula that satkit checks, by wrapping Cnf's check."""
     checked = []
-    monkeypatch.setattr(satkit, "abs", lambda lit: checked.append(lit) or abs(lit), raising=False)
+    check = Cnf.__post_init__
+
+    def recording(cnf):
+        checked.append(cnf)
+        check(cnf)
+
+    monkeypatch.setattr(Cnf, "__post_init__", recording)
     return checked
 
 
+# clauses over 2 variables, each with the message that names its first bad clause or literal
+BAD_CLAUSES = [
+    (((1, 2), (-3, 1)), "literal -3 exceeds declared 2 variable(s)"),
+    (((1, 3, 0),), "literal 3 exceeds declared 2 variable(s)"),
+    (((1, 0, 3),), "literal 0 is reserved as the clause terminator"),
+    (((1,), (), (3,)), "empty clause not allowed at construction"),
+    (((-1, 3), ()), "literal 3 exceeds declared 2 variable(s)"),
+    (((1, 2), (2, -1, -5, 7)), "literal -5 exceeds declared 2 variable(s)"),
+]
+
+
 @pytest.mark.parametrize("run", [solve, enumerate_models], ids=["solve", "enumerate_models"])
-def test_each_literal_is_checked_once_on_the_cnf_path(literal_checks, run):
+def test_each_literal_is_checked_once_on_the_cnf_path(cnf_checks, run):
     base = encode_arrow(2).cnf
-    literal_checks.clear()
+    cnf_checks.clear()
     cnf = Cnf(base.num_vars, base.clauses)
-    literals = [lit for c in cnf.clauses for lit in c]
-    assert literal_checks == literals
-    run(cnf)
-    assert literal_checks == literals
+    assert cnf_checks == [cnf]
+    run(cnf)  # the solver takes the checked clauses as they are
+    assert cnf_checks == [cnf]
+    for clauses, message in BAD_CLAUSES:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(Cnf(2, clauses))
 
 
-def test_each_literal_is_checked_once_by_the_guarded_solver(literal_checks):
+def test_each_literal_is_checked_once_by_the_guarded_solver(cnf_checks):
     u = Universe(4)
     grounded = [ground_axiom(u, ax) for ax in CATALOG]
     for cls in RelationClass:
-        literal_checks.clear()
+        cnf_checks.clear()
         solver = _guarded_solver(u, grounded, cls)
-        assert literal_checks == [lit for c in solver.clauses for lit in c]
+        assert len(cnf_checks) == 1
+        assert solver.clauses is cnf_checks[0].clauses
 
 
 def test_solver_takes_one_cnf_and_no_further_clauses():

@@ -338,6 +338,50 @@ def test_enumerate_is_canonically_sorted_and_unique():
     assert len(set(swfs)) == len(swfs)
 
 
+def or_table_enumeration(n: int) -> list[PairwiseSwf]:
+    """The enumerator as it was before the pruned search, as an oracle: per
+    ab table, the bc entries forced by every set of ac entries come from two
+    tables of ORs, and every ac table is scanned against them."""
+    size = 1 << n
+    groups = swf_module._entry_pair_groups(n)
+    tables = [swf_module._int_to_table(x, size) for x in range(1 << size)]
+    full = (1 << size) - 1
+    out = []
+    for t1 in range(1 << size):
+        ab = tables[t1]
+        force1 = [0] * size
+        force0 = [0] * size
+        for i1, i2, mask in groups:
+            if ab[i1]:
+                force0[size - 1 - i2] |= mask
+            else:
+                force1[size - 1 - i2] |= mask
+        or1 = [0] * (1 << size)
+        or0 = [0] * (1 << size)
+        for t in range(1, 1 << size):
+            low = (t & -t).bit_length() - 1
+            or1[t] = or1[t & (t - 1)] | force1[low]
+            or0[t] = or0[t & (t - 1)] | force0[low]
+        for t2 in range(1 << size):
+            forced1 = or1[t2]
+            forced0 = or0[full ^ t2]
+            if forced1 & forced0:
+                continue
+            free = full ^ (forced1 | forced0)
+            sub = 0
+            while True:
+                out.append(PairwiseSwf(n, (ab, tables[t2], tables[forced1 | sub])))
+                sub = (sub - free) & free
+                if not sub:
+                    break
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pruned_search_equals_the_or_table_enumeration(n):
+    assert enumerate_iia_swfs(n) == or_table_enumeration(n)
+
+
 def test_census_n2_is_84_6_2_2():
     counts = census(classified(2))
     assert counts == {
