@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Protocol, Sequence
-
-from .parallel import pool_map, worker_count
 
 DEFAULT_SWEEP_BUDGET = 10_000_000
 SOUNDNESS_RUNS = 3
@@ -246,8 +245,8 @@ def _sweep_range(task: tuple) -> tuple[tuple[int, int, int], DominanceCounterexa
     whose outermost iterated coordinate has a grid index in range(lo, hi).
 
     task is (n, checks, points, rule, lo, hi), checks being the (index,
-    valuation) pairs in agents order, one tuple so that pool_map can hand it
-    to a worker.  A hit's key is (position in checks, position of the
+    valuation) pairs in agents order, one tuple so that a process pool can
+    hand it to a worker.  A hit's key is (position in checks, position of the
     opponents' bids in product order, grid index of the deviation), so the
     least key is the first hit in the per-agent order.
 
@@ -364,8 +363,8 @@ def check_dominance(
     same opponents' bids.  The counterexample reported is the first in
     agents order, then in the per-agent order of opponents' bids (product
     order) and deviations (ascending).  jobs splits the outermost iterated
-    coordinate's grid points into contiguous ranges, one per worker; the
-    result does not depend on it.
+    coordinate's grid points into contiguous ranges, one per worker, with
+    no more workers than CPUs or grid points; the result does not depend on it.
     """
     indices = tuple(i for i, _ in agents)
     v = to_amounts((v_i for _, v_i in agents), "valuation")
@@ -381,10 +380,20 @@ def check_dominance(
     cells = sum(k ** (n - 1) * len(set(points) | {v_i}) for v_i in values)
     if cells > sweep_budget:
         raise ValueError(f"dominance sweep of {cells} cells exceeds budget {sweep_budget}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    w = min(jobs, os.cpu_count() or 1, k)
     checks = tuple(zip(indices, values))
-    w = worker_count(jobs, k)
     tasks = [(n, checks, points, rule, k * r // w, k * (r + 1) // w) for r in range(w)]
-    hits = [h for h in pool_map(_sweep_range, tasks, jobs) if h is not None]
+    if w == 1:
+        hits = [_sweep_range(tasks[0])]
+    else:
+        # imported here so that importing the package does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=w) as pool:
+            hits = list(pool.map(_sweep_range, tasks))
+    hits = [h for h in hits if h is not None]
     if hits:
         return DominanceResult(False, cells, _unscaled(min(hits, key=lambda h: h[0])[1], d, rule))
     return DominanceResult(True, cells)

@@ -61,11 +61,6 @@ def bits_of_order(order: LinearOrder) -> tuple[int, int, int]:
 
 def order_of_bits(code: tuple[int, int, int]) -> LinearOrder:
     """Decode a (a>b, a>c, b>c) triple; rejects the two cyclic codes."""
-    if type(code) is tuple:
-        try:
-            return _ORDER_BY_BITS[code]
-        except (KeyError, TypeError):  # cyclic, malformed or unhashable: checked below
-            pass
     code = tuple(int(b) for b in code)
     if len(code) != 3 or any(b not in (0, 1) for b in code):
         raise ValueError(f"bit code must be a triple of 0/1, got {code}")

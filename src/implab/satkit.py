@@ -245,6 +245,14 @@ def to_dimacs(cnf: Cnf) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_ascii_ints(line: str) -> None:
+    """int() also reads non-ASCII digits and '_' separators, which DIMACS
+    does not allow; with neither in the line, int() reads a token exactly
+    when it is ASCII digits after an optional sign."""
+    if not line.isascii() or "_" in line:
+        raise ValueError(line)
+
+
 def from_dimacs(text: str) -> Cnf:
     """Parse DIMACS CNF.  A clause may span lines; a SATLIB '%' line ends the input."""
     num_vars: int | None = None
@@ -265,6 +273,7 @@ def from_dimacs(text: str) -> Cnf:
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise ValueError(f"line {lineno}: malformed header {line!r}, expected 'p cnf V C'")
             try:
+                _check_ascii_ints(line)
                 num_vars, declared_clauses = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ValueError(f"line {lineno}: non-integer counts in header {line!r}") from None
@@ -274,6 +283,7 @@ def from_dimacs(text: str) -> Cnf:
         if num_vars is None:
             raise ValueError(f"line {lineno}: clause before 'p cnf' header")
         try:
+            _check_ascii_ints(line)
             tokens = [int(t) for t in line.split()]
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer literal in {line!r}") from None

@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 
 from .orders import (
     CYCLIC_CODES,
@@ -41,7 +41,6 @@ from .orders import (
     LinearOrder,
     all_linear_orders,
     bits_of_order,
-    order_of_bits,
 )
 from .satkit import Cnf
 
@@ -81,11 +80,11 @@ class PairwiseSwf:
         if not bits and any(e not in (0, 1) for t in self.tables for e in t):
             raise ValueError("table entries must be 0 or 1")
         # the cyclic codes are 010 and 101: ab != ac, and bc equal to ab.
-        # The masks are kept for range_of, outside the fields, so equality,
-        # hashing and repr still read only n and the tables.
+        # The masks and the bc table are kept for range_of, outside the
+        # fields, so equality, hashing and repr still read only n and the tables.
         met = _bc_entries_met(self.n, self.tables[0], self.tables[1])
-        object.__setattr__(self, "_bc_met", met)
         ones = _table_to_int(self.tables[2])
+        object.__setattr__(self, "_bc", (met, ones))
         if met[0b01] & ~ones:
             raise ValueError("tables produce cyclic social code (0, 1, 0) on some profile")
         if met[0b10] & ones:
@@ -122,6 +121,16 @@ def _within_one_swap(o1: LinearOrder, o2: LinearOrder) -> bool:
 @lru_cache(maxsize=None)
 def _codes6() -> tuple[tuple[int, int, int], ...]:
     return tuple(bits_of_order(o) for o in all_linear_orders(3))
+
+
+@lru_cache(maxsize=None)
+def _order_by_code() -> tuple[LinearOrder | None, ...]:
+    """Indexed by the code 4*ab + 2*ac + bc: its order, None for 010 and 101."""
+    out: list[LinearOrder | None] = [None] * 8
+    for o in all_linear_orders(3):
+        ab, ac, bc = bits_of_order(o)
+        out[ab << 2 | ac << 1 | bc] = o
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -216,10 +225,11 @@ def is_inversely_dictatorial(swf: PairwiseSwf) -> int | None:
 
 
 def range_of(swf: PairwiseSwf) -> frozenset[LinearOrder]:
-    met = swf._bc_met  # computed once, by the constructor
-    ones = _table_to_int(swf.tables[2])
+    met, ones = swf._bc  # computed once, by the constructor
+    orders = _order_by_code()
+    # met is indexed by 2*ab + ac, so k << 1 | bc is the social code
     return frozenset(
-        order_of_bits((k >> 1, k & 1, bc))
+        orders[k << 1 | bc]
         for k, mask in enumerate(met)
         for bc, side in ((1, ones), (0, ~ones))
         if mask & side
@@ -358,7 +368,7 @@ def onto_survivors(classes: Mapping[PairwiseSwf, SwfClass]) -> tuple[PairwiseSwf
 
 @dataclass(frozen=True)
 class ArrowEncoding:
-    """CNF over the 3*2^n pairwise truth-table entries.
+    """CNF over the 3*2^n pairwise truth-table entries, numbered by entry_var.
 
     Independence is structural: the variables *are* the table entries, so
     only acyclicity and the requested axioms need clauses.
@@ -367,8 +377,11 @@ class ArrowEncoding:
     n: int
     axioms: frozenset[str]
     cnf: Cnf
-    var_of: dict[tuple[int, int], int] = field(repr=False)  # (pair, entry) -> var
-    entry_of: dict[int, tuple[int, int]] = field(repr=False)
+
+
+def entry_var(n: int, pair: int, entry: int) -> int:
+    """The variable of entry `entry` of pair `pair`'s table, in 1..3*2^n."""
+    return pair * (1 << n) + entry + 1
 
 
 def _axiom_set(axioms: frozenset[str] | set[str]) -> frozenset[str]:
@@ -385,10 +398,7 @@ def encode_arrow(n: int, axioms: frozenset[str] | set[str] = frozenset()) -> Arr
         raise ValueError(f"agent count {n} outside supported range 1..{ENCODE_AGENT_CAP}")
     axioms = _axiom_set(axioms)
     size = 1 << n
-
-    def var(pair: int, entry: int) -> int:
-        return pair * size + entry + 1
-
+    var = partial(entry_var, n)
     clauses: list[tuple[int, ...]] = []
     for i1, i2, i3 in profile_pair_indices(n):
         v1, v2, v3 = var(0, i1), var(1, i2), var(2, i3)
@@ -406,21 +416,19 @@ def encode_arrow(n: int, axioms: frozenset[str] | set[str] = frozenset()) -> Arr
                 tuple(-var(k, j) if bits[j] else var(k, j) for k in range(3) for j in range(size))
             )
     ordered = sorted(set(tuple(sorted(c, key=abs)) for c in clauses))
-    var_of = {(k, j): var(k, j) for k in range(3) for j in range(size)}
-    entry_of = {v: kj for kj, v in var_of.items()}
-    names = {v: f"{PAIR_NAMES[k]}:{j:0{n}b}" for (k, j), v in var_of.items()}
+    names = {var(k, j): f"{PAIR_NAMES[k]}:{j:0{n}b}" for k in range(3) for j in range(size)}
     cnf = Cnf(3 * size, tuple(ordered), var_names=names)
-    return ArrowEncoding(n=n, axioms=axioms, cnf=cnf, var_of=var_of, entry_of=entry_of)
+    return ArrowEncoding(n=n, axioms=axioms, cnf=cnf)
 
 
 def decode_model(enc: ArrowEncoding, model: dict[int, bool]) -> PairwiseSwf:
     """Read the table entries out of a model; must yield a valid SWF."""
     size = 1 << enc.n
-    missing = [v for v in enc.entry_of if v not in model]
+    missing = [v for v in range(1, 3 * size + 1) if v not in model]
     if missing:
         raise ValueError(f"model must assign all encoding variables; missing {missing[:5]}")
     tables = tuple(
-        tuple(1 if model[enc.var_of[(k, j)]] else 0 for j in range(size)) for k in range(3)
+        tuple(1 if model[entry_var(enc.n, k, j)] else 0 for j in range(size)) for k in range(3)
     )
     try:
         return PairwiseSwf(enc.n, tables)

@@ -137,6 +137,16 @@ def test_arrow_three_agents_computes_each_swfs_masks_once(capsys, monkeypatch):
     assert len(calls) == 1536
 
 
+def test_arrow_three_agents_converts_each_swfs_bc_table_once(capsys, monkeypatch):
+    calls = []
+    to_int = swf._table_to_int
+    monkeypatch.setattr(swf, "_table_to_int", lambda *args: calls.append(args) or to_int(*args))
+    code, report = run_cli(capsys, "arrow", "--agents", "3")
+    assert code == 0 and report["iia_count"] == 1536
+    # one per SWF, in its constructor; range_of reads the stored bc table
+    assert len(calls) == 1536
+
+
 def test_arrow_budget_error_exits_1(capsys):
     code = main(["arrow", "--agents", "4"])
     err = capsys.readouterr().err
@@ -439,6 +449,18 @@ def test_sat_command_parse_error_exit_1(capsys, tmp_path):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [("p cnf 1_0 1\n1_0 -2 0\n", 1), ("p cnf 2 1\n1_0 -2 0\n", 2), ("p cnf 2 1\n\u0661 -2 0\n", 2)],
+)
+def test_sat_command_refuses_non_ascii_integers(capsys, tmp_path, text, line):
+    path = tmp_path / "bad.cnf"
+    path.write_text(text, encoding="utf-8")
+    assert main(["sat", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: line {line}: non-integer ")
+
+
 def test_sat_header_over_the_variable_budget_exits_1_before_any_solver(capsys, monkeypatch, tmp_path):
     built = []
     solver = satkit.Solver
@@ -712,6 +734,13 @@ def readme_commands() -> list[list[str]]:
     """The `implab ...` lines of the README's command block, as argv lists."""
     block = re.search(r"## Command line\n.*?```sh\n(.*?)```", README.read_text(), re.S).group(1)
     return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("implab ")]
+
+
+def test_readme_package_layout_names_every_module():
+    block = re.search(r"## Package layout\n\n```\nsrc/implab/\n(.*?)```", README.read_text(), re.S).group(1)
+    named = re.findall(r"^  (\w+\.py) ", block, re.M)
+    package = Path(swf.__file__).parent
+    assert sorted(named) == sorted(p.name for p in package.glob("*.py"))
 
 
 def test_readme_examples_run(capsys, monkeypatch, tmp_path):

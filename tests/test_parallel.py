@@ -1,11 +1,12 @@
-import ast
 import concurrent.futures
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from implab import parallel, ranksets
+import implab
 from implab.auctions import check_weak_dominance, parse_grid
 from implab.cli import main
 
@@ -36,18 +37,21 @@ def pools(monkeypatch):
 
 
 def test_worker_count_is_clamped_to_jobs_cpus_and_tasks(pools):
-    assert parallel.worker_count(HUGE, 100) == 4
-    assert parallel.worker_count(HUGE, 3) == 3
-    assert parallel.worker_count(2, 100) == 2
-    assert parallel.worker_count(HUGE, 0) == 1
-    with pytest.raises(ValueError, match="at least 1"):
-        parallel.worker_count(0, 5)
+    # the tasks are one coordinate's grid points; 4 CPUs in the fixture
+    ten, three = parse_grid("0:9:1"), parse_grid("0:2:1")
+    assert check_weak_dominance([3, 1], ten, jobs=HUGE) == check_weak_dominance([3, 1], ten)
+    check_weak_dominance([3, 1], three, jobs=HUGE)
+    check_weak_dominance([3, 1], ten, jobs=2)
+    assert pools == [4, 3, 2]
+    with pytest.raises(ValueError, match="jobs must be at least 1, got 0"):
+        check_weak_dominance([3, 1], ten, jobs=0)
 
 
-def test_pool_map_stays_in_process_for_one_worker(pools, monkeypatch):
-    assert parallel.pool_map(abs, [-1, -2], 1) == [1, 2]
+def test_one_worker_starts_no_pool(pools, monkeypatch):
+    grid = parse_grid("0:4:1")
+    seq = check_weak_dominance([3, 1, 2], grid, jobs=1)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert parallel.pool_map(abs, [-1, -2], HUGE) == [1, 2]
+    assert check_weak_dominance([3, 1, 2], grid, jobs=HUGE) == seq
     assert pools == []
 
 
@@ -64,13 +68,17 @@ def test_discovery_starts_no_pool(pools, capsys):
     assert pools == []
 
 
-def test_ranksets_does_not_import_parallel():
-    tree = ast.parse(Path(ranksets.__file__).read_text())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            assert not any(alias.name.endswith("parallel") for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            assert node.module != "parallel" and "parallel" not in [a.name for a in node.names]
+def test_importing_the_cli_loads_no_process_pool():
+    code = "import sys, implab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(implab.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
+def test_only_auctions_names_concurrent_futures():
+    package = Path(implab.__file__).parent
+    naming = {p.name for p in package.glob("*.py") if "concurrent.futures" in p.read_text()}
+    assert naming == {"auctions.py"}
 
 
 def test_cli_huge_jobs_uses_the_clamped_pool(pools, capsys):

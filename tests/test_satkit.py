@@ -17,6 +17,7 @@ from implab.swf import (
     classify,
     decode_model,
     encode_arrow,
+    entry_var,
     enumerate_iia_swfs,
     is_dictatorial,
     satisfies_unanimity,
@@ -296,6 +297,20 @@ def test_from_dimacs_error_messages_carry_line_numbers():
         from_dimacs("c nothing\n")
 
 
+def test_from_dimacs_reads_only_ascii_integers():
+    # int() alone reads '1_0' as 10 and the Arabic-Indic digit one as 1
+    with pytest.raises(ValueError, match=r"^line 1: non-integer counts in header 'p cnf 1_0 1'$"):
+        from_dimacs("p cnf 1_0 1\n1_0 -2 0\n")
+    with pytest.raises(ValueError, match=r"^line 2: non-integer literal in '1_0 -2 0'$"):
+        from_dimacs("p cnf 10 1\n1_0 -2 0\n")
+    with pytest.raises(ValueError, match=r"^line 2: non-integer literal in '\u0661 -2 0'$"):
+        from_dimacs("p cnf 2 1\n\u0661 -2 0\n")
+    with pytest.raises(ValueError, match=r"^line 1: non-integer counts in header"):
+        from_dimacs("p cnf \u0662 1\n1 0\n")
+    # an explicit sign is still an integer
+    assert from_dimacs("p cnf +2 1\n+1 -2 0\n").clauses == ((1, -2),)
+
+
 def test_from_dimacs_accepts_a_clause_spanning_lines():
     assert from_dimacs("p cnf 3 1\n1 2\n3 0\n").clauses == ((1, 2, 3),)
     assert from_dimacs("p cnf 3 2\n1\nc inside a clause\n-2 0 2\n3 0\n").clauses == (
@@ -320,9 +335,11 @@ def test_from_dimacs_skips_comments_and_blank_lines():
 def test_encode_arrow_var_count_and_names():
     enc = encode_arrow(2, {UN, ND})
     assert enc.cnf.num_vars == 12
-    assert enc.cnf.var_names[enc.var_of[(0, 3)]] == "ab:11"
-    assert enc.cnf.var_names[enc.var_of[(2, 0)]] == "bc:00"
-    assert enc.entry_of[enc.var_of[(1, 2)]] == (1, 2)
+    assert enc.cnf.var_names[entry_var(2, 0, 3)] == "ab:11"
+    assert enc.cnf.var_names[entry_var(2, 2, 0)] == "bc:00"
+    assert enc.cnf.var_names[entry_var(2, 1, 2)] == "ac:10"
+    # the numbering is a bijection from (pair, entry) onto 1..12
+    assert sorted(entry_var(2, k, j) for k in range(3) for j in range(4)) == list(range(1, 13))
 
 
 def test_encode_arrow_axiom_validation():
@@ -360,9 +377,9 @@ def test_sat_route_equals_enumeration_route():
 
 def test_decode_model_trivial_examples():
     enc = encode_arrow(2)
-    copy_agent0 = {enc.var_of[(k, j)]: bool((j >> 1) & 1) for k in range(3) for j in range(4)}
+    copy_agent0 = {entry_var(2, k, j): bool((j >> 1) & 1) for k in range(3) for j in range(4)}
     assert is_dictatorial(decode_model(enc, copy_agent0)) == 0
-    negate_agent1 = {enc.var_of[(k, j)]: not bool(j & 1) for k in range(3) for j in range(4)}
+    negate_agent1 = {entry_var(2, k, j): not bool(j & 1) for k in range(3) for j in range(4)}
     assert classify(decode_model(enc, negate_agent1)).tag == "inversely_dictatorial"
 
 

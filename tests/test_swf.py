@@ -15,6 +15,7 @@ from implab.orders import (
     LinearOrder,
     all_linear_orders,
     bits_of_order,
+    order_of_bits,
 )
 from implab.swf import (
     CLASS_TAGS,
@@ -31,6 +32,7 @@ from implab.swf import (
     classify,
     decode_model,
     encode_arrow,
+    entry_var,
     enumerate_iia_swfs,
     is_dictatorial,
     is_inversely_dictatorial,
@@ -243,9 +245,17 @@ def test_decode_model_refuses_a_model_with_cyclic_tables():
     enc = encode_arrow(1)
     # ab always 0, ac always 1, bc always 0: the cycle 010 on every profile
     bits = {0: 0, 1: 1, 2: 0}
-    model = {v: bool(bits[k]) for (k, _), v in enc.var_of.items()}
+    model = {entry_var(1, k, j): bool(bits[k]) for k in range(3) for j in range(2)}
     with pytest.raises(RuntimeError, match="encoder bug: model decodes to an invalid SWF"):
         decode_model(enc, model)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_decode_model_round_trips_every_swf(n):
+    enc = encode_arrow(n)
+    for s in enumerate_iia_swfs(n):
+        model = {entry_var(n, k, j): bool(e) for k, t in enumerate(s.tables) for j, e in enumerate(t)}
+        assert decode_model(enc, model) == s
 
 
 def test_satisfies_iia_for_extensional_dictator():
@@ -497,6 +507,15 @@ def test_table_route_matches_profile_route_on_every_swf(n):
         assert (c.tag, c.agent, c.orders) == oracle_classify(n, outputs)
         assert satisfies_unanimity(s) == oracle_unanimous(n, outputs)
         assert oracle_rebuild_tables(n, outputs) == s.tables
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_range_of_matches_order_of_bits_on_every_swf(n):
+    # the codes that the profiles select, each decoded by the validating codec
+    entries = set(oracle_entries(n))
+    for s in enumerate_iia_swfs(n):
+        codes = {tuple(t[j] for t, j in zip(s.tables, e)) for e in entries}
+        assert range_of(s) == frozenset(order_of_bits(code) for code in codes)
 
 
 def test_swf_has_one_swf_representation():
