@@ -35,10 +35,12 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 DEFAULT_SWEEP_BUDGET = 10_000_000
 SOUNDNESS_RUNS = 3
+# vickrey maxcheck compares the two maxima on lists of up to this many items
+MAXCHECK_LENGTH = 7
 
 Amount = int | Fraction
 
@@ -50,15 +52,20 @@ _INT = frozenset({int})
 def to_amount(value) -> Amount:
     """An exact amount: an int or Fraction as it is, anything else through Fraction.
 
-    Strings in exponent notation, such as '1e5', are refused.
+    Strings with a non-ASCII character or a '_', or in exponent notation
+    such as '1e5', are refused.
     """
     if type(value) is int or type(value) is Fraction:
         return value
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass int, str, or Fraction for exactness")
-    # Fraction("1e999999999") would build a billion-digit integer first
-    if isinstance(value, str) and _EXPONENT.search(value):
-        raise ValueError(f"amount {value!r} uses exponent notation; write a decimal or a fraction")
+    if isinstance(value, str):
+        # Fraction also reads non-ASCII digits and '_' separators
+        if not value.isascii() or "_" in value:
+            raise ValueError(f"amount {value!r} is not written in ASCII digits without '_'")
+        # Fraction("1e999999999") would build a billion-digit integer first
+        if _EXPONENT.search(value):
+            raise ValueError(f"amount {value!r} uses exponent notation; write a decimal or a fraction")
     try:
         return Fraction(value)
     except ZeroDivisionError:
@@ -530,6 +537,23 @@ def max_constructive(xs: Sequence) -> Amount:
     for head in reversed(items[:-1]):
         best = head if head >= best else best
     return best
+
+
+def order_types(k_max: int) -> Iterator[tuple[int, ...]]:
+    """One list per weak order of k <= k_max items (1, 3, 13, 75, ... per
+    length), shortest first: its ranks, each item replaced by its position
+    among the distinct values.  Each list of k - 1 ranks over r values has
+    2r + 1 extensions: a last item tied with one of the r values, or a new
+    value below, between or above them."""
+    layer: list[tuple[int, ...]] = [()]
+    for _ in range(k_max):
+        longer = []
+        for ranks in layer:
+            r = max(ranks, default=-1) + 1
+            longer += [ranks + (v,) for v in range(r)]
+            longer += [tuple(x + (x >= j) for x in ranks) + (j,) for j in range(r + 1)]
+        layer = longer
+        yield from layer
 
 
 def abstract_grid(v_i, delta) -> BidGrid:

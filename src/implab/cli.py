@@ -19,7 +19,6 @@ import argparse
 import functools
 import json
 import os
-import random
 import sys
 import time
 
@@ -149,7 +148,7 @@ def cmd_ranksets(args) -> tuple[dict, int]:
         return payload, 0
     if args.ranksets_cmd == "discover":
         cls = RelationClass(args.relation_class)
-        report = ranksets.find_inconsistent_subsets(args.max_m, relation_class=cls, prune=args.prune)
+        report = ranksets.find_inconsistent_subsets(args.max_m, relation_class=cls)
         findings = []
         for f in report.findings:
             findings.append(
@@ -157,7 +156,6 @@ def cmd_ranksets(args) -> tuple[dict, int]:
                     "axioms": [a.value for a in f.axioms],
                     "statuses": {str(m): s for m, s in f.statuses.items()},
                     "minimal_unsat_m": f.minimal_unsat_m,
-                    "pruned": f.pruned,
                     "witness": ranksets.relation_to_json(f.witness) if f.witness else None,
                 }
             )
@@ -247,20 +245,17 @@ def cmd_vickrey(args) -> tuple[dict, int]:
         }
         return payload, 0 if all_hold else 3
     if args.vickrey_cmd == "maxcheck":
-        if args.trials < 1:
-            raise ValueError(f"--trials must be at least 1, got {args.trials}")
-        if args.trials > budget:
-            raise ValueError(f"maxcheck of {args.trials} trials exceeds budget {budget}")
-        rng = random.Random(args.seed)
-        disagreements = 0
-        for _ in range(args.trials):
-            xs = [rng.randint(-1000, 1000) for _ in range(rng.randint(1, 50))]
-            if auctions.max_classical(xs) != auctions.max_constructive(xs):
+        # both maxima read items only through >= and return one of them, so
+        # agreeing on the ranks of each list is agreeing on every list
+        lists = disagreements = 0
+        for ranks in auctions.order_types(auctions.MAXCHECK_LENGTH):
+            lists += 1
+            if auctions.max_classical(ranks) != auctions.max_constructive(ranks):
                 disagreements += 1
         payload = {
             "verdict": "equivalent" if disagreements == 0 else "divergent",
-            "trials": args.trials,
-            "seed": args.seed,
+            "lists": lists,
+            "max_length": auctions.MAXCHECK_LENGTH,
             "disagreements": disagreements,
         }
         return payload, 0 if disagreements == 0 else 3
@@ -334,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd = rsub.add_parser("discover", help="minimal inconsistent universe per axiom subset")
     pd.add_argument("--max-m", type=int, default=4)
     pd.add_argument("--class", dest="relation_class", default="linear", choices=[c.value for c in RelationClass])
-    pd.add_argument("--prune", action="store_true")
 
     p = sub.add_parser("vickrey", help="second-price auction checks")
     vsub = p.add_subparsers(dest="vickrey_cmd", required=True)
@@ -355,9 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--value", required=True)
     pa.add_argument("--delta", required=True)
     pa.add_argument("--rule", default="second-price", choices=sorted(auctions.RULES))
-    pq = vsub.add_parser("maxcheck")
-    pq.add_argument("--trials", type=int, default=1000)
-    pq.add_argument("--seed", type=int, default=0)
+    vsub.add_parser("maxcheck")
 
     p = sub.add_parser("sat", help="solve a DIMACS CNF file")
     p.add_argument("path", help="DIMACS file, or - for stdin")

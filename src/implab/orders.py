@@ -70,13 +70,16 @@ def order_of_bits(code: tuple[int, int, int]) -> LinearOrder:
             for (x, y), b in zip(PAIRS3, code)
         )
         raise ValueError(f"cyclic bit code {format_bits(code)}: {rels}")
-    return _ORDER_BY_BITS[code]
+    ab, ac, bc = code
+    return ORDER_BY_CODE[ab << 2 | ac << 1 | bc]
 
 
 def format_bits(code: tuple[int, int, int]) -> str:
     return "".join(str(int(b)) for b in code)
 
 
-_ORDER_BY_BITS = {
-    bits_of_order(o): o for o in (LinearOrder(p) for p in itertools.permutations(range(3)))
-}
+# Indexed by the code 4*ab + 2*ac + bc, the order in which itertools.product
+# lists the triples: its order, None at the cyclic 010 and 101.
+ORDER_BY_CODE: tuple[LinearOrder | None, ...] = tuple(
+    map({bits_of_order(o): o for o in all_linear_orders(3)}.get, itertools.product((0, 1), repeat=3))
+)

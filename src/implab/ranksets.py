@@ -367,7 +367,6 @@ class SubsetFinding:
     relation_class: RelationClass
     statuses: dict[int, str]  # m -> "sat" | "unsat"
     minimal_unsat_m: int | None
-    pruned: bool = False
     witness: SetRelation | None = None  # model at the largest satisfiable m
 
 
@@ -382,15 +381,12 @@ def find_inconsistent_subsets(
     u_max: int,
     catalog=CATALOG,
     relation_class: RelationClass = RelationClass.LINEAR_ORDER,
-    prune: bool = False,
 ) -> DiscoveryReport:
     """Minimal universe size at which each axiom subset becomes unsatisfiable.
 
     Subsets are taken in order, smallest first, in-process, on one solver
     per universe size whose axiom clauses are switched on and off by
-    assumptions.  With prune enabled, strict supersets of a subset already
-    found inconsistent are skipped (and marked), mirroring the obvious
-    implication.
+    assumptions.
 
     A cell (subset S, size m) is answered without a solve when the witness
     of some S - {ax} at m passes check_grounded for ax; only otherwise is S
@@ -420,16 +416,10 @@ def find_inconsistent_subsets(
     # per subset of the layer below, its witness at each m, None where unsat
     smaller = {frozenset(): {m: solved(m, ()) for m in sizes}}
     findings: list[SubsetFinding] = []
-    inconsistent: list[frozenset[Axiom]] = []
     for r in range(1, len(catalog) + 1):
         layer: dict[frozenset[Axiom], dict[int, SetRelation | None]] = {}
         for subset in itertools.combinations(catalog, r):
             key = frozenset(subset)
-            if prune and any(known < key for known in inconsistent):
-                findings.append(
-                    SubsetFinding(subset, relation_class, {}, minimal_unsat_m=None, pruned=True)
-                )
-                continue
             witnesses: dict[int, SetRelation | None] = {}
             for m in sizes:
                 for ax in subset:
@@ -443,8 +433,6 @@ def find_inconsistent_subsets(
             statuses = {m: "sat" if w is not None else "unsat" for m, w in witnesses.items()}
             unsat = [m for m, w in witnesses.items() if w is None]
             sat = [w for w in witnesses.values() if w is not None]
-            if unsat:
-                inconsistent.append(key)
             findings.append(
                 SubsetFinding(
                     subset,

@@ -37,6 +37,7 @@ from functools import lru_cache, partial
 
 from .orders import (
     CYCLIC_CODES,
+    ORDER_BY_CODE,
     PAIR_NAMES,
     LinearOrder,
     all_linear_orders,
@@ -121,16 +122,6 @@ def _within_one_swap(o1: LinearOrder, o2: LinearOrder) -> bool:
 @lru_cache(maxsize=None)
 def _codes6() -> tuple[tuple[int, int, int], ...]:
     return tuple(bits_of_order(o) for o in all_linear_orders(3))
-
-
-@lru_cache(maxsize=None)
-def _order_by_code() -> tuple[LinearOrder | None, ...]:
-    """Indexed by the code 4*ab + 2*ac + bc: its order, None for 010 and 101."""
-    out: list[LinearOrder | None] = [None] * 8
-    for o in all_linear_orders(3):
-        ab, ac, bc = bits_of_order(o)
-        out[ab << 2 | ac << 1 | bc] = o
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -226,10 +217,9 @@ def is_inversely_dictatorial(swf: PairwiseSwf) -> int | None:
 
 def range_of(swf: PairwiseSwf) -> frozenset[LinearOrder]:
     met, ones = swf._bc  # computed once, by the constructor
-    orders = _order_by_code()
     # met is indexed by 2*ab + ac, so k << 1 | bc is the social code
     return frozenset(
-        orders[k << 1 | bc]
+        ORDER_BY_CODE[k << 1 | bc]
         for k, mask in enumerate(met)
         for bc, side in ((1, ones), (0, ~ones))
         if mask & side

@@ -270,6 +270,32 @@ def test_max_equivalence_on_1000_random_lists():
         assert all(classical >= x for x in xs)
 
 
+def _ranks(xs):
+    """Each item replaced by its position among the distinct values."""
+    distinct = sorted(set(xs))
+    return [distinct.index(x) for x in xs]
+
+
+def test_each_maximum_acts_on_a_list_as_on_its_ranks():
+    # the premise of vickrey maxcheck: its order types stand for every list
+    rng = random.Random(424242)
+    for _ in range(1000):
+        xs = [Fraction(rng.randint(-999, 999), rng.randint(1, 9)) for _ in range(rng.randint(1, 50))]
+        distinct = sorted(set(xs))
+        for maximum in (max_classical, max_constructive):
+            assert distinct.index(maximum(xs)) == maximum(_ranks(xs)), (maximum.__name__, xs)
+
+
+def test_order_types_are_the_ranks_of_every_short_list():
+    types = list(auctions.order_types(7))
+    assert [sum(len(t) == k for t in types) for k in range(1, 8)] == [1, 3, 13, 75, 541, 4683, 47293]
+    assert [len(t) for t in types] == sorted(len(t) for t in types)
+    assert len(set(types)) == len(types)
+    for k in range(1, 6):
+        every = {tuple(_ranks(xs)) for xs in itertools.product(range(k), repeat=k)}
+        assert {t for t in types if len(t) == k} == every
+
+
 def test_abstract_dominance_holds_for_n2_to_6():
     grid = abstract_grid(10, 1)
     for n in range(2, 7):

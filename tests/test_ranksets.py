@@ -286,15 +286,6 @@ def test_vacuous_only_subsets_are_sat_at_m2():
         assert f.statuses[2] == "sat", f.axioms
 
 
-def test_pruning_marks_strict_supersets():
-    report = find_inconsistent_subsets(3, relation_class=RelationClass.LINEAR_ORDER, prune=True)
-    by_axioms = {f.axioms: f for f in report.findings}
-    di = by_axioms[(Axiom.SIMPLE_DOMINANCE, Axiom.INDEPENDENCE)]
-    assert di.minimal_unsat_m == 3 and not di.pruned
-    sup = by_axioms[(Axiom.SIMPLE_DOMINANCE, Axiom.INDEPENDENCE, Axiom.UNCERTAINTY_AVERSION)]
-    assert sup.pruned and sup.statuses == {}
-
-
 def test_guarded_solver_answers_every_subset_like_a_fresh_encoding():
     subsets = [s for r in range(1, 6) for s in itertools.combinations(CATALOG, r)]
     for cls in RelationClass:
@@ -505,18 +496,14 @@ def test_class_violation_matches_the_triple_loop_on_random_relations():
     assert kinds == {"transitivity", "totality", "antisymmetry", None}
 
 
-def _solve_every_cell(u_max, catalog, relation_class, prune) -> DiscoveryReport:
+def _solve_every_cell(u_max, catalog, relation_class) -> DiscoveryReport:
     """find_inconsistent_subsets with one solve per (subset, size) cell: the
     reference for the search that takes witnesses from smaller subsets."""
     catalog = tuple(catalog)
     subsets = [s for r in range(1, len(catalog) + 1) for s in itertools.combinations(catalog, r)]
     solvers = {}
     findings = []
-    inconsistent = []
     for subset in subsets:
-        if prune and any(known < set(subset) for known in inconsistent):
-            findings.append(SubsetFinding(subset, relation_class, {}, minimal_unsat_m=None, pruned=True))
-            continue
         statuses, minimal, witness = {}, None, None
         for m in range(2, u_max + 1):
             u = Universe(m)
@@ -528,18 +515,15 @@ def _solve_every_cell(u_max, catalog, relation_class, prune) -> DiscoveryReport:
                 witness = decode_ranksets(u, res.assignment, relation_class)
             elif minimal is None:
                 minimal = m
-        if minimal is not None:
-            inconsistent.append(set(subset))
         findings.append(SubsetFinding(subset, relation_class, statuses, minimal, witness=witness))
     return DiscoveryReport(u_max, relation_class, tuple(findings))
 
 
-@pytest.mark.parametrize("prune", [False, True], ids=["all", "prune"])
 @pytest.mark.parametrize("cls", list(RelationClass), ids=lambda c: c.value)
-def test_discover_reports_equal_solving_every_cell(cls, prune):
+def test_discover_reports_equal_solving_every_cell(cls):
     for u_max in (2, 3, 4, 5):
-        want = _solve_every_cell(u_max, CATALOG, cls, prune)
-        assert find_inconsistent_subsets(u_max, relation_class=cls, prune=prune) == want, u_max
+        want = _solve_every_cell(u_max, CATALOG, cls)
+        assert find_inconsistent_subsets(u_max, relation_class=cls) == want, u_max
 
 
 @pytest.mark.parametrize(
