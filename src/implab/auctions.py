@@ -21,6 +21,16 @@ visited with the first checked agent's bid innermost, so that agent's
 first hit ends the sweep; a hit of a later agent is kept only while no
 hit earlier in the per-agent order is found.
 
+Outcomes are shared and immutable: both rules build theirs through a
+memo of at most OUTCOME_CACHE_SIZE outcomes keyed by (n, winner, price),
+so equal keys give the same AuctionOutcome object, whose tuples and
+amounts no caller can change.  A sweep meets few keys (a soundness sweep
+over k grid points at most n * k), but the bound keeps a long-lived caller
+sweeping many grids from holding every outcome it ever saw.  The memo is
+typed, so an int price and an equal Fraction price stay apart and every
+payment keeps the type its rule computed.  An unsound outcome is never
+stored: its RuntimeError is raised on every call.
+
 Tie-breaking: the lowest-index participant among the maximal bidders wins.
 Weak dominance of truthful bidding and valuation-wise efficiency both hold
 under this rule; it also makes the outcome a function of the bids, which
@@ -29,6 +39,7 @@ the soundness check verifies.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -41,6 +52,9 @@ DEFAULT_SWEEP_BUDGET = 10_000_000
 SOUNDNESS_RUNS = 3
 # vickrey maxcheck compares the two maxima on lists of up to this many items
 MAXCHECK_LENGTH = 7
+# outcomes kept by _outcome's memo: a sweep over k grid points can produce
+# n * k (n, winner, price) keys, so an unbounded memo would grow with every grid swept
+OUTCOME_CACHE_SIZE = 4096
 
 Amount = int | Fraction
 
@@ -74,7 +88,7 @@ def to_amount(value) -> Amount:
 
 def to_amounts(values, label: str = "amount") -> tuple[Amount, ...]:
     out = tuple(values)
-    if set(map(type, out)) == _INT and min(out) >= 0:
+    if not out or (_INT.issuperset(map(type, out)) and min(out) >= 0):
         return out
     out = tuple(map(to_amount, out))
     for i, v in enumerate(out):
@@ -131,13 +145,13 @@ def outcome_violations(out: AuctionOutcome, n: int) -> list[str]:
 def run_spa(bids: Sequence) -> AuctionOutcome:
     """Second-price rule: highest bid wins, pays the best competing bid."""
     b = to_amounts(bids, "bid")
-    if not b:
-        raise ValueError("auction needs at least one bid")
+    if len(b) < 2:
+        if not b:
+            raise ValueError("auction needs at least one bid")
+        return _outcome(1, 0, 0)
     # the best competing bid is the second largest: one copy of the max is the winner's
     ranked = sorted(b)
-    winner = b.index(ranked[-1])
-    price = ranked[-2] if len(b) > 1 else 0
-    return _outcome(len(b), winner, price)
+    return _outcome(len(b), b.index(ranked[-1]), ranked[-2])
 
 
 def run_first_price(bids: Sequence) -> AuctionOutcome:
@@ -152,6 +166,7 @@ def run_first_price(bids: Sequence) -> AuctionOutcome:
 RULES: dict[str, AuctionRule] = {"second-price": run_spa, "first-price": run_first_price}
 
 
+@functools.lru_cache(maxsize=OUTCOME_CACHE_SIZE, typed=True)
 def _outcome(n: int, winner: int, price: Amount) -> AuctionOutcome:
     """The outcome in which winner pays price; RuntimeError if it is unsound."""
     x, p = [0] * n, [0] * n
@@ -457,7 +472,8 @@ def _soundness(b: tuple[Amount, ...], rule: AuctionRule) -> tuple[AuctionOutcome
     problems = outcome_violations(first, len(b))
     for _ in range(SOUNDNESS_RUNS - 1):
         again = rule(b)
-        if again != first:
+        # a memoized outcome comes back as the same object, which needs no comparison
+        if again is not first and again != first:
             problems.append(f"nondeterministic outcome: {again} != {first}")
             break
     return first, problems
@@ -516,11 +532,19 @@ def sweep_soundness(
     return SoundnessSweep(cells, tuple(unsound))
 
 
-def max_classical(xs: Sequence) -> Amount:
-    """Pick the witness element certified >= every element by direct scan."""
-    items = [to_amount(x) for x in xs]
+def _max_items(xs: Sequence) -> list[Amount]:
+    """xs as exact amounts of any sign; an all-int list passes through as it is."""
+    items = list(xs)
+    if not _INT.issuperset(map(type, items)):
+        items = list(map(to_amount, items))
     if not items:
         raise ValueError("maximum of an empty list is undefined")
+    return items
+
+
+def max_classical(xs: Sequence) -> Amount:
+    """Pick the witness element certified >= every element by direct scan."""
+    items = _max_items(xs)
     for candidate in items:
         if all(candidate >= other for other in items):
             return candidate
@@ -530,9 +554,7 @@ def max_classical(xs: Sequence) -> Amount:
 def max_constructive(xs: Sequence) -> Amount:
     """Fold from the tail: a singleton is its own maximum, otherwise compare
     the head against the maximum of the rest."""
-    items = [to_amount(x) for x in xs]
-    if not items:
-        raise ValueError("maximum of an empty list is undefined")
+    items = _max_items(xs)
     best = items[-1]
     for head in reversed(items[:-1]):
         best = head if head >= best else best

@@ -240,11 +240,80 @@ def test_outcome_violations_catalogue():
 
 @pytest.mark.parametrize("price", [-1, Fraction(-1, 3)])
 def test_outcome_with_a_negative_price_is_refused_with_the_catalogue_message(price):
-    with pytest.raises(RuntimeError) as err:
-        auctions._outcome(3, 1, price)
-    assert str(err.value) == f"auction rule produced an unsound outcome: ['negative payment {price} for participant 1']"
+    # twice in a row: the memo stores no exception, so it never answers for a refused price
+    for _ in range(2):
+        with pytest.raises(RuntimeError) as err:
+            auctions._outcome(3, 1, price)
+        want = f"auction rule produced an unsound outcome: ['negative payment {price} for participant 1']"
+        assert str(err.value) == want
     assert auctions._outcome(3, 1, 0) == AuctionOutcome((0, 1, 0), (0, 0, 0))
     assert auctions._outcome(1, 0, -price) == AuctionOutcome((1,), (-price,))
+
+
+def amount_types(amounts):
+    return [type(a) for a in amounts]
+
+
+def test_memoized_outcomes_equal_fresh_ones_type_for_type():
+    auctions._outcome.cache_clear()
+    for n in range(1, 5):
+        for winner in range(n):
+            # 2 before Fraction(2): the two are equal and hash alike, only their types tell them apart
+            for price in (0, 2, Fraction(2), Fraction(5, 2), Fraction(0)):
+                fresh = AuctionOutcome(
+                    tuple(int(j == winner) for j in range(n)), tuple(price if j == winner else 0 for j in range(n))
+                )
+                got = auctions._outcome(n, winner, price)
+                assert got == fresh and amount_types(got.x + got.p) == amount_types(fresh.x + fresh.p)
+                assert auctions._outcome(n, winner, price) is got
+
+
+@pytest.mark.parametrize("int_first", [True, False])
+def test_run_spa_keeps_each_payments_type_in_either_call_order(int_first):
+    auctions._outcome.cache_clear()
+    calls = [((2, 1), [int, int]), ((Fraction(2), Fraction(1)), [Fraction, int])]
+    for bids, want in calls if int_first else calls[::-1]:
+        out = run_spa(bids)
+        assert out == AuctionOutcome((1, 0), (1, 0)) and amount_types(out.p) == want
+
+
+def test_outcome_memo_stays_within_its_bound():
+    auctions._outcome.cache_clear()
+    bound = auctions.OUTCOME_CACHE_SIZE
+    for price in range(bound + 100):
+        assert auctions._outcome(2, 1, price) == AuctionOutcome((0, 1), (0, price))
+    assert auctions._outcome.cache_info().currsize == bound
+    auctions._outcome.cache_clear()
+
+
+def reference_to_amounts(values, label: str = "amount"):
+    """to_amounts with the int fast path that builds a set of the types."""
+    out = tuple(values)
+    if set(map(type, out)) == {int} and min(out) >= 0:
+        return out
+    out = tuple(map(to_amount, out))
+    for i, v in enumerate(out):
+        if v.numerator < 0:
+            raise ValueError(f"negative {label} {v} at index {i}")
+    return out
+
+
+def answer(f, *args):
+    """f's value with the type of each item, or its exception's type and message."""
+    try:
+        out = f(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return out, amount_types(out) if isinstance(out, (tuple, list)) else type(out)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(), (0,), (True, 2), (2, -1), (1, Fraction(1, 2)), ("1/2", 3), (3.0,), ("1e5",), ([],)],
+    ids=repr,
+)
+def test_to_amounts_keeps_its_answers_and_messages(values):
+    assert answer(to_amounts, values, "bid") == answer(reference_to_amounts, values, "bid")
 
 
 def test_max_examples():
@@ -257,6 +326,29 @@ def test_max_rejects_empty():
         max_classical([])
     with pytest.raises(ValueError):
         max_constructive([])
+
+
+def test_maxima_take_ints_as_they_are_and_convert_anything_else():
+    def converted_items(xs):
+        items = [to_amount(x) for x in xs]
+        if not items:
+            raise ValueError("maximum of an empty list is undefined")
+        return items
+
+    def reference_classical(xs):
+        items = converted_items(xs)
+        return next(c for c in items if all(c >= o for o in items))
+
+    def reference_constructive(xs):
+        items = converted_items(xs)
+        best = items[-1]
+        for head in reversed(items[:-1]):
+            best = head if head >= best else best
+        return best
+
+    for xs in ([], [-3, -1, -2], (0, 2, 2), [True, 0], [2, Fraction(5, 2)], ["1/2", 0], [1, 3.0], ["1e5"], [[]]):
+        assert answer(max_classical, xs) == answer(reference_classical, xs), xs
+        assert answer(max_constructive, xs) == answer(reference_constructive, xs), xs
 
 
 def test_max_equivalence_on_1000_random_lists():
