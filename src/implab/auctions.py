@@ -465,17 +465,35 @@ class SoundnessReport:
         return not self.violations
 
 
-def _soundness(b: tuple[Amount, ...], rule: AuctionRule) -> tuple[AuctionOutcome, list[str]]:
+def _soundness(
+    b: tuple[Amount, ...],
+    rule: AuctionRule,
+    checked: dict[int, tuple[AuctionOutcome, list[str]]] | None = None,
+) -> tuple[AuctionOutcome, list[str]]:
     """The first outcome of rule on validated bids b, and its soundness
-    defects, a nondeterministic outcome over SOUNDNESS_RUNS runs among them."""
+    defects, a nondeterministic outcome over SOUNDNESS_RUNS runs among them.
+
+    checked, when given, maps id(outcome) to the outcome and its
+    outcome_violations, so an outcome object that the rule returns for
+    several bid vectors of one length is checked once.  It holds the
+    outcomes, so no id in it is reused, and is emptied when it reaches
+    OUTCOME_CACHE_SIZE entries.
+    """
     first = rule(b)
-    problems = outcome_violations(first, len(b))
+    if checked is None:
+        problems = outcome_violations(first, len(b))
+    else:
+        hit = checked.get(id(first))
+        if hit is None:
+            if len(checked) >= OUTCOME_CACHE_SIZE:
+                checked.clear()
+            hit = checked[id(first)] = (first, outcome_violations(first, len(b)))
+        problems = hit[1]
     for _ in range(SOUNDNESS_RUNS - 1):
         again = rule(b)
         # a memoized outcome comes back as the same object, which needs no comparison
         if again is not first and again != first:
-            problems.append(f"nondeterministic outcome: {again} != {first}")
-            break
+            return first, [*problems, f"nondeterministic outcome: {again} != {first}"]
     return first, problems
 
 
@@ -502,8 +520,9 @@ def sweep_soundness(
     The sweep runs on every grid point times the lcm D of their
     denominators.  The grid's points were validated when it was built, so
     a sound bid vector goes through the rule SOUNDNESS_RUNS times without
-    being converted again, and no report is built for it.  A
-    vector flagged unsound is re-run through check_soundness on the
+    being converted again, and no report is built for it; each distinct
+    outcome object is checked by outcome_violations once.  A vector
+    flagged unsound is re-run through check_soundness on the
     original bids, and that report is the one kept.  RuntimeError if the
     re-run is sound: the rule breaks the scaling contract.
     """
@@ -517,8 +536,9 @@ def sweep_soundness(
     # scaling is injective, so each scaled point maps back to its grid point as given
     unscaled = dict(zip(points, grid.points))
     unsound = []
+    checked: dict[int, tuple[AuctionOutcome, list[str]]] = {}
     for bids in itertools.product(points, repeat=n):
-        _, problems = _soundness(bids, rule)
+        _, problems = _soundness(bids, rule, checked)
         if not problems:
             continue
         original = tuple(unscaled[b] for b in bids)

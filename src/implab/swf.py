@@ -8,9 +8,14 @@ read from the three entries that the profile selects.
 
 SWFs are classified on their tables: dictatorship is a table equal to an
 agent's bit projection, and the range is read off entry-pair groups, which
-stand for the profiles: per (ab entry, ac entry) pair that some profile
-selects, the mask of the bc entries selected with it.  The acyclicity check
-and the enumerator read the same groups.
+stand for the profiles: per (ab entry, ac entry) pair, the mask of the bc
+entries that profiles select with it, built in closed form.  The enumerator
+reads the groups; each SWF's constructor reads them through lookup tables
+built per n on first use (per ab entry, the ORs of the group masks over
+8-entry chunks of the ac table) into four masks, which the acyclicity
+check and the range share.  `range_of` returns one frozenset per set of
+social codes, and `classify` one shared, immutable class per range to
+every SWF that is neither dictator nor inverse dictator.
 
 The base cases read one classified enumeration, a mapping from each SWF to
 its class, so each SWF is classified once per run: `census` counts the
@@ -72,7 +77,7 @@ class PairwiseSwf:
         if self.n < 1:
             raise ValueError(f"agent count must be positive, got {self.n}")
         size = 1 << self.n
-        if len(self.tables) != 3 or any(len(t) != size for t in self.tables):
+        if list(map(len, self.tables)) != [size] * 3:
             raise ValueError(f"need 3 tables of {size} entries each")
         try:
             bits = _BITS.issuperset(itertools.chain(*self.tables))
@@ -153,33 +158,84 @@ def _int_to_table(x: int, size: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _entry_pair_groups(n: int) -> tuple[tuple[int, int, int], ...]:
-    """Per (ab entry, ac entry) pair that some profile selects: the pair and
-    the bc entries selected with it, as a mask in the _table_to_int layout.
+    """Per (ab entry, ac entry) pair: the pair and the bc entries that some
+    profile selects with it, as a mask in the _table_to_int layout.
 
-    Each agent's (ab, ac) bits take all four values, so there are 4^n
-    groups against 6^n profiles.
+    Per agent, the (ab, ac, bc) bits are a non-cyclic code, so where the
+    agent's ab and ac bits differ its bc bit equals its ac bit, and where
+    they agree the bc bit is free.  So every pair is selected, and its bc
+    entries i3 are those with (i3 ^ i2) & (i1 ^ i2) == 0: 4^n groups
+    against 6^n profiles, built without walking the profiles.
     """
     size = 1 << n
-    masks: dict[tuple[int, int], int] = {}
-    for i1, i2, i3 in profile_pair_indices(n):
-        masks[i1, i2] = masks.get((i1, i2), 0) | 1 << (size - 1 - i3)
-    return tuple((i1, i2, mask) for (i1, i2), mask in sorted(masks.items()))
+    return tuple(
+        (i1, i2, sum(1 << (size - 1 - i3) for i3 in range(size) if not (i3 ^ i2) & (i1 ^ i2)))
+        for i1 in range(size)
+        for i2 in range(size)
+    )
+
+
+@lru_cache(maxsize=None)
+def _met_tables(n: int) -> tuple[dict[tuple[int, ...], int], tuple[tuple[int, int, tuple], ...]]:
+    """The lookup tables of _bc_entries_met: a map from each tuple of w
+    bits to its key, and per chunk of w = min(2^n, 8) ac entries, the
+    chunk's (start, stop, rows).
+
+    A chunk's key is its int, its first entry the most significant bit.
+    rows holds per ab entry i1 two lists indexed by the key.  For a key,
+    the OR of the group masks of (i1, i2) over the chunk's ac entries i2
+    whose bit is 1 is packed above the OR over those whose bit is 0, so
+    entry 2*ab bit + ac bit of the met tuple sits at that many times 2^n
+    bits: the first list is for ab bit 0, the second for ab bit 1, shifted
+    up by 2 * 2^n.  In all, 2^n * ceil(2^n / w) * 2^(w+1) entries, O(4^n)
+    like the groups.
+    """
+    size = 1 << n
+    width = min(size, 8)
+    top = (1 << width) - 1
+    groups = _entry_pair_groups(n)
+    shared: dict[int, int] = {}  # one int object per value: 412 of the 4096 entries at n = 3
+    chunks = []
+    for start in range(0, size, width):
+        rows = []
+        for i1 in range(size):
+            # key bit b stands for ac entry start + width - 1 - b; the groups run in (i1, i2) order
+            masks = [groups[i1 * size + start + width - 1 - b][2] for b in range(width)]
+            ones = [0] * (1 << width)  # the OR of the masks of the key's set bits
+            for key in range(1, 1 << width):
+                ones[key] = ones[key & (key - 1)] | masks[(key & -key).bit_length() - 1]
+            low = [ones[key] << size | ones[top ^ key] for key in range(1 << width)]
+            high = [v << 2 * size for v in low]
+            rows.append(([shared.setdefault(v, v) for v in low], [shared.setdefault(v, v) for v in high]))
+        chunks.append((start, start + width, tuple(rows)))
+    keys = {bits: key for key, bits in enumerate(itertools.product((0, 1), repeat=width))}
+    return keys, tuple(chunks)
 
 
 def _bc_entries_met(n: int, ab: tuple[int, ...], ac: tuple[int, ...]) -> tuple[int, int, int, int]:
     """Indexed by 2*ab bit + ac bit: the mask of bc entries that some
-    profile selects together with that pair of social bits."""
-    met = [0, 0, 0, 0]
-    for i1, i2, mask in _entry_pair_groups(n):
-        met[ab[i1] << 1 | ac[i2]] |= mask
-    return tuple(met)
+    profile selects together with that pair of social bits.
+
+    One lookup in _met_tables(n) per ab entry and ac chunk, 8 at n = 3,
+    where the entry-pair groups take 64 steps.
+    """
+    keys, chunks = _met_tables(n)
+    acc = 0
+    for start, stop, rows in chunks:
+        key = keys[tuple(ac[start:stop])]  # tuple(): a table may be a list
+        for bit, row in zip(ab, rows):
+            acc |= row[bit][key]
+    size = 1 << n
+    full = (1 << size) - 1
+    return acc & full, acc >> size & full, acc >> 2 * size & full, acc >> 3 * size
 
 
 def satisfies_unanimity(swf: PairwiseSwf) -> bool:
     """Unanimous pairwise preferences must be copied by the social order:
     entry 2^n-1 of each table reads every agent's bit 1, entry 0 every
     agent's bit 0."""
-    return all(t[0] == 0 and t[-1] == 1 for t in swf.tables)
+    ab, ac, bc = swf.tables
+    return ab[0] == ac[0] == bc[0] == 0 and ab[-1] == ac[-1] == bc[-1] == 1
 
 
 def _agent_bits(n: int, agent: int) -> tuple[int, ...]:
@@ -188,20 +244,19 @@ def _agent_bits(n: int, agent: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _dictator_tables(n: int, invert: bool) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per agent, the table triple that copies (invert: reverses) its order."""
-    out = []
-    for i in range(n):
-        bits = tuple(b ^ invert for b in _agent_bits(n, i))
-        out.append((bits, bits, bits))
-    return tuple(out)
+def _dictator_tables(n: int, invert: bool) -> tuple[tuple[int, ...], ...]:
+    """Per agent, the table that copies (invert: reverses) its bit."""
+    return tuple(tuple(b ^ invert for b in _agent_bits(n, i)) for i in range(n))
 
 
 def _table_dictator(swf: PairwiseSwf, invert: bool) -> int | None:
-    # exact: every entry of every table is selected by some profile
-    for i, tables in enumerate(_dictator_tables(swf.n, invert)):
-        if swf.tables == tables:
-            return i
+    # exact: every entry of every table is selected by some profile, and a
+    # dictator's three tables are one agent's table
+    ab, ac, bc = swf.tables
+    if ab == ac == bc:
+        for i, bits in enumerate(_dictator_tables(swf.n, invert)):
+            if ab == bits:
+                return i
     return None
 
 
@@ -217,13 +272,21 @@ def is_inversely_dictatorial(swf: PairwiseSwf) -> int | None:
 
 def range_of(swf: PairwiseSwf) -> frozenset[LinearOrder]:
     met, ones = swf._bc  # computed once, by the constructor
-    # met is indexed by 2*ab + ac, so k << 1 | bc is the social code
-    return frozenset(
-        ORDER_BY_CODE[k << 1 | bc]
-        for k, mask in enumerate(met)
-        for bc, side in ((1, ones), (0, ~ones))
-        if mask & side
-    )
+    # met is indexed by 2*ab + ac, so k << 1 | bc is the social code; bit c of codes marks code c
+    zeros = ~ones
+    codes = 0
+    for k, mask in enumerate(met):
+        if mask & ones:
+            codes |= 2 << 2 * k
+        if mask & zeros:
+            codes |= 1 << 2 * k
+    return _range_set(codes)
+
+
+@lru_cache(maxsize=None)
+def _range_set(codes: int) -> frozenset[LinearOrder]:
+    """The orders whose social codes are set in the 8-bit mask codes."""
+    return frozenset(ORDER_BY_CODE[c] for c in range(8) if codes >> c & 1)
 
 
 def classify(swf: PairwiseSwf) -> SwfClass:
@@ -234,12 +297,19 @@ def classify(swf: PairwiseSwf) -> SwfClass:
     agent = is_inversely_dictatorial(swf)
     if agent is not None:
         return SwfClass(INVERSELY_DICTATORIAL, agent=agent)
-    rng = tuple(sorted(range_of(swf)))
-    if len(rng) == 1:
-        return SwfClass(CONSTANT, orders=rng)
-    if len(rng) == 2 and _within_one_swap(*rng):
-        return SwfClass(SMALL_RANGE, orders=rng)
-    return SwfClass(UNCLASSIFIED, orders=rng)
+    return _range_class(range_of(swf))
+
+
+@lru_cache(maxsize=None)
+def _range_class(rng: frozenset[LinearOrder]) -> SwfClass:
+    """The class of a non-dictatorial SWF with range rng, one shared
+    (immutable) object per range."""
+    orders = tuple(sorted(rng))
+    if len(orders) == 1:
+        return SwfClass(CONSTANT, orders=orders)
+    if len(orders) == 2 and _within_one_swap(*orders):
+        return SwfClass(SMALL_RANGE, orders=orders)
+    return SwfClass(UNCLASSIFIED, orders=orders)
 
 
 def enumerate_iia_swfs(n: int, candidate_budget: int = DEFAULT_CANDIDATE_BUDGET) -> list[PairwiseSwf]:

@@ -841,3 +841,33 @@ def test_soundness_sweep_converts_its_amounts_a_fixed_number_of_times(monkeypatc
         assert sweep_soundness(3, grid, rule=lowest_index_wins_free).unsound == ()
         counts.add(len(conversions))
     assert len(counts) == 1
+
+
+def test_soundness_sweep_checks_each_distinct_outcome_object_once(monkeypatch):
+    checked = []
+    monkeypatch.setattr(
+        auctions, "outcome_violations", lambda out, n: checked.append(out) or outcome_violations(out, n)
+    )
+    outcomes = []
+
+    def recording(bids):
+        outcomes.append(run_spa(bids))
+        return outcomes[-1]
+
+    # the command `vickrey soundness --n 4 --grid 0:10:1` runs this sweep
+    sweep = sweep_soundness(4, parse_grid("0:10:1"), rule=recording)
+    assert sweep.cells == 11**4 and sweep.unsound == ()
+    assert len(outcomes) == 3 * 11**4
+    # outcomes holds every object, so no id is reused
+    distinct = {id(out) for out in outcomes}
+    assert len(distinct) == 43
+    assert sorted(map(id, checked)) == sorted(distinct)
+
+    # a rule that builds a new outcome per call has each one checked
+    def copying(bids):
+        out = run_spa(bids)
+        return AuctionOutcome(out.x, out.p)
+
+    checked.clear()
+    fresh = sweep_soundness(2, parse_grid("0:2:1"), rule=copying)
+    assert fresh.unsound == () and len(checked) == fresh.cells == 9

@@ -2,6 +2,9 @@ import ast
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from pathlib import Path
 
@@ -346,6 +349,73 @@ def test_enumerate_is_canonically_sorted_and_unique():
     keys = [s.tables[0] + s.tables[1] + s.tables[2] for s in swfs]
     assert keys == sorted(keys)
     assert len(set(swfs)) == len(swfs)
+
+
+def profile_walk_groups(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The entry-pair groups as a walk over the profiles builds them: per
+    (ab entry, ac entry) pair some profile selects, the mask of the bc
+    entries selected with it."""
+    size = 1 << n
+    masks: dict[tuple[int, int], int] = {}
+    for i1, i2, i3 in swf_module.profile_pair_indices(n):
+        masks[i1, i2] = masks.get((i1, i2), 0) | 1 << (size - 1 - i3)
+    return tuple((i1, i2, mask) for (i1, i2), mask in sorted(masks.items()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_entry_pair_groups_match_the_profile_walk(n):
+    assert swf_module._entry_pair_groups(n) == profile_walk_groups(n)
+    assert len(swf_module._entry_pair_groups(n)) == 4**n
+
+
+def group_loop_met(n: int, ab: tuple[int, ...], ac: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """_bc_entries_met as one step per entry-pair group, the oracle of the lookup."""
+    met = [0, 0, 0, 0]
+    for i1, i2, mask in swf_module._entry_pair_groups(n):
+        met[ab[i1] << 1 | ac[i2]] |= mask
+    return tuple(met)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bc_entries_met_by_lookup_matches_the_group_loop(n):
+    size = 1 << n
+    # every (ab, ac) pair up to n = 3; at n = 4 every 1021st table, both ends included
+    ints = list(range(1 << size)) if n <= 3 else sorted({*range(0, 1 << size, 1021), (1 << size) - 1})
+    tables = [swf_module._int_to_table(x, size) for x in ints]
+    for ab in tables:
+        for ac in tables:
+            assert swf_module._bc_entries_met(n, ab, ac) == group_loop_met(n, ab, ac), (ab, ac)
+    # a table given as a list reads the same
+    ab, ac = tables[len(tables) // 3], tables[len(tables) // 2]
+    assert swf_module._bc_entries_met(n, list(ab), list(ac)) == group_loop_met(n, ab, ac)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_swfs_with_equal_ranges_share_one_class(n):
+    by_range: dict[frozenset, list[SwfClass]] = {}
+    for s, c in classified(n).items():
+        if c.tag not in (DICTATORIAL, INVERSELY_DICTATORIAL):
+            by_range.setdefault(range_of(s), []).append(c)
+    assert sum(map(len, by_range.values())) > len(by_range)
+    for rng, classes in by_range.items():
+        first = classes[0]
+        assert all(c is first for c in classes)
+        orders = tuple(sorted(rng))
+        tag = {1: CONSTANT, 2: SMALL_RANGE}.get(len(orders), UNCLASSIFIED)
+        assert first == SwfClass(tag, orders=orders)
+    # dictators are classified by their tables, as before
+    assert classify(dictator(n, 0)) == classify(dictator(n, 0)) == SwfClass(DICTATORIAL, agent=0)
+
+
+def test_importing_the_cli_builds_no_swf_lookup_table():
+    names = ["_entry_pair_groups", "_met_tables", "_range_set", "_range_class"]
+    code = (
+        "import implab.cli; from implab import swf; "
+        f"print([getattr(swf, name).cache_info().currsize for name in {names!r}])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(implab.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == f"{[0] * len(names)}\n"
 
 
 def or_table_enumeration(n: int) -> list[PairwiseSwf]:
