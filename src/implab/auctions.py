@@ -113,6 +113,9 @@ class AuctionRule(Protocol):
     multiplies every payment by c and leaves the allocation as it is.  The
     sweeps rely on it to run on integers.  Both RULES entries meet it,
     because each price is a bid or 0.
+
+    A returned outcome is never changed afterwards: the soundness checks
+    read an outcome object once, however often the rule returns it.
     """
 
     def __call__(self, bids: Sequence[Amount]) -> AuctionOutcome: ...
@@ -466,29 +469,23 @@ class SoundnessReport:
 
 
 def _soundness(
-    b: tuple[Amount, ...],
-    rule: AuctionRule,
-    checked: dict[int, tuple[AuctionOutcome, list[str]]] | None = None,
+    b: tuple[Amount, ...], rule: AuctionRule, checked: dict[int, tuple[AuctionOutcome, list[str]]]
 ) -> tuple[AuctionOutcome, list[str]]:
     """The first outcome of rule on validated bids b, and its soundness
     defects, a nondeterministic outcome over SOUNDNESS_RUNS runs among them.
 
-    checked, when given, maps id(outcome) to the outcome and its
-    outcome_violations, so an outcome object that the rule returns for
-    several bid vectors of one length is checked once.  It holds the
-    outcomes, so no id in it is reused, and is emptied when it reaches
-    OUTCOME_CACHE_SIZE entries.
+    checked maps id(outcome) to the outcome and its outcome_violations, so
+    an outcome object that the rule returns for several bid vectors of one
+    length is checked once.  It holds the outcomes, so no id in it is
+    reused, and is emptied when it reaches OUTCOME_CACHE_SIZE entries.
     """
     first = rule(b)
-    if checked is None:
-        problems = outcome_violations(first, len(b))
-    else:
-        hit = checked.get(id(first))
-        if hit is None:
-            if len(checked) >= OUTCOME_CACHE_SIZE:
-                checked.clear()
-            hit = checked[id(first)] = (first, outcome_violations(first, len(b)))
-        problems = hit[1]
+    hit = checked.get(id(first))
+    if hit is None:
+        if len(checked) >= OUTCOME_CACHE_SIZE:
+            checked.clear()
+        hit = checked[id(first)] = (first, outcome_violations(first, len(b)))
+    problems = hit[1]
     for _ in range(SOUNDNESS_RUNS - 1):
         again = rule(b)
         # a memoized outcome comes back as the same object, which needs no comparison
@@ -500,7 +497,7 @@ def _soundness(
 def check_soundness(bids: Sequence, rule: AuctionRule = run_spa) -> SoundnessReport:
     """Outcome invariants plus determinism across SOUNDNESS_RUNS evaluations."""
     b = to_amounts(bids, "bid")
-    first, problems = _soundness(b, rule)
+    first, problems = _soundness(b, rule, {})
     return SoundnessReport(b, tuple(problems), first)
 
 

@@ -9,13 +9,14 @@ read from the three entries that the profile selects.
 SWFs are classified on their tables: dictatorship is a table equal to an
 agent's bit projection, and the range is read off entry-pair groups, which
 stand for the profiles: per (ab entry, ac entry) pair, the mask of the bc
-entries that profiles select with it, built in closed form.  The enumerator
-reads the groups; each SWF's constructor reads them through lookup tables
-built per n on first use (per ab entry, the ORs of the group masks over
-8-entry chunks of the ac table) into four masks, which the acyclicity
-check and the range share.  `range_of` returns one frozenset per set of
-social codes, and `classify` one shared, immutable class per range to
-every SWF that is neither dictator nor inverse dictator.
+entries that profiles select with it, built in closed form.  Per ab
+table, `_forces` ORs the groups into the bc entries that each ac entry's
+bit forces, once per table on first use; the enumerator's search reads
+them, and each SWF's constructor folds them over its ac table into four
+masks, which the acyclicity check and the range share.  `range_of`
+returns one frozenset per set of social codes, and `classify` one shared,
+immutable class per range to every SWF that is neither dictator nor
+inverse dictator.
 
 The base cases read one classified enumeration, a mapping from each SWF to
 its class, so each SWF is classified once per run: `census` counts the
@@ -77,7 +78,7 @@ class PairwiseSwf:
         if self.n < 1:
             raise ValueError(f"agent count must be positive, got {self.n}")
         size = 1 << self.n
-        if list(map(len, self.tables)) != [size] * 3:
+        if len(self.tables) != 3 or any(len(t) != size for t in self.tables):
             raise ValueError(f"need 3 tables of {size} entries each")
         try:
             bits = _BITS.issuperset(itertools.chain(*self.tables))
@@ -175,67 +176,51 @@ def _entry_pair_groups(n: int) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def _met_tables(n: int) -> tuple[dict[tuple[int, ...], int], tuple[tuple[int, int, tuple], ...]]:
-    """The lookup tables of _bc_entries_met: a map from each tuple of w
-    bits to its key, and per chunk of w = min(2^n, 8) ac entries, the
-    chunk's (start, stop, rows).
+@lru_cache(maxsize=1 << 10)
+def _forces(n: int, ab: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per ac entry, under the ab table: the bc entries its bit 1 forces to 1
+    (the ab bit is 0 there, else the code is 010) and its bit 0 forces to 0
+    (the ab bit is 1, else 101), as masks in the _table_to_int layout.
 
-    A chunk's key is its int, its first entry the most significant bit.
-    rows holds per ab entry i1 two lists indexed by the key.  For a key,
-    the OR of the group masks of (i1, i2) over the chunk's ac entries i2
-    whose bit is 1 is packed above the OR over those whose bit is 0, so
-    entry 2*ab bit + ac bit of the met tuple sits at that many times 2^n
-    bits: the first list is for ab bit 0, the second for ab bit 1, shifted
-    up by 2 * 2^n.  In all, 2^n * ceil(2^n / w) * 2^(w+1) entries, O(4^n)
-    like the groups.
+    The cache holds all 256 tables of n = 3; at n = 4, about 1.3 KB a
+    table, it keeps 1024 of the 65,536, and a miss costs one pass over the
+    4^n groups.
     """
     size = 1 << n
-    width = min(size, 8)
-    top = (1 << width) - 1
-    groups = _entry_pair_groups(n)
-    shared: dict[int, int] = {}  # one int object per value: 412 of the 4096 entries at n = 3
-    chunks = []
-    for start in range(0, size, width):
-        rows = []
-        for i1 in range(size):
-            # key bit b stands for ac entry start + width - 1 - b; the groups run in (i1, i2) order
-            masks = [groups[i1 * size + start + width - 1 - b][2] for b in range(width)]
-            ones = [0] * (1 << width)  # the OR of the masks of the key's set bits
-            for key in range(1, 1 << width):
-                ones[key] = ones[key & (key - 1)] | masks[(key & -key).bit_length() - 1]
-            low = [ones[key] << size | ones[top ^ key] for key in range(1 << width)]
-            high = [v << 2 * size for v in low]
-            rows.append(([shared.setdefault(v, v) for v in low], [shared.setdefault(v, v) for v in high]))
-        chunks.append((start, start + width, tuple(rows)))
-    keys = {bits: key for key, bits in enumerate(itertools.product((0, 1), repeat=width))}
-    return keys, tuple(chunks)
+    force1 = [0] * size
+    force0 = [0] * size
+    for i1, i2, mask in _entry_pair_groups(n):
+        if ab[i1]:
+            force0[i2] |= mask
+        else:
+            force1[i2] |= mask
+    return tuple(force1), tuple(force0)
 
 
 def _bc_entries_met(n: int, ab: tuple[int, ...], ac: tuple[int, ...]) -> tuple[int, int, int, int]:
     """Indexed by 2*ab bit + ac bit: the mask of bc entries that some
     profile selects together with that pair of social bits.
 
-    One lookup in _met_tables(n) per ab entry and ac chunk, 8 at n = 3,
-    where the entry-pair groups take 64 steps.
+    One step per ac entry over the ab table's _forces: 8 at n = 3, against
+    64 entry-pair groups.
     """
-    keys, chunks = _met_tables(n)
-    acc = 0
-    for start, stop, rows in chunks:
-        key = keys[tuple(ac[start:stop])]  # tuple(): a table may be a list
-        for bit, row in zip(ab, rows):
-            acc |= row[bit][key]
-    size = 1 << n
-    full = (1 << size) - 1
-    return acc & full, acc >> size & full, acc >> 2 * size & full, acc >> 3 * size
+    force1, force0 = _forces(n, tuple(ab))  # tuple(): a table may be a list
+    m00 = m01 = m10 = m11 = 0
+    for bit, f1, f0 in zip(ac, force1, force0):
+        if bit:
+            m01 |= f1
+            m11 |= f0
+        else:
+            m00 |= f1
+            m10 |= f0
+    return m00, m01, m10, m11
 
 
 def satisfies_unanimity(swf: PairwiseSwf) -> bool:
     """Unanimous pairwise preferences must be copied by the social order:
     entry 2^n-1 of each table reads every agent's bit 1, entry 0 every
     agent's bit 0."""
-    ab, ac, bc = swf.tables
-    return ab[0] == ac[0] == bc[0] == 0 and ab[-1] == ac[-1] == bc[-1] == 1
+    return all(t[0] == 0 and t[-1] == 1 for t in swf.tables)
 
 
 def _agent_bits(n: int, agent: int) -> tuple[int, ...]:
@@ -244,19 +229,20 @@ def _agent_bits(n: int, agent: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _dictator_tables(n: int, invert: bool) -> tuple[tuple[int, ...], ...]:
-    """Per agent, the table that copies (invert: reverses) its bit."""
-    return tuple(tuple(b ^ invert for b in _agent_bits(n, i)) for i in range(n))
+def _dictator_tables(n: int, invert: bool) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per agent, the table triple that copies (invert: reverses) its order."""
+    out = []
+    for i in range(n):
+        bits = tuple(b ^ invert for b in _agent_bits(n, i))
+        out.append((bits, bits, bits))
+    return tuple(out)
 
 
 def _table_dictator(swf: PairwiseSwf, invert: bool) -> int | None:
-    # exact: every entry of every table is selected by some profile, and a
-    # dictator's three tables are one agent's table
-    ab, ac, bc = swf.tables
-    if ab == ac == bc:
-        for i, bits in enumerate(_dictator_tables(swf.n, invert)):
-            if ab == bits:
-                return i
+    # exact: every entry of every table is selected by some profile
+    for i, tables in enumerate(_dictator_tables(swf.n, invert)):
+        if swf.tables == tables:
+            return i
     return None
 
 
@@ -333,19 +319,11 @@ def enumerate_iia_swfs(n: int, candidate_budget: int = DEFAULT_CANDIDATE_BUDGET)
         raise ValueError(
             f"candidate space of {count} table triples exceeds budget {candidate_budget}"
         )
-    groups = _entry_pair_groups(n)
     tables = [_int_to_table(x, size) for x in range(1 << size)]
     full = (1 << size) - 1
     out: list[PairwiseSwf] = []
     for ab in tables:
-        # per ac entry: the bc entries its bit 1 forces to 1 and its bit 0 to 0
-        force1 = [0] * size
-        force0 = [0] * size
-        for i1, i2, mask in groups:
-            if ab[i1]:
-                force0[i2] |= mask
-            else:
-                force1[i2] |= mask
+        force1, force0 = _forces(n, ab)
         # (next ac entry, ac table so far, forced-1 mask, forced-0 mask); bit 1
         # is pushed first, so bit 0 comes off the stack first
         stack = [(0, 0, 0, 0)]

@@ -369,7 +369,7 @@ def test_entry_pair_groups_match_the_profile_walk(n):
 
 
 def group_loop_met(n: int, ab: tuple[int, ...], ac: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """_bc_entries_met as one step per entry-pair group, the oracle of the lookup."""
+    """_bc_entries_met as one step per entry-pair group, its oracle."""
     met = [0, 0, 0, 0]
     for i1, i2, mask in swf_module._entry_pair_groups(n):
         met[ab[i1] << 1 | ac[i2]] |= mask
@@ -377,7 +377,7 @@ def group_loop_met(n: int, ab: tuple[int, ...], ac: tuple[int, ...]) -> tuple[in
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_bc_entries_met_by_lookup_matches_the_group_loop(n):
+def test_bc_entries_met_matches_the_group_loop(n):
     size = 1 << n
     # every (ab, ac) pair up to n = 3; at n = 4 every 1021st table, both ends included
     ints = list(range(1 << size)) if n <= 3 else sorted({*range(0, 1 << size, 1021), (1 << size) - 1})
@@ -407,8 +407,8 @@ def test_swfs_with_equal_ranges_share_one_class(n):
     assert classify(dictator(n, 0)) == classify(dictator(n, 0)) == SwfClass(DICTATORIAL, agent=0)
 
 
-def test_importing_the_cli_builds_no_swf_lookup_table():
-    names = ["_entry_pair_groups", "_met_tables", "_range_set", "_range_class"]
+def test_importing_the_cli_fills_no_swf_cache():
+    names = ["_entry_pair_groups", "_forces", "_range_set", "_range_class"]
     code = (
         "import implab.cli; from implab import swf; "
         f"print([getattr(swf, name).cache_info().currsize for name in {names!r}])"
