@@ -99,11 +99,16 @@ def to_amounts(values, label: str = "amount") -> tuple[Amount, ...]:
 
 @dataclass(frozen=True, slots=True)
 class AuctionOutcome:
-    """Binary allocation vector and payment vector; not self-validating so
-    that deliberately broken rules can be fed to the soundness checker."""
+    """Binary allocation vector and payment vector, stored as tuples so that
+    no caller can change an outcome once it is built; not self-validating
+    so that deliberately broken rules can be fed to the soundness checker."""
 
     x: tuple[int, ...]
     p: tuple[Amount, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", tuple(self.x))
+        object.__setattr__(self, "p", tuple(self.p))
 
 
 class AuctionRule(Protocol):
@@ -114,21 +119,19 @@ class AuctionRule(Protocol):
     sweeps rely on it to run on integers.  Both RULES entries meet it,
     because each price is a bid or 0.
 
-    A returned outcome is never changed afterwards: the soundness checks
-    read an outcome object once, however often the rule returns it.
+    An outcome holds tuples, so it never changes after the rule returns
+    it: the soundness checks read an outcome object once, however often
+    the rule returns it.
     """
 
     def __call__(self, bids: Sequence[Amount]) -> AuctionOutcome: ...
 
 
 def outcome_violations(out: AuctionOutcome, n: int) -> list[str]:
-    """Soundness defects of a single outcome, empty when sound."""
-    x, p = out.x, out.p
-    # sound: one 1 and n-1 zeros in x, the winner pays >= 0, everyone else 0
-    if len(x) == n == len(p) and x.count(1) == 1 and x.count(0) == n - 1:
-        price = p[x.index(1)]
-        if price >= 0 and p.count(0) == n - (price != 0):
-            return []
+    """Soundness defects of a single outcome, empty when sound: vectors of
+    n entries, an allocation of 0s and 1s with exactly one winner, no
+    negative payment and no loser paying.  sweep_soundness calls it once
+    per distinct outcome object, not once per bid vector."""
     problems = []
     if len(out.x) != n or len(out.p) != n:
         problems.append(f"vectors sized ({len(out.x)},{len(out.p)}), expected {n}")
@@ -174,7 +177,7 @@ def _outcome(n: int, winner: int, price: Amount) -> AuctionOutcome:
     """The outcome in which winner pays price; RuntimeError if it is unsound."""
     x, p = [0] * n, [0] * n
     x[winner], p[winner] = 1, price
-    out = AuctionOutcome(tuple(x), tuple(p))
+    out = AuctionOutcome(x, p)
     # one winner and zeros elsewhere: the price is all outcome_violations could flag
     if price < 0:
         raise RuntimeError(f"auction rule produced an unsound outcome: {outcome_violations(out, n)}")

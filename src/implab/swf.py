@@ -23,13 +23,16 @@ its class, so each SWF is classified once per run: `census` counts the
 classes (Tang-Lin), `survivors` filters by unanimity and non-dictatorship
 (Arrow) and `onto_survivors` by a range of all six orders (Wilson).
 `encode_arrow` states the Arrow base case as CNF over the table entries,
-and `decode_model` reads an SWF back out of a model; the models of
-`encode_arrow(n, axioms)` decode to exactly `survivors(classes, axioms)`.
+with acyclicity clauses on each (ab, ac, bc) entry triple that the
+entry-pair groups list, and `decode_model` reads an SWF back out of a
+model; the models of `encode_arrow(n, axioms)` decode to exactly
+`survivors(classes, axioms)`.
 
 Table entry convention: the entry index for a pair packs the agents' bits
 with agent 0 as the most significant bit, so index 2^n-1 is the all-ones
-input and index 0 the all-zeros input.  `profile_pair_indices` is the one
-place that packs them; `_agent_bits` is the table that copies one agent.
+input and index 0 the all-zeros input.  `_agent_bits` is the one place
+that reads an agent's bit out of an index: the table that copies that
+agent.
 As an int (`_table_to_int`, `_int_to_table`), entry 0 of a table is the
 most significant bit, so integer order is lexicographic order.
 """
@@ -46,7 +49,6 @@ from .orders import (
     ORDER_BY_CODE,
     PAIR_NAMES,
     LinearOrder,
-    all_linear_orders,
     bits_of_order,
 )
 from .satkit import Cnf
@@ -78,19 +80,25 @@ class PairwiseSwf:
         if self.n < 1:
             raise ValueError(f"agent count must be positive, got {self.n}")
         size = 1 << self.n
-        if len(self.tables) != 3 or any(len(t) != size for t in self.tables):
+        tables = self.tables
+        if len(tables) != 3 or not len(tables[0]) == len(tables[1]) == len(tables[2]) == size:
             raise ValueError(f"need 3 tables of {size} entries each")
+        # stored as tuples, as Cnf stores its clauses: a table given as a list
+        # then compares, hashes and classifies like the same table as a tuple
+        tables = ab, ac, bc = tuple(tables[0]), tuple(tables[1]), tuple(tables[2])
+        object.__setattr__(self, "tables", tables)
+        entries = ab + ac + bc
         try:
-            bits = _BITS.issuperset(itertools.chain(*self.tables))
+            bits = _BITS.issuperset(entries)
         except TypeError:  # an unhashable entry; the per-entry test below decides
             bits = False
-        if not bits and any(e not in (0, 1) for t in self.tables for e in t):
+        if not bits and any(e not in (0, 1) for e in entries):
             raise ValueError("table entries must be 0 or 1")
         # the cyclic codes are 010 and 101: ab != ac, and bc equal to ab.
         # The masks and the bc table are kept for range_of, outside the
         # fields, so equality, hashing and repr still read only n and the tables.
-        met = _bc_entries_met(self.n, self.tables[0], self.tables[1])
-        ones = _table_to_int(self.tables[2])
+        met = _bc_entries_met(self.n, ab, ac)
+        ones = _table_to_int(bc)
         object.__setattr__(self, "_bc", (met, ones))
         if met[0b01] & ~ones:
             raise ValueError("tables produce cyclic social code (0, 1, 0) on some profile")
@@ -118,31 +126,10 @@ class SwfClass:
                 raise ValueError("small_range orders must be at Kendall distance <= 1")
 
 
-@lru_cache(maxsize=None)
 def _within_one_swap(o1: LinearOrder, o2: LinearOrder) -> bool:
-    """Kendall distance <= 1, computed once per pair of orders.  At m=3 the
-    distance is the Hamming distance of the (ab, ac, bc) codes."""
+    """Kendall distance <= 1.  At m=3 the distance is the Hamming distance
+    of the (ab, ac, bc) codes."""
     return sum(a != b for a, b in zip(bits_of_order(o1), bits_of_order(o2))) <= 1
-
-
-@lru_cache(maxsize=None)
-def _codes6() -> tuple[tuple[int, int, int], ...]:
-    return tuple(bits_of_order(o) for o in all_linear_orders(3))
-
-
-@lru_cache(maxsize=None)
-def profile_pair_indices(n: int) -> tuple[tuple[int, int, int], ...]:
-    """Per profile: the three table entry indices it selects.  Profiles come
-    in canonical order, the product of all_linear_orders(3) over the agents
-    with agent 0 outermost."""
-    out = []
-    for combo in itertools.product(_codes6(), repeat=n):
-        idx = [0, 0, 0]
-        for agent, code in enumerate(combo):
-            for k in range(3):
-                idx[k] |= code[k] << (n - 1 - agent)
-        out.append(tuple(idx))
-    return tuple(out)
 
 
 def _table_to_int(table: tuple[int, ...]) -> int:
@@ -438,10 +425,14 @@ def encode_arrow(n: int, axioms: frozenset[str] | set[str] = frozenset()) -> Arr
     size = 1 << n
     var = partial(entry_var, n)
     clauses: list[tuple[int, ...]] = []
-    for i1, i2, i3 in profile_pair_indices(n):
-        v1, v2, v3 = var(0, i1), var(1, i2), var(2, i3)
-        clauses.append((v1, -v2, v3))   # forbid social code 010
-        clauses.append((-v1, v2, -v3))  # forbid social code 101
+    # the entry triples that the profiles select: per group, each bc entry in its mask
+    for i1, i2, mask in _entry_pair_groups(n):
+        v1, v2 = var(0, i1), var(1, i2)
+        for i3 in range(size):
+            if mask >> (size - 1 - i3) & 1:
+                v3 = var(2, i3)
+                clauses.append((v1, -v2, v3))   # forbid social code 010
+                clauses.append((-v1, v2, -v3))  # forbid social code 101
     if UN in axioms:
         for k in range(3):
             clauses.append((var(k, size - 1),))

@@ -871,3 +871,19 @@ def test_soundness_sweep_checks_each_distinct_outcome_object_once(monkeypatch):
     checked.clear()
     fresh = sweep_soundness(2, parse_grid("0:2:1"), rule=copying)
     assert fresh.unsound == () and len(checked) == fresh.cells == 9
+
+
+def test_a_rule_cannot_change_a_shared_outcome_through_its_lists():
+    x = [0, 0]
+    shared = AuctionOutcome(x, [0, 0])
+
+    def rewriting(bids):
+        # rewrites the list it built its one outcome from: a strict winner, none on a tie
+        x[:] = [int(bids[0] > bids[1]), int(bids[1] > bids[0])]
+        return shared
+
+    sweep = sweep_soundness(2, parse_grid("0:2:1"), rule=rewriting)
+    # the outcome keeps the allocation it was built with, so every vector has no winner
+    assert shared.x == (0, 0)
+    assert [r.bids for r in sweep.unsound] == list(itertools.product(range(3), repeat=2))
+    assert {r.violations for r in sweep.unsound} == {("expected exactly one winner, got 0",)}

@@ -6,14 +6,12 @@ import pytest
 
 from implab.orders import (
     CYCLIC_CODES,
-    PAIRS3,
     LinearOrder,
     all_linear_orders,
     bits_of_order,
     format_bits,
     order_of_bits,
 )
-from implab.swf import profile_pair_indices
 
 ABC = LinearOrder((0, 1, 2))
 ACB = LinearOrder((0, 2, 1))
@@ -170,25 +168,6 @@ def test_kendall_tau_matches_inversion_count_on_random_pairs():
                 o1.prefers(x, y) != o2.prefers(x, y) for x, y in itertools.combinations(range(m), 2)
             )
             assert discordant == _inversion_count_oracle(o1, o2)
-
-
-def test_all_profiles_counts():
-    # a profile is one order per agent: (3!)^n of them
-    assert [len(profile_pair_indices(n)) for n in (1, 2, 3)] == [6, 36, 216]
-
-
-def test_all_profiles_canonical_order():
-    # the product of all_linear_orders(3) over the agents, agent 0 outermost,
-    # each agent's (ab, ac, bc) bits packed with agent 0 the most significant
-    for n in (1, 2, 3):
-        expected = tuple(
-            tuple(
-                sum(o.prefers(x, y) << (n - 1 - agent) for agent, o in enumerate(profile))
-                for x, y in PAIRS3
-            )
-            for profile in itertools.product(all_linear_orders(3), repeat=n)
-        )
-        assert profile_pair_indices(n) == expected
 
 
 def test_no_produced_order_is_cyclic():

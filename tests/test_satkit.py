@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import itertools
 import random
 import re
@@ -389,9 +390,37 @@ def test_decode_model_requires_total_assignment():
         decode_model(enc, {1: True})
 
 
-def test_arrow_dimacs_bytes_are_stable():
-    enc = encode_arrow(2, {UN, ND})
-    assert to_dimacs(enc.cnf) == (GOLDEN / "arrow_n2_un_nd.cnf").read_text()
+# sha256 of to_dimacs(encode_arrow(n, axioms).cnf), per n and axiom set
+ARROW_DIMACS_SHA256 = {
+    (1, ()): "9ff86f4c7c032606c147480d43a2720e182a28aafdfc5a0b411de5e7924d4cc2",
+    (1, (UN,)): "e1386e02dbde89eb1fd53638f1a6023cf38d442cf240ad3a5ac2e452b4024558",
+    (1, (ND,)): "b6a1e6a89681ff5550a233d6a159202b9dbcdc20c3e4ff2e8eac2b536112a931",
+    (1, (UN, ND)): "0dec64b5ad01c40fcc445cb727f331dcd08a6ce85ff40daa775f0941401e106b",
+    (2, ()): "5fbbe7965ee8ef6ac15eefd3e74a34a4e656e51627ab2ddface75db2f20abd8a",
+    (2, (UN,)): "e6bbd5404f190eac121a605c6ddce6e7b4b3fd46655439f1901cb72c919b2751",
+    (2, (ND,)): "e251ffed608162500fb3b3313bce3c8bbdbb9961bf149c2fa91ec9a439f25796",
+    (2, (UN, ND)): "8c9d0b6bdcf10ffb97a2f0a5656823497dbc2ad5621d65553b424ad529e155d1",
+    (3, ()): "8b42bfa3fe81f233c1781ebee1dc509c411d35341e46d8a220ed4554e1562efe",
+    (3, (UN,)): "c7f38b9fe6d65b45276c7d066c72a6c800a9d44875b27d51846efa07a84052ad",
+    (3, (ND,)): "e43150aff2bf105721df522310ec6c44279a2b56b38ca5b9d1a2b9c6f7f38935",
+    (3, (UN, ND)): "5cbccb6b892286382678489bdbb74b5b1ccc4c4586ad213363a17dd3632df3b0",
+    (4, ()): "52bd7275831699281e9d189a88e09a4400518a24717319890bd63c25e025136c",
+    (4, (UN,)): "7b551caca802cdd355c58923f6ca83e74dcc00d05faa53864d1707595eae01c8",
+    (4, (ND,)): "6e572e9c4aeba810e84fe5f0dbd30b5d7ab843b02398df17913e4fe77b4419f3",
+    (4, (UN, ND)): "8c6b331d2f57d70026c4802b791329a5a0a9f3bb25a7f0f7d07227b6ba63d1ce",
+}
+
+
+@pytest.mark.parametrize(
+    ("n", "axioms"),
+    list(ARROW_DIMACS_SHA256),
+    ids=[f"n{n}-{'+'.join(axioms) or 'none'}" for n, axioms in ARROW_DIMACS_SHA256],
+)
+def test_arrow_dimacs_bytes_are_stable(n, axioms):
+    text = to_dimacs(encode_arrow(n, set(axioms)).cnf)
+    assert hashlib.sha256(text.encode()).hexdigest() == ARROW_DIMACS_SHA256[n, axioms]
+    if (n, axioms) == (2, (UN, ND)):
+        assert text == (GOLDEN / "arrow_n2_un_nd.cnf").read_text()
 
 
 def test_satkit_imports_no_implab_module():

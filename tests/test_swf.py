@@ -213,6 +213,20 @@ def test_pairwise_rejects_cyclic_tables():
         PairwiseSwf(1, ((0, 0), (1, 1), (0, 0)))
 
 
+def test_tables_given_as_lists_are_stored_as_tuples():
+    listed = PairwiseSwf(1, ([0, 1], [0, 1], [0, 1]))
+    tupled = PairwiseSwf(1, ((0, 1), (0, 1), (0, 1)))
+    assert listed.tables == tupled.tables == ((0, 1), (0, 1), (0, 1))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert classify(listed) == SwfClass(DICTATORIAL, agent=0)
+
+
+@pytest.mark.parametrize("tables", [((0, 1),) * 2, ((0, 1),) * 4, ((0, 1), (0, 1), (0, 1, 1))])
+def test_construction_rejects_tables_of_the_wrong_shape(tables):
+    with pytest.raises(ValueError, match="need 3 tables of 2 entries each"):
+        PairwiseSwf(1, tables)
+
+
 def profile_walk_is_cyclic(n: int, tables) -> bool:
     """Reference: some profile's social bits (a>b, a>c, b>c) form a cycle."""
     for p in oracle_profiles(n):
@@ -357,7 +371,7 @@ def profile_walk_groups(n: int) -> tuple[tuple[int, int, int], ...]:
     entries selected with it."""
     size = 1 << n
     masks: dict[tuple[int, int], int] = {}
-    for i1, i2, i3 in swf_module.profile_pair_indices(n):
+    for i1, i2, i3 in oracle_entries(n):
         masks[i1, i2] = masks.get((i1, i2), 0) | 1 << (size - 1 - i3)
     return tuple((i1, i2, mask) for (i1, i2), mask in sorted(masks.items()))
 
@@ -602,6 +616,7 @@ def test_swf_has_one_swf_representation():
 PROFILE_LAYER = {
     "Profile",
     "all_profiles",
+    "profile_pair_indices",
     "PROFILE_BUDGET",
     "kendall_tau",
     "evaluate",
