@@ -21,6 +21,13 @@ visited with the first checked agent's bid innermost, so that agent's
 first hit ends the sweep; a hit of a later agent is kept only while no
 hit earlier in the per-agent order is found.
 
+Both rules check an all-int bid vector in the pass that ranks it:
+run_spa's one sort also gives the least bid for the non-negativity check,
+and run_first_price's min and max do the same.  Any other vector goes
+through to_amounts, the one place that converts amounts and words their
+errors.  A soundness sweep runs all its vectors through one loop,
+_soundness, which check_soundness shares for its one vector.
+
 Outcomes are shared and immutable: both rules build theirs through a
 memo of at most OUTCOME_CACHE_SIZE outcomes keyed by (n, winner, price),
 so equal keys give the same AuctionOutcome object, whose tuples and
@@ -46,7 +53,8 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Protocol, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Protocol, Sequence
 
 DEFAULT_SWEEP_BUDGET = 10_000_000
 SOUNDNESS_RUNS = 3
@@ -150,21 +158,27 @@ def outcome_violations(out: AuctionOutcome, n: int) -> list[str]:
 
 def run_spa(bids: Sequence) -> AuctionOutcome:
     """Second-price rule: highest bid wins, pays the best competing bid."""
-    b = to_amounts(bids, "bid")
-    if len(b) < 2:
-        if not b:
-            raise ValueError("auction needs at least one bid")
-        return _outcome(1, 0, 0)
+    b = tuple(bids)
+    # to_amounts' int fast path, with the sort that ranks the bids finding the least
+    if len(b) < 2 or not _INT.issuperset(map(type, b)) or (ranked := sorted(b))[0] < 0:
+        b = to_amounts(b, "bid")
+        if len(b) < 2:
+            if not b:
+                raise ValueError("auction needs at least one bid")
+            return _outcome(1, 0, 0)
+        ranked = sorted(b)
     # the best competing bid is the second largest: one copy of the max is the winner's
-    ranked = sorted(b)
     return _outcome(len(b), b.index(ranked[-1]), ranked[-2])
 
 
 def run_first_price(bids: Sequence) -> AuctionOutcome:
     """Mutant rule for falsification runs: the winner pays its own bid."""
-    b = to_amounts(bids, "bid")
-    if not b:
-        raise ValueError("auction needs at least one bid")
+    b = tuple(bids)
+    # to_amounts' int fast path, inlined
+    if not b or not _INT.issuperset(map(type, b)) or min(b) < 0:
+        b = to_amounts(b, "bid")
+        if not b:
+            raise ValueError("auction needs at least one bid")
     winner = b.index(max(b))
     return _outcome(len(b), winner, b[winner])
 
@@ -308,9 +322,9 @@ def _sweep_range(task: tuple) -> tuple[tuple[int, int, int], DominanceCounterexa
         # payoff() inlined: amounts are scaled ints, a payment is converted unless it is one
         pay = t_out.p[a0]
         truth_pay = v0 * t_out.x[a0] - (pay if type(pay) is int else to_amount(pay))
-        # an agent after the best hit's cannot beat its key
-        live = [
-            (p, i, v_i, digits[q], sum(d * w for d, w in zip(digits, ws)), wa, table)
+        # an agent after the best hit's cannot beat its key; with no later agent nothing is built
+        live = sweeps and [
+            (p, i, v_i, digits[q], sum(map(mul, digits, ws)), wa, table)
             for p, i, v_i, q, ws, wa, table in sweeps
             if best is None or p <= best[0][0]
         ]
@@ -472,35 +486,42 @@ class SoundnessReport:
 
 
 def _soundness(
-    b: tuple[Amount, ...], rule: AuctionRule, checked: dict[int, tuple[AuctionOutcome, list[str]]]
-) -> tuple[AuctionOutcome, list[str]]:
-    """The first outcome of rule on validated bids b, and its soundness
-    defects, a nondeterministic outcome over SOUNDNESS_RUNS runs among them.
+    vectors: Iterable[tuple[Amount, ...]], rule: AuctionRule
+) -> Iterator[tuple[tuple[Amount, ...], AuctionOutcome, list[str]]]:
+    """For each validated bid vector b of vectors: b, the first outcome of
+    rule on b, and that outcome's soundness defects, a nondeterministic
+    outcome over SOUNDNESS_RUNS runs among them.  This is the one loop of
+    check_soundness and sweep_soundness; a sweep hands it every vector, so
+    it makes no call per vector.
 
     checked maps id(outcome) to the outcome and its outcome_violations, so
     an outcome object that the rule returns for several bid vectors of one
     length is checked once.  It holds the outcomes, so no id in it is
     reused, and is emptied when it reaches OUTCOME_CACHE_SIZE entries.
     """
-    first = rule(b)
-    hit = checked.get(id(first))
-    if hit is None:
-        if len(checked) >= OUTCOME_CACHE_SIZE:
-            checked.clear()
-        hit = checked[id(first)] = (first, outcome_violations(first, len(b)))
-    problems = hit[1]
-    for _ in range(SOUNDNESS_RUNS - 1):
-        again = rule(b)
-        # a memoized outcome comes back as the same object, which needs no comparison
-        if again is not first and again != first:
-            return first, [*problems, f"nondeterministic outcome: {again} != {first}"]
-    return first, problems
+    checked: dict[int, tuple[AuctionOutcome, list[str]]] = {}
+    reruns = range(SOUNDNESS_RUNS - 1)
+    for b in vectors:
+        first = rule(b)
+        hit = checked.get(id(first))
+        if hit is None:
+            if len(checked) >= OUTCOME_CACHE_SIZE:
+                checked.clear()
+            hit = checked[id(first)] = (first, outcome_violations(first, len(b)))
+        problems = hit[1]
+        for _ in reruns:
+            again = rule(b)
+            # a memoized outcome comes back as the same object, which needs no comparison
+            if again is not first and again != first:
+                problems = [*problems, f"nondeterministic outcome: {again} != {first}"]
+                break
+        yield b, first, problems
 
 
 def check_soundness(bids: Sequence, rule: AuctionRule = run_spa) -> SoundnessReport:
     """Outcome invariants plus determinism across SOUNDNESS_RUNS evaluations."""
     b = to_amounts(bids, "bid")
-    first, problems = _soundness(b, rule, {})
+    ((_, first, problems),) = _soundness((b,), rule)
     return SoundnessReport(b, tuple(problems), first)
 
 
@@ -536,9 +557,7 @@ def sweep_soundness(
     # scaling is injective, so each scaled point maps back to its grid point as given
     unscaled = dict(zip(points, grid.points))
     unsound = []
-    checked: dict[int, tuple[AuctionOutcome, list[str]]] = {}
-    for bids in itertools.product(points, repeat=n):
-        _, problems = _soundness(bids, rule, checked)
+    for bids, _, problems in _soundness(itertools.product(points, repeat=n), rule):
         if not problems:
             continue
         original = tuple(unscaled[b] for b in bids)

@@ -35,6 +35,17 @@ GRID0_4 = parse_grid("0:4:1")
 GRID0_2 = parse_grid("0:2:1")
 
 
+class Counting:
+    """run_spa, recording the bids of every call in calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, bids):
+        self.calls.append(bids)
+        return run_spa(bids)
+
+
 def test_run_spa_examples():
     assert run_spa([3, 1]) == AuctionOutcome((1, 0), (Fraction(1), Fraction(0)))
     assert run_spa([2, 2]) == AuctionOutcome((1, 0), (Fraction(2), Fraction(0)))
@@ -316,6 +327,71 @@ def test_to_amounts_keeps_its_answers_and_messages(values):
     assert answer(to_amounts, values, "bid") == answer(reference_to_amounts, values, "bid")
 
 
+def fresh_outcome(n, winner, price):
+    """The outcome in which winner pays price, built without the rules' memo."""
+    x = tuple(int(j == winner) for j in range(n))
+    return AuctionOutcome(x, tuple(price if j == winner else 0 for j in range(n)))
+
+
+def reference_run_spa(bids):
+    """run_spa converting its bids through to_amounts before it ranks them."""
+    b = to_amounts(bids, "bid")
+    if len(b) < 2:
+        if not b:
+            raise ValueError("auction needs at least one bid")
+        return fresh_outcome(1, 0, 0)
+    ranked = sorted(b)
+    return fresh_outcome(len(b), b.index(ranked[-1]), ranked[-2])
+
+
+def reference_run_first_price(bids):
+    """run_first_price converting its bids through to_amounts before it takes their maximum."""
+    b = to_amounts(bids, "bid")
+    if not b:
+        raise ValueError("auction needs at least one bid")
+    winner = b.index(max(b))
+    return fresh_outcome(len(b), winner, b[winner])
+
+
+def rule_answer(rule, bids):
+    """rule's outcome with the type of each entry, or its exception's type and message."""
+    try:
+        out = rule(bids)
+    except Exception as e:
+        return type(e), str(e)
+    return out, amount_types(out.x + out.p)
+
+
+@pytest.mark.parametrize(
+    "rule, reference", [(run_spa, reference_run_spa), (run_first_price, reference_run_first_price)], ids=["spa", "fp"]
+)
+@pytest.mark.parametrize(
+    "bids",
+    [
+        [],
+        [5],
+        [3, 3],
+        [2, 5, 5, 1],
+        [0, 0, 0],
+        [0, 4],
+        [3, -1],
+        [-2],
+        [True, 2],
+        [2, True],
+        [Fraction(1, 2), Fraction(5, 2)],
+        [2, Fraction(2)],
+        [Fraction(5, 2), 3, 1],
+        ["1/2", "3"],
+        ["2.5", 2],
+        [1.5, 2],
+        ["\u0663", 1],
+    ],
+    ids=repr,
+)
+def test_rules_keep_their_answers_and_messages(rule, reference, bids):
+    assert rule_answer(rule, bids) == rule_answer(reference, bids)
+
+
 def test_max_examples():
     assert max_classical([7]) == max_constructive([7]) == 7
     assert max_classical([1, 3, 2]) == max_constructive([1, 3, 2]) == 3
@@ -585,39 +661,44 @@ def test_point_limits_are_exact_integer_roots():
 
 
 def test_dominance_sweep_calls_the_rule_once_per_cell_and_per_truthful_profile():
-    calls = []
-
-    def counting(bids):
-        calls.append(bids)
-        return run_spa(bids)
-
+    counting = Counting()
     values = [Fraction(7, 2), Fraction(5, 2), 1]
     res = check_weak_dominance(values, GRID0_4, rule=counting)
     n, k = len(values), len(GRID0_4.points)
     assert res.holds
     assert res.cells == 6 * 25 + 6 * 25 + 5 * 25
     # each bid vector once, for every agent, plus one truthful profile per agent and opponents' bids
-    assert len(calls) == k**n + n * k ** (n - 1) == 200
+    assert len(counting.calls) == k**n + n * k ** (n - 1) == 200
 
 
 def test_dominance_sweep_reuses_an_on_grid_first_agents_truthful_outcome():
-    calls = []
-
-    def counting(bids):
-        calls.append(bids)
-        return run_spa(bids)
-
+    counting = Counting()
     n, k = 3, len(GRID0_4.points)
     # agents[0]'s truthful vector is one of its deviations; the later on-grid agent 2 is not spared
     for agents in (((0, 3), (1, Fraction(5, 2)), (2, 1)), ((2, 1), (0, Fraction(7, 2)), (1, 4))):
-        calls.clear()
+        counting.calls.clear()
         res = check_dominance(n, agents, GRID0_4, counting)
         assert res == per_agent_dominance(n, agents, GRID0_4, run_spa) and res.holds
         a = len(agents)
-        assert len(calls) == k**n + a * k ** (n - 1) - k ** (n - 1) == 175
-    calls.clear()
+        assert len(counting.calls) == k**n + a * k ** (n - 1) - k ** (n - 1) == 175
+    counting.calls.clear()
     assert check_dominance(n, ((1, 2),), GRID0_4, counting).holds
-    assert len(calls) == k**n
+    assert len(counting.calls) == k**n
+
+
+def test_the_benchmarks_dominance_sweeps_make_a_pinned_number_of_rule_calls():
+    # `vickrey dominance --n 4 --grid 0:10:1 --values 7/2,5/2,11/2,5/2`: 11**4 + 4 * 11**3 calls
+    counting = Counting()
+    grid = parse_grid("0:10:1")
+    values = [Fraction(7, 2), Fraction(5, 2), Fraction(11, 2), Fraction(5, 2)]
+    assert check_weak_dominance(values, grid, rule=counting).holds
+    assert len(counting.calls) == 19_965
+    # `vickrey abstract --n-max 8 --value 7/2 --delta 1`: agent 0 alone, 3**n calls per n
+    counting.calls.clear()
+    grid = abstract_grid(Fraction(7, 2), 1)
+    for n in range(2, 9):
+        assert check_dominance(n, ((0, Fraction(7, 2)),), grid, counting).holds
+    assert len(counting.calls) == 9_837
 
 
 @dataclass(frozen=True)
@@ -665,8 +746,8 @@ def test_rule_that_breaks_the_scaling_contract_is_caught():
 
 
 def catalogue_violations(out: AuctionOutcome, n: int) -> list[str]:
-    """The soundness catalogue, entry by entry, as outcome_violations had it
-    before its fast path for sound outcomes."""
+    """The soundness catalogue, entry by entry, kept apart from
+    outcome_violations so that a change to it must give the same messages."""
     problems = []
     if len(out.x) != n or len(out.p) != n:
         problems.append(f"vectors sized ({len(out.x)},{len(out.p)}), expected {n}")
@@ -711,14 +792,14 @@ def outcome_corpus():
     yield AuctionOutcome((), ())
 
 
-def test_outcome_violations_fast_path_matches_the_catalogue():
+def test_outcome_violations_matches_the_catalogue_on_the_corpus():
     corpus = list(outcome_corpus())
     sound = [o for o in corpus if not catalogue_violations(o, len(o.x))]
     assert len(sound) >= 400
     for out in corpus:
         for n in {len(out.x), len(out.x) + 1, 2}:
             assert outcome_violations(out, n) == catalogue_violations(out, n), (out, n)
-    # a naive "p.count(0) >= n - 1" test would pass it
+    # n - 1 payments are 0 and none is negative, yet a loser pays
     loser_pays = AuctionOutcome((1, 0, 0), (0, 2, 0))
     assert outcome_violations(loser_pays, 3) == ["losing participant 1 pays 2 instead of 0"]
 
@@ -734,18 +815,13 @@ def unsound_facts(reports) -> list:
 
 
 def test_soundness_sweep_calls_the_rule_three_times_per_bid_vector():
-    calls = []
-
-    def counting(bids):
-        calls.append(bids)
-        return run_spa(bids)
-
+    counting = Counting()
     grid = parse_grid("0:3:1/2")
     sweep = sweep_soundness(3, grid, rule=counting)
     k = len(grid.points)
     assert sweep.cells == k**3 and sweep.unsound == ()
-    assert len(calls) == 3 * k**3
-    assert {type(b) for bids in calls for b in bids} == {int}
+    assert len(counting.calls) == 3 * k**3
+    assert {type(b) for bids in counting.calls for b in bids} == {int}
 
 
 @pytest.mark.parametrize("name", sorted(RULES))
@@ -814,17 +890,12 @@ def test_soundness_sweep_reports_a_nondeterministic_rule_as_the_fraction_sweep_d
 @pytest.mark.parametrize("runs", [1, 2, 4])
 def test_soundness_sweep_runs_the_rule_soundness_runs_times_per_sound_vector(monkeypatch, runs):
     monkeypatch.setattr(auctions, "SOUNDNESS_RUNS", runs)
-    calls = []
-
-    def counting(bids):
-        calls.append(bids)
-        return run_spa(bids)
-
+    counting = Counting()
     grid = parse_grid("0:2:1/2")
     assert sweep_soundness(2, grid, rule=counting).unsound == ()
     # the grid times D = 2, each vector run SOUNDNESS_RUNS times in a row
     vectors = list(itertools.product((0, 1, 2, 3, 4), repeat=2))
-    assert calls == [bids for bids in vectors for _ in range(runs)]
+    assert counting.calls == [bids for bids in vectors for _ in range(runs)]
 
 
 def test_soundness_sweep_converts_its_amounts_a_fixed_number_of_times(monkeypatch):
