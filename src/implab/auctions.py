@@ -95,10 +95,7 @@ def to_amount(value) -> Amount:
 
 
 def to_amounts(values, label: str = "amount") -> tuple[Amount, ...]:
-    out = tuple(values)
-    if not out or (_INT.issuperset(map(type, out)) and min(out) >= 0):
-        return out
-    out = tuple(map(to_amount, out))
+    out = tuple(map(to_amount, values))
     for i, v in enumerate(out):
         if v.numerator < 0:
             raise ValueError(f"negative {label} {v} at index {i}")
@@ -159,7 +156,7 @@ def outcome_violations(out: AuctionOutcome, n: int) -> list[str]:
 def run_spa(bids: Sequence) -> AuctionOutcome:
     """Second-price rule: highest bid wins, pays the best competing bid."""
     b = tuple(bids)
-    # to_amounts' int fast path, with the sort that ranks the bids finding the least
+    # an all-int vector is checked here, the sort that ranks the bids finding the least
     if len(b) < 2 or not _INT.issuperset(map(type, b)) or (ranked := sorted(b))[0] < 0:
         b = to_amounts(b, "bid")
         if len(b) < 2:
@@ -174,7 +171,7 @@ def run_spa(bids: Sequence) -> AuctionOutcome:
 def run_first_price(bids: Sequence) -> AuctionOutcome:
     """Mutant rule for falsification runs: the winner pays its own bid."""
     b = tuple(bids)
-    # to_amounts' int fast path, inlined
+    # an all-int vector is checked here, its min giving the least bid
     if not b or not _INT.issuperset(map(type, b)) or min(b) < 0:
         b = to_amounts(b, "bid")
         if not b:

@@ -146,28 +146,27 @@ def cmd_ranksets(args) -> tuple[dict, int]:
             "axiom_checks": results,
         }
         return payload, 0
-    if args.ranksets_cmd == "discover":
-        cls = RelationClass(args.relation_class)
-        report = ranksets.find_inconsistent_subsets(args.max_m, relation_class=cls)
-        findings = []
-        for f in report.findings:
-            findings.append(
-                {
-                    "axioms": [a.value for a in f.axioms],
-                    "statuses": {str(m): s for m, s in f.statuses.items()},
-                    "minimal_unsat_m": f.minimal_unsat_m,
-                    "witness": ranksets.relation_to_json(f.witness) if f.witness else None,
-                }
-            )
-        inconsistent = sum(1 for f in report.findings if f.minimal_unsat_m is not None)
-        payload = {
-            "verdict": f"{inconsistent} inconsistent axiom subsets up to m={args.max_m}",
-            "u_max": args.max_m,
-            "class": cls.value,
-            "findings": findings,
-        }
-        return payload, 0
-    raise ValueError(f"unknown ranksets subcommand {args.ranksets_cmd!r}")
+    # discover: the required subparsers admit no other name
+    cls = RelationClass(args.relation_class)
+    report = ranksets.find_inconsistent_subsets(args.max_m, relation_class=cls)
+    findings = []
+    for f in report.findings:
+        findings.append(
+            {
+                "axioms": [a.value for a in f.axioms],
+                "statuses": {str(m): s for m, s in f.statuses.items()},
+                "minimal_unsat_m": f.minimal_unsat_m,
+                "witness": ranksets.relation_to_json(f.witness) if f.witness else None,
+            }
+        )
+    inconsistent = sum(1 for f in report.findings if f.minimal_unsat_m is not None)
+    payload = {
+        "verdict": f"{inconsistent} inconsistent axiom subsets up to m={args.max_m}",
+        "u_max": args.max_m,
+        "class": cls.value,
+        "findings": findings,
+    }
+    return payload, 0
 
 
 def cmd_vickrey(args) -> tuple[dict, int]:
@@ -244,22 +243,21 @@ def cmd_vickrey(args) -> tuple[dict, int]:
             "per_n": per_n,
         }
         return payload, 0 if all_hold else 3
-    if args.vickrey_cmd == "maxcheck":
-        # both maxima read items only through >= and return one of them, so
-        # agreeing on the ranks of each list is agreeing on every list
-        lists = disagreements = 0
-        for ranks in auctions.order_types(auctions.MAXCHECK_LENGTH):
-            lists += 1
-            if auctions.max_classical(ranks) != auctions.max_constructive(ranks):
-                disagreements += 1
-        payload = {
-            "verdict": "equivalent" if disagreements == 0 else "divergent",
-            "lists": lists,
-            "max_length": auctions.MAXCHECK_LENGTH,
-            "disagreements": disagreements,
-        }
-        return payload, 0 if disagreements == 0 else 3
-    raise ValueError(f"unknown vickrey subcommand {args.vickrey_cmd!r}")
+    # maxcheck: the required subparsers admit no other name.  Both maxima
+    # read items only through >= and return one of them, so agreeing on the
+    # ranks of each list is agreeing on every list
+    lists = disagreements = 0
+    for ranks in auctions.order_types(auctions.MAXCHECK_LENGTH):
+        lists += 1
+        if auctions.max_classical(ranks) != auctions.max_constructive(ranks):
+            disagreements += 1
+    payload = {
+        "verdict": "equivalent" if disagreements == 0 else "divergent",
+        "lists": lists,
+        "max_length": auctions.MAXCHECK_LENGTH,
+        "disagreements": disagreements,
+    }
+    return payload, 0 if disagreements == 0 else 3
 
 
 def cmd_sat(args) -> tuple[dict, int]:

@@ -6,17 +6,17 @@ independence of irrelevant alternatives holds by construction.  On a
 profile, one order per agent, the social order is the (ab, ac, bc) code
 read from the three entries that the profile selects.
 
-SWFs are classified on their tables: dictatorship is a table equal to an
-agent's bit projection, and the range is read off entry-pair groups, which
-stand for the profiles: per (ab entry, ac entry) pair, the mask of the bc
-entries that profiles select with it, built in closed form.  Per ab
-table, `_forces` ORs the groups into the bc entries that each ac entry's
-bit forces, once per table on first use; the enumerator's search reads
-them, and each SWF's constructor folds them over its ac table into four
-masks, which the acyclicity check and the range share.  `range_of`
-returns one frozenset per set of social codes, and `classify` one shared,
-immutable class per range to every SWF that is neither dictator nor
-inverse dictator.
+SWFs are classified on their tables, by lookup.  Per n, one map takes the
+tables of each agent's dictator and inverse dictator to its one shared
+class.  The range is read off entry-pair groups, which stand for the
+profiles: per (ab entry, ac entry) pair, the mask of the bc entries that
+profiles select with it, built in closed form.  Per ab table, `_forces`
+ORs the groups into the bc entries that each ac entry's bit forces, once
+per table on first use; the enumerator's search reads them, and each SWF's
+constructor folds them over its ac table into four masks, which the
+acyclicity check and the range share.  `range_of` returns one frozenset
+per set of social codes, and `classify` one shared, immutable class per
+range to every SWF that is neither dictator nor inverse dictator.
 
 The base cases read one classified enumeration, a mapping from each SWF to
 its class, so each SWF is classified once per run: `census` counts the
@@ -43,6 +43,7 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from types import MappingProxyType
 
 from .orders import (
     CYCLIC_CODES,
@@ -216,31 +217,16 @@ def _agent_bits(n: int, agent: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _dictator_tables(n: int, invert: bool) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per agent, the table triple that copies (invert: reverses) its order."""
-    out = []
-    for i in range(n):
-        bits = tuple(b ^ invert for b in _agent_bits(n, i))
-        out.append((bits, bits, bits))
-    return tuple(out)
-
-
-def _table_dictator(swf: PairwiseSwf, invert: bool) -> int | None:
-    # exact: every entry of every table is selected by some profile
-    for i, tables in enumerate(_dictator_tables(swf.n, invert)):
-        if swf.tables == tables:
-            return i
-    return None
-
-
-def is_dictatorial(swf: PairwiseSwf) -> int | None:
-    """The agent whose order the SWF always copies, if any."""
-    return _table_dictator(swf, False)
-
-
-def is_inversely_dictatorial(swf: PairwiseSwf) -> int | None:
-    """The agent whose order the SWF always reverses, if any."""
-    return _table_dictator(swf, True)
+def _dictators(n: int) -> Mapping[tuple[tuple[int, ...], ...], SwfClass]:
+    """Per agent, the table triple that copies its order and the one that
+    reverses it, each mapped to its one shared class; read-only, as the
+    cache hands the same mapping to every call."""
+    out = {}
+    for tag, invert in ((DICTATORIAL, 0), (INVERSELY_DICTATORIAL, 1)):
+        for i in range(n):
+            bits = tuple(b ^ invert for b in _agent_bits(n, i))
+            out[bits, bits, bits] = SwfClass(tag, agent=i)
+    return MappingProxyType(out)
 
 
 def range_of(swf: PairwiseSwf) -> frozenset[LinearOrder]:
@@ -264,13 +250,9 @@ def _range_set(codes: int) -> frozenset[LinearOrder]:
 
 def classify(swf: PairwiseSwf) -> SwfClass:
     """Place an IIA-satisfying SWF into the range-structure taxonomy."""
-    agent = is_dictatorial(swf)
-    if agent is not None:
-        return SwfClass(DICTATORIAL, agent=agent)
-    agent = is_inversely_dictatorial(swf)
-    if agent is not None:
-        return SwfClass(INVERSELY_DICTATORIAL, agent=agent)
-    return _range_class(range_of(swf))
+    # exact: every entry of every table is selected by some profile, so an
+    # SWF copies (reverses) an agent's order iff its tables equal that agent's
+    return _dictators(swf.n).get(swf.tables) or _range_class(range_of(swf))
 
 
 @lru_cache(maxsize=None)

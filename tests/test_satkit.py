@@ -15,12 +15,12 @@ from implab.swf import (
     DICTATORIAL,
     ND,
     UN,
+    SwfClass,
     classify,
     decode_model,
     encode_arrow,
     entry_var,
     enumerate_iia_swfs,
-    is_dictatorial,
     satisfies_unanimity,
 )
 
@@ -360,7 +360,7 @@ def test_arrow_two_models_with_unanimity_only():
     assert len(run.models) == 2
     decoded = [decode_model(enc, m) for m in run.models]
     assert all(classify(s).tag == DICTATORIAL for s in decoded)
-    assert {is_dictatorial(s) for s in decoded} == {0, 1}
+    assert {classify(s) for s in decoded} == {SwfClass(DICTATORIAL, agent=i) for i in (0, 1)}
     assert all(satisfies_unanimity(s) for s in decoded)
 
 
@@ -379,7 +379,7 @@ def test_sat_route_equals_enumeration_route():
 def test_decode_model_trivial_examples():
     enc = encode_arrow(2)
     copy_agent0 = {entry_var(2, k, j): bool((j >> 1) & 1) for k in range(3) for j in range(4)}
-    assert is_dictatorial(decode_model(enc, copy_agent0)) == 0
+    assert classify(decode_model(enc, copy_agent0)) == SwfClass(DICTATORIAL, agent=0)
     negate_agent1 = {entry_var(2, k, j): not bool(j & 1) for k in range(3) for j in range(4)}
     assert classify(decode_model(enc, negate_agent1)).tag == "inversely_dictatorial"
 
@@ -463,7 +463,7 @@ def test_every_unsat_has_no_filtered_survivor_and_vice_versa(n):
         if UN in axioms:
             survivors = [s for s in survivors if satisfies_unanimity(s)]
         if ND in axioms:
-            survivors = [s for s in survivors if is_dictatorial(s) is None]
+            survivors = [s for s in survivors if classify(s).tag != DICTATORIAL]
         assert swf.survivors(classes, axioms) == tuple(survivors)
         res = solve(enc.cnf)
         assert res.satisfiable == bool(survivors)

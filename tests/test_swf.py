@@ -37,8 +37,6 @@ from implab.swf import (
     encode_arrow,
     entry_var,
     enumerate_iia_swfs,
-    is_dictatorial,
-    is_inversely_dictatorial,
     onto_survivors,
     pairwise_to_json,
     range_of,
@@ -321,11 +319,26 @@ def test_unanimity_extensional_agrees_with_pairwise_path():
         assert satisfies_unanimity(swf) == oracle_unanimous(2, oracle_outputs(swf))
 
 
+def dictator_of(s: PairwiseSwf, tag: str = DICTATORIAL) -> int | None:
+    """The agent that classify names for s under tag, if it names one."""
+    c = classify(s)
+    return c.agent if c.tag == tag else None
+
+
 def test_detector_examples():
-    assert is_dictatorial(dictator(2, 1)) == 1
-    assert is_inversely_dictatorial(inverse_dictator(2, 0)) == 0
-    assert is_dictatorial(constant_swf(2, ABC)) is None
-    assert is_inversely_dictatorial(constant_swf(2, ABC)) is None
+    assert dictator_of(dictator(2, 1)) == 1
+    assert dictator_of(inverse_dictator(2, 0), INVERSELY_DICTATORIAL) == 0
+    assert dictator_of(constant_swf(2, ABC)) is None
+    assert dictator_of(constant_swf(2, ABC), INVERSELY_DICTATORIAL) is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_each_dictator_and_inverse_dictator_gets_one_shared_class(n):
+    for tag, build in ((DICTATORIAL, dictator), (INVERSELY_DICTATORIAL, inverse_dictator)):
+        for i in range(n):
+            c = classify(build(n, i))
+            assert c is classify(build(n, i))
+            assert c == SwfClass(tag, agent=i)
 
 
 def test_range_examples():
@@ -422,14 +435,16 @@ def test_swfs_with_equal_ranges_share_one_class(n):
 
 
 def test_importing_the_cli_fills_no_swf_cache():
-    names = ["_entry_pair_groups", "_forces", "_range_set", "_range_class"]
+    # every cached function in swf: each module attribute with cache_info
     code = (
         "import implab.cli; from implab import swf; "
-        f"print([getattr(swf, name).cache_info().currsize for name in {names!r}])"
+        "print({name: f.cache_info().currsize for name, f in vars(swf).items() if hasattr(f, 'cache_info')})"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(implab.__file__).parent.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == f"{[0] * len(names)}\n"
+    sizes = ast.literal_eval(out.stdout)
+    assert {"_dictators", "_range_class"} <= sizes.keys()
+    assert sizes == dict.fromkeys(sizes, 0)
 
 
 def or_table_enumeration(n: int) -> list[PairwiseSwf]:
@@ -548,14 +563,16 @@ def test_range_structure_of_the_94():
 
 def test_classify_is_exhaustive_and_exclusive_on_the_94():
     swfs = enumerate_iia_swfs(2)
+    dictators = {dictator(2, i) for i in range(2)}
+    inverse_dictators = {inverse_dictator(2, i) for i in range(2)}
     for s in swfs:
         c = classify(s)
         assert c.tag != UNCLASSIFIED
-        # tags are mutually exclusive by construction of classify; spot-check
+        # classify gives each SWF one class; spot-check it against the SWFs built here
         if c.tag == DICTATORIAL:
-            assert is_inversely_dictatorial(s) is None
+            assert s not in inverse_dictators
         if c.tag == CONSTANT:
-            assert is_dictatorial(s) is None and is_inversely_dictatorial(s) is None
+            assert s not in dictators | inverse_dictators
 
 
 def test_detectors_agree_with_direct_evaluation_on_all_94():
@@ -565,8 +582,8 @@ def test_detectors_agree_with_direct_evaluation_on_all_94():
         for i in range(2):
             copies = all(out == p[i] for out, p in zip(outs, profiles))
             reverses = all(out == oracle_reversed(p[i]) for out, p in zip(outs, profiles))
-            assert (is_dictatorial(s) == i) == copies
-            assert (is_inversely_dictatorial(s) == i) == reverses
+            assert (dictator_of(s) == i) == copies
+            assert (dictator_of(s, INVERSELY_DICTATORIAL) == i) == reverses
 
 
 def iia_closed_form(n: int) -> int:
@@ -584,8 +601,8 @@ def test_table_route_matches_profile_route_on_every_swf(n):
         assert {classify(s).tag for s in swfs} == set(CLASS_TAGS) - {UNCLASSIFIED}
     for s in swfs:
         outputs = oracle_outputs(s)
-        assert is_dictatorial(s) == oracle_dictator(n, outputs, False)
-        assert is_inversely_dictatorial(s) == oracle_dictator(n, outputs, True)
+        assert dictator_of(s) == oracle_dictator(n, outputs, False)
+        assert dictator_of(s, INVERSELY_DICTATORIAL) == oracle_dictator(n, outputs, True)
         assert range_of(s) == frozenset(outputs)
         c = classify(s)
         assert (c.tag, c.agent, c.orders) == oracle_classify(n, outputs)
@@ -680,7 +697,7 @@ def test_survivors_read_off_the_classes_match_the_direct_filters(n):
     classes = classified(n)
     swfs = list(classes)
     assert list(onto_survivors(classes)) == [s for s in swfs if len(range_of(s)) == 6]
-    assert list(survivors(classes, {ND})) == [s for s in swfs if is_dictatorial(s) is None]
+    assert list(survivors(classes, {ND})) == [s for s in swfs if dictator_of(s) is None]
 
 
 def test_arrow_base_case_n2():
@@ -696,7 +713,7 @@ def test_arrow_base_case_n2():
 def test_arrow_base_case_n1_survivor_is_the_identity():
     un = survivors(classified(1), {UN})
     assert len(un) == 1
-    assert is_dictatorial(un[0]) == 0
+    assert dictator_of(un[0]) == 0
 
 
 def test_wilson_base_case_n2():
