@@ -66,12 +66,12 @@ def cmd_arrow(args) -> tuple[dict, int]:
     un = swf.survivors(classes, {swf.UN})
     expected = swf.survivors(classes, axioms)
 
-    enc = swf.encode_arrow(args.agents, axioms)
+    cnf = swf.encode_arrow(args.agents, axioms)
     if args.emit_dimacs:
-        _emit_dimacs(enc.cnf, args.emit_dimacs)
+        _emit_dimacs(cnf, args.emit_dimacs)
     # one AllSAT run gives both the verdict (SAT iff it finds a model) and the model set
-    run = satkit.enumerate_models(enc.cnf, limit=len(expected) + 1)
-    decoded = [swf.decode_model(enc, m) for m in run.models]
+    run = satkit.enumerate_models(cnf, limit=len(expected) + 1)
+    decoded = [swf.decode_model(args.agents, m) for m in run.models]
     agree = not run.truncated and set(decoded) == set(expected) and recount == census[swf.SMALL_RANGE]
     sat = bool(decoded)
 
@@ -148,9 +148,9 @@ def cmd_ranksets(args) -> tuple[dict, int]:
         return payload, 0
     # discover: the required subparsers admit no other name
     cls = RelationClass(args.relation_class)
-    report = ranksets.find_inconsistent_subsets(args.max_m, relation_class=cls)
+    found = ranksets.find_inconsistent_subsets(args.max_m, relation_class=cls)
     findings = []
-    for f in report.findings:
+    for f in found:
         findings.append(
             {
                 "axioms": [a.value for a in f.axioms],
@@ -159,7 +159,7 @@ def cmd_ranksets(args) -> tuple[dict, int]:
                 "witness": ranksets.relation_to_json(f.witness) if f.witness else None,
             }
         )
-    inconsistent = sum(1 for f in report.findings if f.minimal_unsat_m is not None)
+    inconsistent = sum(1 for f in found if f.minimal_unsat_m is not None)
     payload = {
         "verdict": f"{inconsistent} inconsistent axiom subsets up to m={args.max_m}",
         "u_max": args.max_m,
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ranksets", help="set-ranking axiom analysis")
     rsub = p.add_subparsers(dest="ranksets_cmd", required=True)
     pc = rsub.add_parser("check", help="solve one axiom subset at one universe size")
-    pc.add_argument("--axioms", required=True, help="comma list: dominance,independence,aversion,appeal,topmono")
+    pc.add_argument("--axioms", required=True, help="comma list: " + ",".join(a.value for a in Axiom))
     pc.add_argument("--m", type=int, required=True)
     pc.add_argument("--class", dest="relation_class", default="linear", choices=[c.value for c in RelationClass])
     pc.add_argument("--emit-dimacs", metavar="PATH")
@@ -365,9 +365,7 @@ _DISPATCH = {
 
 def _config_echo(args) -> dict:
     skip = {"command", "output", "summary"}
-    return {
-        k: v for k, v in sorted(vars(args).items()) if k not in skip and not k.startswith("_")
-    }
+    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -80,13 +80,6 @@ class GroundConstraint:
 
 
 @dataclass(frozen=True)
-class GroundedAxiom:
-    axiom: Axiom
-    constraints: tuple[GroundConstraint, ...]
-    vacuous: bool
-
-
-@dataclass(frozen=True)
 class SetRelation:
     universe: Universe
     geq: tuple[tuple[bool, ...], ...]  # indexed [A-1][B-1] over nonempty masks
@@ -176,8 +169,9 @@ def minmax_relation(u: Universe) -> SetRelation:
     return SetRelation(u, geq, strongest_class(geq))
 
 
-def ground_axiom(u: Universe, ax: Axiom) -> GroundedAxiom:
-    """Instantiate one axiom over all concrete subsets of the universe.
+def ground_axiom(u: Universe, ax: Axiom) -> tuple[GroundConstraint, ...]:
+    """Instantiate one axiom over all concrete subsets of the universe, in
+    sort_key order; the axiom is vacuous on u when there are none.
 
     Pairs and triples come in index order, so x is better than y (than z).
     """
@@ -208,12 +202,11 @@ def ground_axiom(u: Universe, ax: Axiom) -> GroundedAxiom:
     else:
         raise ValueError(f"unknown axiom {ax}")
     cs.sort(key=GroundConstraint.sort_key)
-    return GroundedAxiom(ax, tuple(cs), vacuous=not cs)
+    return tuple(cs)
 
 
 @dataclass(frozen=True)
 class AxiomCheck:
-    axiom: Axiom
     holds: bool
     vacuous: bool
     violation: GroundConstraint | None = None
@@ -224,16 +217,16 @@ def check_relation(rel: SetRelation, ax: Axiom) -> AxiomCheck:
     return check_grounded(rel, ground_axiom(rel.universe, ax))
 
 
-def check_grounded(rel: SetRelation, grounded: GroundedAxiom) -> AxiomCheck:
+def check_grounded(rel: SetRelation, constraints: tuple[GroundConstraint, ...]) -> AxiomCheck:
     """check_relation over an axiom already grounded on the relation's universe."""
-    for c in grounded.constraints:
+    for c in constraints:
         if c.antecedent is not None and not rel.strict(*c.antecedent):
             continue
         a, b = c.consequent
         ok = rel.strict(a, b) if c.strict else rel.geq_at(a, b)
         if not ok:
-            return AxiomCheck(grounded.axiom, False, grounded.vacuous, c)
-    return AxiomCheck(grounded.axiom, True, grounded.vacuous)
+            return AxiomCheck(False, not constraints, c)
+    return AxiomCheck(True, not constraints)
 
 
 def distinct_axioms(axioms) -> tuple[Axiom, ...]:
@@ -293,12 +286,12 @@ def _class_clauses(u: Universe, relation_class: RelationClass) -> list[tuple[int
     return clauses
 
 
-def _axiom_clauses(u: Universe, grounded: GroundedAxiom) -> list[tuple[int, ...]]:
+def _axiom_clauses(u: Universe, constraints: tuple[GroundConstraint, ...]) -> list[tuple[int, ...]]:
     """The ground constraints of one axiom as clauses over the geq atoms,
     with _var's atom of (a, b) written out inline as (a - 1) * size + b."""
     size = (1 << u.m) - 1
     clauses: list[tuple[int, ...]] = []
-    for c in grounded.constraints:
+    for c in constraints:
         ca, cb = c.consequent
         cons_lits = [((ca - 1) * size + cb,)]
         if c.strict:
@@ -356,32 +349,28 @@ def _solve_subset(solver: Solver, catalog: tuple[Axiom, ...], subset) -> SolveRe
 def decode_ranksets(
     u: Universe, model: dict[int, bool], relation_class: RelationClass
 ) -> SetRelation:
+    """Read the geq atoms out of a model; must yield a relation of the class."""
     masks = list(u.subsets())
     geq = tuple(tuple(model[_var(u, a, b)] for b in masks) for a in masks)
-    return SetRelation(u, geq, relation_class)
+    try:
+        return SetRelation(u, geq, relation_class)
+    except ValueError as e:
+        raise RuntimeError(f"encoder bug: model decodes to an invalid relation ({e})") from e
 
 
 @dataclass(frozen=True)
 class SubsetFinding:
     axioms: tuple[Axiom, ...]
-    relation_class: RelationClass
     statuses: dict[int, str]  # m -> "sat" | "unsat"
     minimal_unsat_m: int | None
     witness: SetRelation | None = None  # model at the largest satisfiable m
-
-
-@dataclass(frozen=True)
-class DiscoveryReport:
-    u_max: int
-    relation_class: RelationClass
-    findings: tuple[SubsetFinding, ...]
 
 
 def find_inconsistent_subsets(
     u_max: int,
     catalog=CATALOG,
     relation_class: RelationClass = RelationClass.LINEAR_ORDER,
-) -> DiscoveryReport:
+) -> tuple[SubsetFinding, ...]:
     """Minimal universe size at which each axiom subset becomes unsatisfiable.
 
     Subsets are taken in order, smallest first, in-process, on one solver
@@ -436,14 +425,13 @@ def find_inconsistent_subsets(
             findings.append(
                 SubsetFinding(
                     subset,
-                    relation_class,
                     statuses,
                     minimal_unsat_m=unsat[0] if unsat else None,
                     witness=sat[-1] if sat else None,
                 )
             )
         smaller = layer
-    return DiscoveryReport(u_max, relation_class, tuple(findings))
+    return tuple(findings)
 
 
 def relation_to_json(rel: SetRelation) -> dict:

@@ -22,11 +22,11 @@ The base cases read one classified enumeration, a mapping from each SWF to
 its class, so each SWF is classified once per run: `census` counts the
 classes (Tang-Lin), `survivors` filters by unanimity and non-dictatorship
 (Arrow) and `onto_survivors` by a range of all six orders (Wilson).
-`encode_arrow` states the Arrow base case as CNF over the table entries,
-with acyclicity clauses on each (ab, ac, bc) entry triple that the
-entry-pair groups list, and `decode_model` reads an SWF back out of a
-model; the models of `encode_arrow(n, axioms)` decode to exactly
-`survivors(classes, axioms)`.
+`encode_arrow` returns the Arrow base case as a `Cnf` over the table
+entries, with acyclicity clauses on each (ab, ac, bc) entry triple that
+the entry-pair groups list, and `decode_model(n, model)` reads an SWF
+back out of a model; the models of `encode_arrow(n, axioms)` decode to
+exactly `survivors(classes, axioms)`.
 
 Table entry convention: the entry index for a pair packs the agents' bits
 with agent 0 as the most significant bit, so index 2^n-1 is the all-ones
@@ -373,19 +373,6 @@ def onto_survivors(classes: Mapping[PairwiseSwf, SwfClass]) -> tuple[PairwiseSwf
     )
 
 
-@dataclass(frozen=True)
-class ArrowEncoding:
-    """CNF over the 3*2^n pairwise truth-table entries, numbered by entry_var.
-
-    Independence is structural: the variables *are* the table entries, so
-    only acyclicity and the requested axioms need clauses.
-    """
-
-    n: int
-    axioms: frozenset[str]
-    cnf: Cnf
-
-
 def entry_var(n: int, pair: int, entry: int) -> int:
     """The variable of entry `entry` of pair `pair`'s table, in 1..3*2^n."""
     return pair * (1 << n) + entry + 1
@@ -399,8 +386,13 @@ def _axiom_set(axioms: frozenset[str] | set[str]) -> frozenset[str]:
     return axioms
 
 
-def encode_arrow(n: int, axioms: frozenset[str] | set[str] = frozenset()) -> ArrowEncoding:
-    """Build the base-case CNF for n agents over three alternatives."""
+def encode_arrow(n: int, axioms: frozenset[str] | set[str] = frozenset()) -> Cnf:
+    """The base-case CNF for n agents over three alternatives, over the
+    3*2^n pairwise truth-table entries, numbered by entry_var.
+
+    Independence is structural: the variables *are* the table entries, so
+    only acyclicity and the requested axioms need clauses.
+    """
     if n < 1 or n > ENCODE_AGENT_CAP:
         raise ValueError(f"agent count {n} outside supported range 1..{ENCODE_AGENT_CAP}")
     axioms = _axiom_set(axioms)
@@ -428,21 +420,21 @@ def encode_arrow(n: int, axioms: frozenset[str] | set[str] = frozenset()) -> Arr
             )
     ordered = sorted(set(tuple(sorted(c, key=abs)) for c in clauses))
     names = {var(k, j): f"{PAIR_NAMES[k]}:{j:0{n}b}" for k in range(3) for j in range(size)}
-    cnf = Cnf(3 * size, tuple(ordered), var_names=names)
-    return ArrowEncoding(n=n, axioms=axioms, cnf=cnf)
+    return Cnf(3 * size, tuple(ordered), var_names=names)
 
 
-def decode_model(enc: ArrowEncoding, model: dict[int, bool]) -> PairwiseSwf:
-    """Read the table entries out of a model; must yield a valid SWF."""
-    size = 1 << enc.n
+def decode_model(n: int, model: dict[int, bool]) -> PairwiseSwf:
+    """Read the n-agent table entries out of a model of encode_arrow; must
+    yield a valid SWF."""
+    size = 1 << n
     missing = [v for v in range(1, 3 * size + 1) if v not in model]
     if missing:
         raise ValueError(f"model must assign all encoding variables; missing {missing[:5]}")
     tables = tuple(
-        tuple(1 if model[entry_var(enc.n, k, j)] else 0 for j in range(size)) for k in range(3)
+        tuple(1 if model[entry_var(n, k, j)] else 0 for j in range(size)) for k in range(3)
     )
     try:
-        return PairwiseSwf(enc.n, tables)
+        return PairwiseSwf(n, tables)
     except ValueError as e:
         raise RuntimeError(f"encoder bug: model decodes to an invalid SWF ({e})") from e
 

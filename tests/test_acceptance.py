@@ -91,10 +91,10 @@ def test_criterion_02_arrow_base_case(capsys):
 
 def test_criterion_03_cross_route_equivalence():
     with criterion(3, "SAT models of the bare encoding equal the enumerated 94, element-wise"):
-        enc = encode_arrow(2, frozenset())
-        models = enumerate_models(enc.cnf)
+        cnf = encode_arrow(2, frozenset())
+        models = enumerate_models(cnf)
         assert not models.truncated
-        decoded = {decode_model(enc, m) for m in models.models}
+        decoded = {decode_model(2, m) for m in models.models}
         enumerated = set(enumerate_iia_swfs(2))
         assert len(decoded) == len(models.models) == 94
         assert decoded == enumerated
@@ -195,8 +195,8 @@ def test_criterion_10_solver_correctness():
         assert disagreements == 0
         corpus: list[Cnf] = []
         for axioms in (frozenset(), {UN}, {ND}, {UN, ND}):
-            corpus.append(encode_arrow(1, axioms).cnf)
-            corpus.append(encode_arrow(2, axioms).cnf)
+            corpus.append(encode_arrow(1, axioms))
+            corpus.append(encode_arrow(2, axioms))
         corpus.append(
             encode_ranksets(
                 Universe(3),

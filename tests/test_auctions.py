@@ -108,6 +108,8 @@ def test_parse_grid():
         parse_grid("0:4:0")
     with pytest.raises(ValueError, match="negative"):
         parse_grid("-1,0")
+    with pytest.raises(ValueError, match="range grid must be start:stop:step"):
+        parse_grid("0:1")
 
 
 def test_dominance_holds_on_grid_for_second_price():
@@ -286,6 +288,14 @@ def test_run_spa_keeps_each_payments_type_in_either_call_order(int_first):
     for bids, want in calls if int_first else calls[::-1]:
         out = run_spa(bids)
         assert out == AuctionOutcome((1, 0), (1, 0)) and amount_types(out.p) == want
+
+
+def test_soundness_sweep_is_unchanged_when_its_outcome_checks_are_dropped(monkeypatch):
+    grid = parse_grid("0:3:1")
+    full = sweep_soundness(3, grid)
+    # one checked outcome at a time: the check memo is emptied before each new outcome
+    monkeypatch.setattr(auctions, "OUTCOME_CACHE_SIZE", 1)
+    assert sweep_soundness(3, grid) == full
 
 
 def test_outcome_memo_stays_within_its_bound():

@@ -2,19 +2,23 @@ import argparse
 import ast
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
 import implab
-from implab import auctions, satkit, swf
+from implab import auctions, ranksets, satkit, swf
 from implab.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
-README = Path(__file__).parent.parent / "README.md"
+ROOT = Path(__file__).parent.parent
+README = ROOT / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -607,6 +611,30 @@ def test_no_module_imports_random():
             assert "random" not in [m.split(".")[0] for m in modules], path.name
 
 
+# Program names that perfbench/layers.py hooks but that are no longer bound
+# where it looks; its traced runs print them as "names not found to trace".
+UNTRACED = {
+    "implab.auctions.check_abstract_dominance",
+    "implab.orders.all_profiles",
+    "implab.ranksets.solve",
+    "implab.satkit.decode_model",
+    "implab.satkit.encode_arrow",
+    "implab.swf.all_profiles",
+    "implab.swf.evaluate",
+}
+
+
+def test_benchmark_tracer_finds_every_other_name_it_hooks():
+    # a program change that unbinds a traced name silently zeroes its layer metrics
+    code = "from layers import Tracer; t = Tracer(); t.install(); print(sorted(t.missing))"
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}  # no cache under perfbench/
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=ROOT, capture_output=True, text=True, check=True
+    )
+    assert set(ast.literal_eval(out.stdout)) <= UNTRACED
+
+
 def test_minmax_takes_no_class_flag(capsys):
     # the min-max ordering is one fixed relation; no relation class applies to it
     with pytest.raises(SystemExit) as exc:
@@ -714,6 +742,22 @@ def test_internal_check_failure_exits_4_without_a_traceback(capsys, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: solver bug: produced assignment fails verification\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ranksets", "check", "--axioms", "dominance", "--m", "3"], ["ranksets", "discover", "--max-m", "3"]],
+    ids=["check", "discover"],
+)
+def test_ranksets_model_outside_its_class_exits_4(capsys, monkeypatch, argv):
+    # without the class clauses the solver returns a model that is no linear order
+    monkeypatch.setattr(ranksets, "_class_clauses", lambda u, relation_class: [])
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: encoder bug: model decodes to an invalid relation (declared class linear does not hold: "
+    )
 
 
 def test_output_flag_writes_report_file(capsys, tmp_path):

@@ -9,7 +9,6 @@ import pytest
 from implab.ranksets import (
     CATALOG,
     Axiom,
-    DiscoveryReport,
     GroundConstraint,
     RelationClass,
     SetRelation,
@@ -96,8 +95,8 @@ def test_minmax_total_transitive_everywhere_antisymmetric_only_at_m2():
 
 def test_ground_dominance_m2():
     g = ground_axiom(Universe(2), Axiom.SIMPLE_DOMINANCE)
-    assert not g.vacuous
-    assert [(c.consequent, c.strict) for c in g.constraints] == [
+    assert g  # not vacuous
+    assert [(c.consequent, c.strict) for c in g] == [
         ((0b01, 0b11), True),
         ((0b11, 0b10), True),
     ]
@@ -105,29 +104,34 @@ def test_ground_dominance_m2():
 
 def test_ground_aversion_m3_single_instance():
     g = ground_axiom(Universe(3), Axiom.UNCERTAINTY_AVERSION)
-    assert len(g.constraints) == 1
-    c = g.constraints[0]
+    assert len(g) == 1
+    c = g[0]
     assert c.consequent == (0b010, 0b101) and c.strict and c.antecedent is None
 
 
 def test_aversion_and_appeal_ground_to_directly_contradictory_pair():
     u = Universe(3)
-    av = ground_axiom(u, Axiom.UNCERTAINTY_AVERSION).constraints[0]
-    ap = ground_axiom(u, Axiom.UNCERTAINTY_APPEAL).constraints[0]
+    av = ground_axiom(u, Axiom.UNCERTAINTY_AVERSION)[0]
+    ap = ground_axiom(u, Axiom.UNCERTAINTY_APPEAL)[0]
     assert av.consequent == (ap.consequent[1], ap.consequent[0])
 
 
 def test_vacuous_axioms_at_m2():
     u = Universe(2)
     for ax in (Axiom.UNCERTAINTY_AVERSION, Axiom.UNCERTAINTY_APPEAL, Axiom.SIMPLE_TOP_MONOTONICITY):
-        g = ground_axiom(u, ax)
-        assert g.vacuous and g.constraints == ()
+        assert ground_axiom(u, ax) == ()
+        assert check_relation(minmax_relation(u), ax).vacuous
+
+
+def test_ground_axiom_refuses_an_unknown_axiom():
+    with pytest.raises(ValueError, match="unknown axiom dominance"):
+        ground_axiom(Universe(3), "dominance")
 
 
 def test_ground_axiom_output_is_sorted():
     for m in (3, 4):
         for ax in CATALOG:
-            cs = ground_axiom(Universe(m), ax).constraints
+            cs = ground_axiom(Universe(m), ax)
             assert list(cs) == sorted(cs, key=GroundConstraint.sort_key)
 
 
@@ -152,7 +156,7 @@ def test_minmax_independence_witness_is_canonically_first_by_oracle():
     u = Universe(4)
     rel = minmax_relation(u)
     violated = []
-    for c in ground_axiom(u, Axiom.INDEPENDENCE).constraints:
+    for c in ground_axiom(u, Axiom.INDEPENDENCE):
         a, b = c.antecedent
         if rel.strict(a, b) and not rel.geq_at(*c.consequent):
             violated.append(c)
@@ -228,7 +232,7 @@ def test_decode_rejects_relation_outside_declared_class():
     # an all-false matrix is transitive but not total
     model = {v: False for v in range(1, size * size + 1)}
     assert decode_ranksets(u, model, RelationClass.TRANSITIVE) is not None
-    with pytest.raises(ValueError, match="totality"):
+    with pytest.raises(RuntimeError, match="totality"):
         decode_ranksets(u, model, RelationClass.WEAK_ORDER)
     assert res.satisfiable
 
@@ -244,7 +248,7 @@ def test_find_inconsistent_subsets_aversion_appeal_minimal_m3():
     report = find_inconsistent_subsets(
         3, catalog=(Axiom.UNCERTAINTY_AVERSION, Axiom.UNCERTAINTY_APPEAL), relation_class=RelationClass.TRANSITIVE
     )
-    by_axioms = {f.axioms: f for f in report.findings}
+    by_axioms = {f.axioms: f for f in report}
     pair = by_axioms[(Axiom.UNCERTAINTY_AVERSION, Axiom.UNCERTAINTY_APPEAL)]
     assert pair.statuses == {2: "sat", 3: "unsat"}  # vacuous at m=2
     assert pair.minimal_unsat_m == 3
@@ -254,8 +258,8 @@ def test_find_inconsistent_subsets_aversion_appeal_minimal_m3():
 
 def test_find_inconsistent_subsets_full_catalog_monotone_at_m_le_4():
     report = find_inconsistent_subsets(4, relation_class=RelationClass.LINEAR_ORDER)
-    assert len(report.findings) == 31
-    status = {frozenset(f.axioms): f.statuses for f in report.findings}
+    assert len(report) == 31
+    status = {frozenset(f.axioms): f.statuses for f in report}
     for sub, stats in status.items():
         for sup, sup_stats in status.items():
             if sub < sup:
@@ -267,11 +271,11 @@ def test_find_inconsistent_subsets_full_catalog_monotone_at_m_le_4():
 def test_find_inconsistent_four_axioms_minimums_per_class():
     lin = find_inconsistent_subsets(4, catalog=FOUR_AXIOMS, relation_class=RelationClass.LINEAR_ORDER)
     tra = find_inconsistent_subsets(4, catalog=FOUR_AXIOMS, relation_class=RelationClass.TRANSITIVE)
-    lin_all = next(f for f in lin.findings if f.axioms == FOUR_AXIOMS)
-    tra_all = next(f for f in tra.findings if f.axioms == FOUR_AXIOMS)
+    lin_all = next(f for f in lin if f.axioms == FOUR_AXIOMS)
+    tra_all = next(f for f in tra if f.axioms == FOUR_AXIOMS)
     assert lin_all.minimal_unsat_m == 3
     assert tra_all.minimal_unsat_m == 4
-    dom = next(f for f in tra.findings if f.axioms == (Axiom.SIMPLE_DOMINANCE,))
+    dom = next(f for f in tra if f.axioms == (Axiom.SIMPLE_DOMINANCE,))
     assert dom.minimal_unsat_m is None  # consistent up to u_max
     assert dom.witness is not None
 
@@ -282,7 +286,7 @@ def test_vacuous_only_subsets_are_sat_at_m2():
         catalog=(Axiom.SIMPLE_DOMINANCE, Axiom.UNCERTAINTY_AVERSION, Axiom.SIMPLE_TOP_MONOTONICITY),
         relation_class=RelationClass.LINEAR_ORDER,
     )
-    for f in report.findings:
+    for f in report:
         assert f.statuses[2] == "sat", f.axioms
 
 
@@ -416,7 +420,7 @@ def _var_class_clauses(u: Universe, relation_class: RelationClass) -> list[tuple
 def _var_axiom_clauses(u: Universe, ax: Axiom) -> list[tuple[int, ...]]:
     """One axiom's clauses built through _var, the reference for the inline indices."""
     clauses: list[tuple[int, ...]] = []
-    for c in ground_axiom(u, ax).constraints:
+    for c in ground_axiom(u, ax):
         ca, cb = c.consequent
         cons_lits = [(_var(u, ca, cb),)]
         if c.strict:
@@ -496,7 +500,7 @@ def test_class_violation_matches_the_triple_loop_on_random_relations():
     assert kinds == {"transitivity", "totality", "antisymmetry", None}
 
 
-def _solve_every_cell(u_max, catalog, relation_class) -> DiscoveryReport:
+def _solve_every_cell(u_max, catalog, relation_class) -> tuple[SubsetFinding, ...]:
     """find_inconsistent_subsets with one solve per (subset, size) cell: the
     reference for the search that takes witnesses from smaller subsets."""
     catalog = tuple(catalog)
@@ -515,8 +519,8 @@ def _solve_every_cell(u_max, catalog, relation_class) -> DiscoveryReport:
                 witness = decode_ranksets(u, res.assignment, relation_class)
             elif minimal is None:
                 minimal = m
-        findings.append(SubsetFinding(subset, relation_class, statuses, minimal, witness=witness))
-    return DiscoveryReport(u_max, relation_class, tuple(findings))
+        findings.append(SubsetFinding(subset, statuses, minimal, witness=witness))
+    return tuple(findings)
 
 
 @pytest.mark.parametrize("cls", list(RelationClass), ids=lambda c: c.value)

@@ -163,7 +163,7 @@ BAD_CLAUSES = [
 
 @pytest.mark.parametrize("run", [solve, enumerate_models], ids=["solve", "enumerate_models"])
 def test_each_literal_is_checked_once_on_the_cnf_path(cnf_checks, run):
-    base = encode_arrow(2).cnf
+    base = encode_arrow(2)
     cnf_checks.clear()
     cnf = Cnf(base.num_vars, base.clauses)
     assert cnf_checks == [cnf]
@@ -227,7 +227,7 @@ def test_solver_model_check_guards_every_answer(monkeypatch):
 
 
 def test_allsat_equals_a_from_scratch_blocking_loop():
-    cnf = encode_arrow(2).cnf
+    cnf = encode_arrow(2)
     clauses = list(cnf.clauses)
     expected = []
     while (res := solve(Cnf(cnf.num_vars, tuple(clauses)))).satisfiable:
@@ -296,6 +296,12 @@ def test_from_dimacs_error_messages_carry_line_numbers():
         from_dimacs("p cnf 1 2\n1 0\n")
     with pytest.raises(ValueError, match="missing 'p cnf' header"):
         from_dimacs("c nothing\n")
+    with pytest.raises(ValueError, match=r"^line 2: duplicate header$"):
+        from_dimacs("p cnf 1 1\np cnf 1 1\n1 0\n")
+    with pytest.raises(ValueError, match=r"^line 1: negative counts in header 'p cnf -1 0'$"):
+        from_dimacs("p cnf -1 0\n")
+    with pytest.raises(ValueError, match=r"^line 2: empty clause$"):
+        from_dimacs("p cnf 1 1\n0\n")
 
 
 def test_from_dimacs_reads_only_ascii_integers():
@@ -334,11 +340,11 @@ def test_from_dimacs_skips_comments_and_blank_lines():
 
 
 def test_encode_arrow_var_count_and_names():
-    enc = encode_arrow(2, {UN, ND})
-    assert enc.cnf.num_vars == 12
-    assert enc.cnf.var_names[entry_var(2, 0, 3)] == "ab:11"
-    assert enc.cnf.var_names[entry_var(2, 2, 0)] == "bc:00"
-    assert enc.cnf.var_names[entry_var(2, 1, 2)] == "ac:10"
+    cnf = encode_arrow(2, {UN, ND})
+    assert cnf.num_vars == 12
+    assert cnf.var_names[entry_var(2, 0, 3)] == "ab:11"
+    assert cnf.var_names[entry_var(2, 2, 0)] == "bc:00"
+    assert cnf.var_names[entry_var(2, 1, 2)] == "ac:10"
     # the numbering is a bijection from (pair, entry) onto 1..12
     assert sorted(entry_var(2, k, j) for k in range(3) for j in range(4)) == list(range(1, 13))
 
@@ -351,46 +357,44 @@ def test_encode_arrow_axiom_validation():
 
 
 def test_arrow_unsat_with_unanimity_and_nondictatorship():
-    assert not solve(encode_arrow(2, {UN, ND}).cnf).satisfiable
+    assert not solve(encode_arrow(2, {UN, ND})).satisfiable
 
 
 def test_arrow_two_models_with_unanimity_only():
-    enc = encode_arrow(2, {UN})
-    run = enumerate_models(enc.cnf)
+    cnf = encode_arrow(2, {UN})
+    run = enumerate_models(cnf)
     assert len(run.models) == 2
-    decoded = [decode_model(enc, m) for m in run.models]
+    decoded = [decode_model(2, m) for m in run.models]
     assert all(classify(s).tag == DICTATORIAL for s in decoded)
     assert {classify(s) for s in decoded} == {SwfClass(DICTATORIAL, agent=i) for i in (0, 1)}
     assert all(satisfies_unanimity(s) for s in decoded)
 
 
 def test_arrow_94_models_without_axioms():
-    enc = encode_arrow(2)
-    run = enumerate_models(enc.cnf)
+    cnf = encode_arrow(2)
+    run = enumerate_models(cnf)
     assert len(run.models) == 94
 
 
 def test_sat_route_equals_enumeration_route():
-    enc = encode_arrow(2)
-    decoded = {decode_model(enc, m) for m in enumerate_models(enc.cnf).models}
+    cnf = encode_arrow(2)
+    decoded = {decode_model(2, m) for m in enumerate_models(cnf).models}
     assert decoded == set(enumerate_iia_swfs(2))
 
 
 def test_decode_model_trivial_examples():
-    enc = encode_arrow(2)
     copy_agent0 = {entry_var(2, k, j): bool((j >> 1) & 1) for k in range(3) for j in range(4)}
-    assert classify(decode_model(enc, copy_agent0)) == SwfClass(DICTATORIAL, agent=0)
+    assert classify(decode_model(2, copy_agent0)) == SwfClass(DICTATORIAL, agent=0)
     negate_agent1 = {entry_var(2, k, j): not bool(j & 1) for k in range(3) for j in range(4)}
-    assert classify(decode_model(enc, negate_agent1)).tag == "inversely_dictatorial"
+    assert classify(decode_model(2, negate_agent1)).tag == "inversely_dictatorial"
 
 
 def test_decode_model_requires_total_assignment():
-    enc = encode_arrow(2)
     with pytest.raises(ValueError, match="missing"):
-        decode_model(enc, {1: True})
+        decode_model(2, {1: True})
 
 
-# sha256 of to_dimacs(encode_arrow(n, axioms).cnf), per n and axiom set
+# sha256 of to_dimacs(encode_arrow(n, axioms)), per n and axiom set
 ARROW_DIMACS_SHA256 = {
     (1, ()): "9ff86f4c7c032606c147480d43a2720e182a28aafdfc5a0b411de5e7924d4cc2",
     (1, (UN,)): "e1386e02dbde89eb1fd53638f1a6023cf38d442cf240ad3a5ac2e452b4024558",
@@ -417,7 +421,7 @@ ARROW_DIMACS_SHA256 = {
     ids=[f"n{n}-{'+'.join(axioms) or 'none'}" for n, axioms in ARROW_DIMACS_SHA256],
 )
 def test_arrow_dimacs_bytes_are_stable(n, axioms):
-    text = to_dimacs(encode_arrow(n, set(axioms)).cnf)
+    text = to_dimacs(encode_arrow(n, set(axioms)))
     assert hashlib.sha256(text.encode()).hexdigest() == ARROW_DIMACS_SHA256[n, axioms]
     if (n, axioms) == (2, (UN, ND)):
         assert text == (GOLDEN / "arrow_n2_un_nd.cnf").read_text()
@@ -437,18 +441,18 @@ def test_satkit_imports_no_implab_module():
 
 
 def test_arrow_encoding_round_trip():
-    enc = encode_arrow(2, {UN, ND})
-    back = from_dimacs(to_dimacs(enc.cnf))
-    assert back.num_vars == enc.cnf.num_vars
-    assert sorted(back.clauses) == sorted(enc.cnf.clauses)
-    assert solve(back).satisfiable == solve(enc.cnf).satisfiable
+    cnf = encode_arrow(2, {UN, ND})
+    back = from_dimacs(to_dimacs(cnf))
+    assert back.num_vars == cnf.num_vars
+    assert sorted(back.clauses) == sorted(cnf.clauses)
+    assert solve(back).satisfiable == solve(cnf).satisfiable
 
 
 def test_encoded_acyclicity_matches_profile_count():
     # two clauses per profile, plus 6 unanimity units and 2 non-dictatorship clauses
     n2_profiles = len(all_linear_orders(3)) ** 2
-    assert len(encode_arrow(2).cnf.clauses) == 2 * n2_profiles
-    assert len(encode_arrow(2, {UN, ND}).cnf.clauses) == 2 * n2_profiles + 6 + 2
+    assert len(encode_arrow(2).clauses) == 2 * n2_profiles
+    assert len(encode_arrow(2, {UN, ND}).clauses) == 2 * n2_profiles + 6 + 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -458,14 +462,14 @@ def test_every_unsat_has_no_filtered_survivor_and_vice_versa(n):
     swfs = enumerate_iia_swfs(n)
     classes = {s: classify(s) for s in swfs}
     for axioms in (frozenset(), {UN}, {ND}, {UN, ND}):
-        enc = encode_arrow(n, axioms)
+        cnf = encode_arrow(n, axioms)
         survivors = swfs
         if UN in axioms:
             survivors = [s for s in survivors if satisfies_unanimity(s)]
         if ND in axioms:
             survivors = [s for s in survivors if classify(s).tag != DICTATORIAL]
         assert swf.survivors(classes, axioms) == tuple(survivors)
-        res = solve(enc.cnf)
+        res = solve(cnf)
         assert res.satisfiable == bool(survivors)
-        decoded = {decode_model(enc, m) for m in enumerate_models(enc.cnf).models}
+        decoded = {decode_model(n, m) for m in enumerate_models(cnf).models}
         assert decoded == set(survivors)

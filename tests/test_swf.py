@@ -34,7 +34,6 @@ from implab.swf import (
     census,
     classify,
     decode_model,
-    encode_arrow,
     entry_var,
     enumerate_iia_swfs,
     onto_survivors,
@@ -219,6 +218,18 @@ def test_tables_given_as_lists_are_stored_as_tuples():
     assert classify(listed) == SwfClass(DICTATORIAL, agent=0)
 
 
+def test_agent_count_must_be_positive():
+    with pytest.raises(ValueError, match="agent count must be positive, got 0"):
+        enumerate_iia_swfs(0)
+    with pytest.raises(ValueError, match="agent count must be positive, got 0"):
+        PairwiseSwf(0, ((), (), ()))
+
+
+def test_construction_rejects_an_unhashable_entry():
+    with pytest.raises(ValueError, match="table entries must be 0 or 1"):
+        PairwiseSwf(1, ((0, [1]), (0, 1), (0, 1)))
+
+
 @pytest.mark.parametrize("tables", [((0, 1),) * 2, ((0, 1),) * 4, ((0, 1), (0, 1), (0, 1, 1))])
 def test_construction_rejects_tables_of_the_wrong_shape(tables):
     with pytest.raises(ValueError, match="need 3 tables of 2 entries each"):
@@ -257,20 +268,18 @@ def test_construction_rejects_exactly_the_cyclic_triples(n):
 
 
 def test_decode_model_refuses_a_model_with_cyclic_tables():
-    enc = encode_arrow(1)
     # ab always 0, ac always 1, bc always 0: the cycle 010 on every profile
     bits = {0: 0, 1: 1, 2: 0}
     model = {entry_var(1, k, j): bool(bits[k]) for k in range(3) for j in range(2)}
     with pytest.raises(RuntimeError, match="encoder bug: model decodes to an invalid SWF"):
-        decode_model(enc, model)
+        decode_model(1, model)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_decode_model_round_trips_every_swf(n):
-    enc = encode_arrow(n)
     for s in enumerate_iia_swfs(n):
         model = {entry_var(n, k, j): bool(e) for k, t in enumerate(s.tables) for j, e in enumerate(t)}
-        assert decode_model(enc, model) == s
+        assert decode_model(n, model) == s
 
 
 def test_satisfies_iia_for_extensional_dictator():
