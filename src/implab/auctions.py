@@ -419,6 +419,10 @@ def check_dominance(
     cells = sum(k ** (n - 1) * len(set(points) | {v_i}) for v_i in values)
     if cells > sweep_budget:
         raise ValueError(f"dominance sweep of {cells} cells exceeds budget {sweep_budget}")
+    # each checked agent's payoffs are taken on n-bid vectors, so on a
+    # one-point grid the work grows with n * len(agents), not with the cells
+    if n * len(indices) > sweep_budget:
+        raise ValueError(f"dominance sweep over {n} bidders exceeds budget {sweep_budget}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     w = min(jobs, os.cpu_count() or 1, k)

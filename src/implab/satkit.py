@@ -7,9 +7,7 @@ Literals are nonzero integers in the usual convention: +v asserts variable
 v, -v negates it.  The solver is plain DPLL with two-watched-literal unit
 propagation and chronological backtracking; decisions always pick the
 lowest-index unassigned variable, trying true first, so runs are fully
-deterministic and every Sat answer is the lexicographically greatest model,
-except one: a solver with no clauses, asked without assumptions, answers
-the all-False assignment.
+deterministic and every Sat answer is the lexicographically greatest model.
 
 `Cnf` is the one place a clause is checked.  `Solver(cnf)` takes its
 formula once, fixed from then on, and keeps its watch lists between calls
@@ -84,12 +82,13 @@ class Solver:
     """DPLL over one fixed formula, answering each call under assumptions.
 
     The solver holds the Cnf's clause tuples as they are, already checked
-    by Cnf, and their watch lists live as long as the solver.  Both
-    solve(assumptions) and AllSAT run one search, `_search`, which starts
-    from an empty trail, so solve's answer is that of a fresh solve of the
-    clauses plus one unit clause per assumption; with the fixed decision
-    order that answer is also the same model.  AllSAT takes every model the
-    search yields, solve only the first.
+    by Cnf, their watch lists and their unit literals; these live as long
+    as the solver.  Both solve(assumptions) and AllSAT run one search,
+    `_search`, which owns its assignment and starts from an empty one, so
+    solve's answer is that of a fresh solve of the clauses plus one unit
+    clause per assumption; with the fixed decision order that answer is
+    also the same model.  AllSAT takes every model the search yields, solve
+    only the first.
 
     Per-literal state sits in lists indexed by the literal itself: +v at
     index v and -v at index -v, which Python maps into the upper half of a
@@ -102,8 +101,6 @@ class Solver:
         self._watched: list[list[int]] = []  # the two watched literals of each clause
         self._watches: list[list[int]] = [[] for _ in range(2 * num_vars + 1)]  # by literal
         self._units: list[int] = []
-        self._value = [0] * (2 * num_vars + 1)  # by literal: 0 unassigned, 1 true, -1 false
-        self._trail: list[int] = []  # literals made true, in order
         for ci, c in enumerate(self.clauses):
             # the second watch differs from the first, so a repeated literal
             # cannot take both; a unit clause watches its literal twice
@@ -120,12 +117,8 @@ class Solver:
 
     def solve(self, assumptions=()) -> SolveResult:
         """Lexicographically greatest model (variable 1 first, true above
-        false) that makes every assumption literal true; Sat models are
-        verified against every clause and assumption before return.  The
-        exception: with no clauses and no assumptions, the all-False one."""
-        assumptions = tuple(assumptions)
-        if not self.clauses and not assumptions:
-            return SolveResult(True, dict.fromkeys(range(1, self.num_vars + 1), False))
+        false) that makes every assumption literal true: the search's first
+        model, verified against every clause and assumption before return."""
         return next(self._search(assumptions), SolveResult(False))
 
     def _search(self, assumptions=()):
@@ -133,9 +126,10 @@ class Solver:
         lexicographically descending order, each verified like solve's.
 
         After a model the search goes on as if it were a conflict, flipping
-        the latest untried decision, so no clause is added.  The search runs
-        on the solver's own trail: another solve on the same solver
-        invalidates a live iterator.
+        the latest untried decision, so no clause is added.  Each search
+        keeps its own assignment, but the watch lists are the solver's and
+        a search moves them: another search on the same solver invalidates
+        a live iterator.
         """
         nvars = self.num_vars
         assumptions = tuple(assumptions)
@@ -143,10 +137,8 @@ class Solver:
             if lit == 0 or abs(lit) > nvars:
                 raise ValueError(f"assumption {lit} is not a literal over {nvars} variable(s)")
         clauses, watches, watched = self.clauses, self._watches, self._watched
-        value, trail = self._value, self._trail
-        for lit in trail:
-            value[lit] = value[-lit] = 0
-        trail.clear()
+        value = [0] * (2 * nvars + 1)  # by literal: 0 unassigned, 1 true, -1 false
+        trail: list[int] = []  # literals made true, in order
 
         def model() -> SolveResult:
             full = {v: value[v] > 0 for v in range(1, nvars + 1)}

@@ -710,6 +710,29 @@ def test_soundness_sweep_over_more_bidders_than_the_budget_is_refused_before_any
     assert calls == [(0,) * 100] * auctions.SOUNDNESS_RUNS
 
 
+def test_dominance_sweep_over_more_bids_than_the_budget_is_refused_before_any_rule_call(
+    capsys, monkeypatch
+):
+    calls = []
+    rule = auctions.RULES["second-price"]
+    monkeypatch.setitem(auctions.RULES, "second-price", lambda bids: calls.append(bids) or rule(bids))
+    monkeypatch.setenv("IMPLAB_BUDGET", "100")
+    # a one-point grid has 2n cells at most, but each of the n agents' payoffs takes n-bid vectors
+    assert main(["vickrey", "dominance", "--n", "11", "--grid", "0", "--values", ",".join("1" * 11)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: dominance sweep over 11 bidders exceeds budget 100\n")
+    assert calls == []
+    argv = ["vickrey", "dominance", "--n", "10", "--grid", "0", "--values", ",".join("1" * 10)]
+    code, report = run_cli(capsys, *argv)
+    text = json.dumps(strip_duration(report), indent=2, sort_keys=True) + "\n"
+    # taken before the bidder check was added
+    assert (code, hashlib.sha256(text.encode()).hexdigest()) == (
+        0,
+        "c57d13ccd0d088117083c43d19c7e99620d2d202ae218949763bac6ef21e9e93",
+    )
+    assert calls
+
+
 def test_abstract_negative_value_is_refused_by_name(capsys):
     assert main(["vickrey", "abstract", "--value", "-1", "--delta", "1"]) == 1
     captured = capsys.readouterr()

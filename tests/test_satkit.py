@@ -10,7 +10,7 @@ import pytest
 from implab import satkit, swf
 from implab.orders import all_linear_orders
 from implab.ranksets import CATALOG, RelationClass, Universe, _guarded_solver, ground_axiom
-from implab.satkit import Cnf, Solver, enumerate_models, from_dimacs, solve, to_dimacs
+from implab.satkit import Cnf, SolveResult, Solver, enumerate_models, from_dimacs, solve, to_dimacs
 from implab.swf import (
     DICTATORIAL,
     ND,
@@ -80,11 +80,11 @@ def test_solve_wins_or_pays_nothing_formula():
     assert all(any(stated[abs(l)] == (l > 0) for l in c) for c in cnf.clauses)
 
 
-def test_solve_empty_clause_list_is_sat_all_false():
+def test_solve_empty_clause_list_is_sat_all_true():
     res = solve(Cnf(3, ()))
     assert res.satisfiable
-    assert res.assignment == {1: False, 2: False, 3: False}
-    # enumeration has no such shortcut: it lists every assignment, greatest first
+    assert res.assignment == {1: True, 2: True, 3: True}
+    # enumeration lists every assignment, greatest first, so its first model is solve's
     run = enumerate_models(Cnf(2, ()))
     assert [(m[1], m[2]) for m in run.models] == [(True, True), (True, False), (False, True), (False, False)]
     assert not run.truncated
@@ -211,11 +211,11 @@ def test_solver_rejects_bad_literals():
         solver.solve([-3])
 
 
-def test_solver_with_no_clauses_gives_all_false():
+def test_solver_with_no_clauses_gives_all_true():
     solver = Solver(Cnf(3, ()))
-    assert solver.solve().assignment == {1: False, 2: False, 3: False}
+    assert solver.solve().assignment == {1: True, 2: True, 3: True}
     assert solver.solve([2]) == solve(Cnf(3, ((2,),)))
-    assert solver.solve().assignment == {1: False, 2: False, 3: False}
+    assert solver.solve().assignment == {1: True, 2: True, 3: True}
 
 
 def test_solver_model_check_guards_every_answer(monkeypatch):
@@ -267,6 +267,33 @@ def test_enumerate_models_equals_the_truth_table_in_descending_order():
             if all(any(model[abs(lit)] == (lit > 0) for lit in c) for c in cnf.clauses):
                 want.append(model)
         assert list(enumerate_models(cnf).models) == want
+
+
+def test_solve_answers_the_first_model_of_allsat():
+    rng = random.Random(4242)
+    corpus = [random_3cnf(rng) for _ in range(60)] + [Cnf(n, ()) for n in range(5)]
+    for cnf in corpus:
+        res, run = solve(cnf), enumerate_models(cnf)
+        assert res.satisfiable == bool(run.models)
+        if res.satisfiable:
+            assert res.assignment == run.models[0]
+        for _ in range(2):
+            k = rng.randint(1, 3) if cnf.num_vars else 0
+            a = [v if rng.random() < 0.5 else -v for v in rng.choices(range(1, cnf.num_vars + 1), k=k)]
+            first = next(Solver(cnf)._search(a), SolveResult(False))
+            assert Solver(cnf).solve(a) == first
+
+
+def test_each_search_owns_its_assignment():
+    cnf = encode_arrow(2)
+    solver = Solver(cnf)
+    assert not hasattr(solver, "_value") and not hasattr(solver, "_trail")
+    search = solver._search()
+    for _ in range(40):  # leave a search deep in its tree
+        next(search)
+    assert solver.solve() == solve(cnf)
+    assert solver.solve([-1]) == solve(Cnf(cnf.num_vars, cnf.clauses + ((-1,),)))
+    assert not hasattr(solver, "_value") and not hasattr(solver, "_trail")
 
 
 def test_to_dimacs_exact_format():
