@@ -3,7 +3,7 @@ and second-price auction properties."""
 
 __version__ = "0.1.0"
 
-from .orders import LinearOrder, all_linear_orders, bits_of_order, order_of_bits
+from .orders import LinearOrder, all_linear_orders, bits_of_order
 from .satkit import Cnf, Solver, SolveResult, enumerate_models, from_dimacs, solve, to_dimacs
 from .swf import encode_arrow
 
@@ -12,7 +12,6 @@ __all__ = [
     "LinearOrder",
     "all_linear_orders",
     "bits_of_order",
-    "order_of_bits",
     "Cnf",
     "SolveResult",
     "Solver",

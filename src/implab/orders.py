@@ -59,25 +59,6 @@ def bits_of_order(order: LinearOrder) -> tuple[int, int, int]:
     return tuple(1 if order.prefers(x, y) else 0 for x, y in PAIRS3)
 
 
-def order_of_bits(code: tuple[int, int, int]) -> LinearOrder:
-    """Decode a (a>b, a>c, b>c) triple; rejects the two cyclic codes."""
-    code = tuple(int(b) for b in code)
-    if len(code) != 3 or any(b not in (0, 1) for b in code):
-        raise ValueError(f"bit code must be a triple of 0/1, got {code}")
-    if code in CYCLIC_CODES:
-        rels = ", ".join(
-            f"{ALTERNATIVE_NAMES[x]}>{ALTERNATIVE_NAMES[y]}" if b else f"{ALTERNATIVE_NAMES[y]}>{ALTERNATIVE_NAMES[x]}"
-            for (x, y), b in zip(PAIRS3, code)
-        )
-        raise ValueError(f"cyclic bit code {format_bits(code)}: {rels}")
-    ab, ac, bc = code
-    return ORDER_BY_CODE[ab << 2 | ac << 1 | bc]
-
-
-def format_bits(code: tuple[int, int, int]) -> str:
-    return "".join(str(int(b)) for b in code)
-
-
 # Indexed by the code 4*ab + 2*ac + bc, the order in which itertools.product
 # lists the triples: its order, None at the cyclic 010 and 101.
 ORDER_BY_CODE: tuple[LinearOrder | None, ...] = tuple(

@@ -280,14 +280,16 @@ def enumerate_iia_swfs(n: int, candidate_budget: int = DEFAULT_CANDIDATE_BUDGET)
     """
     if n < 1:
         raise ValueError(f"agent count must be positive, got {n}")
-    size = 1 << n
-    # 2^(3*size) candidates exceed the budget iff 3*size >= budget.bit_length();
-    # the count is printed in full up to n = 5 (29 digits)
-    if 3 * size >= candidate_budget.bit_length():
-        count = 1 << 3 * size if n <= 5 else f"2^(3*2^{n})"
+    # 2^(3*2^n) candidates exceed the budget iff 3*2^n >= L = budget.bit_length(),
+    # which every n >= L.bit_length() meets, so no 2^n is built for those; the
+    # count is printed in full up to n = 5 (29 digits)
+    bits = candidate_budget.bit_length()
+    if n >= bits.bit_length() or 3 << n >= bits:
+        count = 1 << (3 << n) if n <= 5 else f"2^(3*2^{n})"
         raise ValueError(
             f"candidate space of {count} table triples exceeds budget {candidate_budget}"
         )
+    size = 1 << n
     tables = [_int_to_table(x, size) for x in range(1 << size)]
     full = (1 << size) - 1
     out: list[PairwiseSwf] = []

@@ -215,6 +215,15 @@ def test_soundness_sweep_27_inputs():
     assert sweep.unsound == ()
 
 
+def test_soundness_sweep_refuses_more_bid_vectors_than_its_budget():
+    # the CLI's grid-point limit binds before this one, so only a direct call reaches it
+    grid = parse_grid("0:9:1")
+    with pytest.raises(ValueError) as info:
+        sweep_soundness(3, grid, sweep_budget=999)
+    assert str(info.value) == "soundness sweep of 1000 bid vectors exceeds budget 999"
+    assert sweep_soundness(3, grid, sweep_budget=1000).cells == 1000
+
+
 def test_soundness_single_bidder():
     rep = check_soundness([5])
     assert rep.sound

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import hashlib
+import io
 import json
 import os
 import re
@@ -8,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -171,6 +173,20 @@ def test_arrow_far_over_budget_is_refused_without_sizing_the_space(capsys):
     assert elapsed < 0.5
 
 
+def test_arrow_agent_count_is_refused_before_any_power_of_two_is_built(capsys):
+    # 2^N would take N/8 bytes; the refusal reads only the exponent
+    tracemalloc.start()
+    try:
+        code = main(["arrow", "--agents", "100000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: candidate space of 2^(3*2^100000000) table triples exceeds budget 16777216\n"
+    assert peak < 1 << 20
+
+
 ARROW_REPORT_SHA256 = {
     ("--agents", "1"): "14a2ab714f15b63a27871e7bc8fa79cbe8265531347722eaa5561c59ac3dc60f",
     ("--agents", "2"): "0abf2ea91740f4c9cffc5a3da5f0116adf00c4610ad1bb44d96778e1791a75ad",
@@ -223,6 +239,14 @@ def test_ranksets_check_refuses_a_repeated_axiom(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: axiom dominance is listed more than once" in captured.err
+
+
+def test_ranksets_check_refuses_a_model_that_fails_an_enabled_axiom(capsys, monkeypatch):
+    # without the axiom clauses the solver's model need not satisfy the axiom, and the re-check catches it
+    monkeypatch.setattr(ranksets, "_axiom_clauses", lambda u, constraints: [])
+    assert main(["ranksets", "check", "--axioms", "dominance", "--m", "3"]) == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: decoded model fails an enabled axiom; encoder bug\n")
 
 
 def test_ranksets_minmax_independence_witness(capsys):
@@ -466,6 +490,12 @@ def test_sat_command_unsat_exit_20(capsys, tmp_path):
     assert report["verdict"] == "UNSAT"
 
 
+def test_sat_command_reads_dimacs_from_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("p cnf 2 2\n1 2 0\n-1 0\n"))
+    code, report = run_cli(capsys, "sat", "-")
+    assert (code, report["verdict"], report["model"]) == (0, "SAT", {"1": False, "2": True})
+
+
 def test_sat_command_parse_error_exit_1(capsys, tmp_path):
     path = tmp_path / "bad.cnf"
     path.write_text("p cnf 1 1\n2 0\n")
@@ -609,6 +639,14 @@ def test_no_module_imports_random():
             else:
                 continue
             assert "random" not in [m.split(".")[0] for m in modules], path.name
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    assert 'requires-python = ">=3.10"' in (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    paths = sorted(Path(implab.__file__).parent.glob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=path.name, feature_version=(3, 10))
 
 
 # Program names that perfbench/layers.py hooks but that are no longer bound
@@ -791,6 +829,13 @@ def test_output_flag_writes_report_file(capsys, tmp_path):
     assert "report written to" in printed
     report = json.loads(out.read_text())
     assert report["verdict"] == "holds"
+
+
+def test_summary_prints_the_verdict_on_stderr(capsys):
+    assert main(["--summary", "vickrey", "efficiency", "--values", "3,1"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verdict"] == "holds"
+    assert captured.err == "vickrey: verdict=holds\n"
 
 
 @pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["missing-dir", "a-dir"])
