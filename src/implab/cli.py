@@ -23,8 +23,13 @@ import sys
 import time
 
 from . import __version__
-from . import auctions, ranksets, satkit, swf
-from .ranksets import Axiom, RelationClass, Universe
+
+# Each command imports the layers it runs inside its function, so a process
+# loads only those.  The parser's choices are listed here for the same reason;
+# a test pins them to ranksets.Axiom, ranksets.RelationClass and auctions.RULES.
+AXIOM_NAMES = ("dominance", "independence", "aversion", "appeal", "topmono")
+CLASS_NAMES = ("transitive", "weak", "linear")
+RULE_NAMES = ("first-price", "second-price")
 
 
 def _budget(default: int) -> int:
@@ -37,6 +42,8 @@ def _budget(default: int) -> int:
 
 
 def _emit_dimacs(cnf: satkit.Cnf, path: str) -> None:
+    from . import satkit
+
     with open(path, "w", encoding="utf-8") as f:
         f.write(satkit.to_dimacs(cnf))
     names = {str(v): name for v, name in (cnf.var_names or {}).items()}
@@ -56,6 +63,8 @@ def _dominance_ce_json(ce: auctions.DominanceCounterexample) -> dict:
 
 
 def cmd_arrow(args) -> tuple[dict, int]:
+    from . import satkit, swf
+
     axioms = {swf.UN, swf.ND} - {a.upper() for a in args.drop_axiom}
     budget = _budget(swf.DEFAULT_CANDIDATE_BUDGET)
 
@@ -103,6 +112,9 @@ def cmd_arrow(args) -> tuple[dict, int]:
 
 
 def cmd_ranksets(args) -> tuple[dict, int]:
+    from . import ranksets, satkit
+    from .ranksets import Axiom, RelationClass, Universe
+
     if args.ranksets_cmd == "check":
         cls = RelationClass(args.relation_class)
         u = Universe(args.m)
@@ -170,6 +182,8 @@ def cmd_ranksets(args) -> tuple[dict, int]:
 
 
 def cmd_vickrey(args) -> tuple[dict, int]:
+    from . import auctions
+
     budget = _budget(auctions.DEFAULT_SWEEP_BUDGET)
     rule = auctions.RULES[args.rule] if hasattr(args, "rule") else auctions.run_spa
     if args.vickrey_cmd == "dominance":
@@ -261,6 +275,8 @@ def cmd_vickrey(args) -> tuple[dict, int]:
 
 
 def cmd_sat(args) -> tuple[dict, int]:
+    from . import satkit
+
     if args.path == "-":
         text = sys.stdin.read()
     else:
@@ -317,16 +333,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ranksets", help="set-ranking axiom analysis")
     rsub = p.add_subparsers(dest="ranksets_cmd", required=True)
     pc = rsub.add_parser("check", help="solve one axiom subset at one universe size")
-    pc.add_argument("--axioms", required=True, help="comma list: " + ",".join(a.value for a in Axiom))
+    pc.add_argument("--axioms", required=True, help="comma list: " + ",".join(AXIOM_NAMES))
     pc.add_argument("--m", type=int, required=True)
-    pc.add_argument("--class", dest="relation_class", default="linear", choices=[c.value for c in RelationClass])
+    pc.add_argument("--class", dest="relation_class", default="linear", choices=CLASS_NAMES)
     pc.add_argument("--emit-dimacs", metavar="PATH")
     pm = rsub.add_parser("minmax", help="check axioms against the min-max ordering")
     pm.add_argument("--m", type=int, required=True)
-    pm.add_argument("--axiom", choices=[a.value for a in Axiom])
+    pm.add_argument("--axiom", choices=AXIOM_NAMES)
     pd = rsub.add_parser("discover", help="minimal inconsistent universe per axiom subset")
     pd.add_argument("--max-m", type=int, default=4)
-    pd.add_argument("--class", dest="relation_class", default="linear", choices=[c.value for c in RelationClass])
+    pd.add_argument("--class", dest="relation_class", default="linear", choices=CLASS_NAMES)
 
     p = sub.add_parser("vickrey", help="second-price auction checks")
     vsub = p.add_subparsers(dest="vickrey_cmd", required=True)
@@ -334,19 +350,19 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--n", type=int, required=True)
     pv.add_argument("--grid", required=True, help="start:stop:step or comma list")
     pv.add_argument("--values", required=True, help="comma list of valuations")
-    pv.add_argument("--rule", default="second-price", choices=sorted(auctions.RULES))
+    pv.add_argument("--rule", default="second-price", choices=RULE_NAMES)
     pe = vsub.add_parser("efficiency")
     pe.add_argument("--values", required=True)
-    pe.add_argument("--rule", default="second-price", choices=sorted(auctions.RULES))
+    pe.add_argument("--rule", default="second-price", choices=RULE_NAMES)
     ps = vsub.add_parser("soundness")
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--grid", required=True)
-    ps.add_argument("--rule", default="second-price", choices=sorted(auctions.RULES))
+    ps.add_argument("--rule", default="second-price", choices=RULE_NAMES)
     pa = vsub.add_parser("abstract")
     pa.add_argument("--n-max", type=int, default=6)
     pa.add_argument("--value", required=True)
     pa.add_argument("--delta", required=True)
-    pa.add_argument("--rule", default="second-price", choices=sorted(auctions.RULES))
+    pa.add_argument("--rule", default="second-price", choices=RULE_NAMES)
     vsub.add_parser("maxcheck")
 
     p = sub.add_parser("sat", help="solve a DIMACS CNF file")

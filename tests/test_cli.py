@@ -16,7 +16,7 @@ import pytest
 
 import implab
 from implab import auctions, ranksets, satkit, swf
-from implab.cli import build_parser, main
+from implab.cli import AXIOM_NAMES, CLASS_NAMES, RULE_NAMES, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).parent.parent
@@ -626,6 +626,41 @@ def test_option_surface_is_pinned():
     table = _option_table(build_parser())
     assert table == OPTION_TABLE
     assert sum(map(len, table.values())) == 30
+
+
+def test_parser_choices_are_the_layers_own_names(capsys):
+    # listed in cli so that parsing imports no layer
+    assert list(AXIOM_NAMES) == [a.value for a in ranksets.Axiom]
+    assert list(CLASS_NAMES) == [c.value for c in ranksets.RelationClass]
+    assert list(RULE_NAMES) == sorted(auctions.RULES)
+    with pytest.raises(SystemExit) as exc:
+        main(["ranksets", "discover", "--class", "bogus"])
+    assert exc.value.code == 1
+    assert "invalid choice: 'bogus' (choose from 'transitive', 'weak', 'linear')\n" in capsys.readouterr().err
+
+
+# (argv, stdin, the layers that command imports)
+COMMAND_LAYERS = [
+    (("vickrey", "efficiency", "--values", "3,1"), "", ["auctions"]),
+    (("ranksets", "minmax", "--m", "3"), "", ["orders", "ranksets", "satkit"]),
+    (("ranksets", "discover", "--max-m", "2"), "", ["orders", "ranksets", "satkit"]),
+    (("arrow", "--agents", "1"), "", ["orders", "satkit", "swf"]),
+    (("sat", "-"), "p cnf 2 2\n1 2 0\n-1 0\n", ["satkit"]),
+]
+
+
+@pytest.mark.parametrize("argv, stdin, layers", COMMAND_LAYERS, ids=[" ".join(c[0]) for c in COMMAND_LAYERS])
+def test_each_command_imports_only_the_layers_it_runs(argv, stdin, layers):
+    code = (
+        "import sys, implab.cli\n"
+        f"status = implab.cli.main({list(argv)!r})\n"
+        "sys.stderr.write(repr(sorted(m for m in sys.modules if m.startswith('implab.'))))\n"
+        "sys.exit(status)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], input=stdin, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert ast.literal_eval(out.stderr) == sorted(["implab.cli", *(f"implab.{m}" for m in layers)])
 
 
 def test_no_module_imports_random():

@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import os
 import subprocess
@@ -69,10 +70,28 @@ def test_discovery_starts_no_pool(pools, capsys):
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    code = "import sys, implab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    # nor any layer, nor the modules the layers need: each command imports its own
+    code = "import sys, implab.cli; print(sorted(sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(Path(implab.__file__).parent.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    loaded = ast.literal_eval(out.stdout)
+    assert [m for m in loaded if m.split(".")[0] in ("concurrent", "multiprocessing")] == []
+    assert [m for m in loaded if m.startswith("implab.")] == ["implab.cli"]
+    assert {"fractions", "dataclasses"}.isdisjoint(loaded)
+
+
+def test_the_cli_imports_only_the_standard_library_at_module_level():
+    tree = ast.parse((Path(implab.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    modules, relative = [], []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            relative.append((node.module, [alias.name for alias in node.names]))
+        elif isinstance(node, ast.ImportFrom):
+            modules.append(node.module)
+        elif isinstance(node, ast.Import):
+            modules.extend(alias.name for alias in node.names)
+    assert relative == [(None, ["__version__"])]
+    assert modules and all(m.split(".")[0] in sys.stdlib_module_names for m in modules)
 
 
 def test_only_auctions_names_concurrent_futures():

@@ -688,6 +688,30 @@ def test_public_api_is_pinned():
         assert getattr(implab, name) is not None
 
 
+def test_public_names_load_their_module_on_first_use():
+    # `import implab` builds no layer, yet dir() lists every export; each
+    # export is its home module's own object
+    code = (
+        "import sys, implab; print(sorted(m for m in sys.modules if m.startswith('implab.')), "
+        "sorted(set(implab.__all__) - set(dir(implab)))); "
+        "from implab import encode_arrow; print(encode_arrow.__module__)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(implab.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[] []\nimplab.swf\n"
+    homes = {
+        "orders": ("LinearOrder", "all_linear_orders", "bits_of_order"),
+        "satkit": ("Cnf", "SolveResult", "Solver", "solve", "enumerate_models", "to_dimacs", "from_dimacs"),
+        "swf": ("encode_arrow",),
+    }
+    assert [name for names in homes.values() for name in names] == implab.__all__[1:]
+    for module, names in homes.items():
+        for name in names:
+            assert getattr(implab, name) is getattr(getattr(implab, module), name)
+    with pytest.raises(AttributeError, match="'nope'"):
+        implab.nope
+
+
 def sha256_of_json(obj) -> str:
     return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
 
