@@ -63,6 +63,7 @@ MAXCHECK_LENGTH = 7
 # outcomes kept by _outcome's memo: a sweep over k grid points can produce
 # n * k (n, winner, price) keys, so an unbounded memo would grow with every grid swept
 OUTCOME_CACHE_SIZE = 4096
+_LONGEST = 10**29 - 1  # the largest count a refusal writes out in full, 29 digits
 
 Amount = int | Fraction
 
@@ -211,11 +212,29 @@ class BidGrid:
             raise ValueError("grid points must be strictly ascending")
 
 
-def parse_grid(text: str, budget: int = DEFAULT_SWEEP_BUDGET) -> BidGrid:
+def _exceeds(k: int, n: int, budget: int) -> bool:
+    """Whether k**n > budget, for k >= 0 and n >= 1: k grid points over n bidders
+    fit when k**n <= budget.  For k >= 2, k**n >= 2**(n * (k.bit_length() - 1)),
+    which exceeds budget once that exponent reaches budget.bit_length(), so
+    k**n is built only below that, with at most about twice budget's bits."""
+    if k < 2:
+        return k > budget
+    return n * (k.bit_length() - 1) >= budget.bit_length() or k**n > budget
+
+
+def _power(k: int, n: int, m: int = 1) -> str:
+    """m * k**n written out up to 29 digits, else in closed form."""
+    if not _exceeds(k, n, _LONGEST // m):
+        return str(m * k**n)
+    return f"{k}^{n}" if m == 1 else f"{m}*{k}^{n}"
+
+
+def parse_grid(text: str, budget: int = DEFAULT_SWEEP_BUDGET, n: int = 1) -> BidGrid:
     """Grid syntax: explicit "0,1,2" or inclusive range "start:stop:step".
 
-    A grid is sized before any point is built, and refused when it has
-    more than budget points.
+    A grid is sized before any point is built, a range from its bounds and
+    a list by counting its commas, and its k points are refused when
+    k**n > budget, n being the number of bidders that sweep it.
     """
     if ":" in text:
         parts = text.split(":")
@@ -225,42 +244,15 @@ def parse_grid(text: str, budget: int = DEFAULT_SWEEP_BUDGET) -> BidGrid:
         if step <= 0:
             raise ValueError("grid step must be positive")
         count = max(0, (stop - start) // step + 1)
-        if count > budget:
-            raise ValueError(f"grid of {count} points exceeds budget {budget}")
-        return BidGrid(tuple(start + k * step for k in range(count)))
-    count = text.count(",") + 1
-    if count > budget:
-        raise ValueError(f"grid of {count} points exceeds budget {budget}")
+    else:
+        count = text.count(",") + 1
+    if _exceeds(count, n, budget):
+        points = count if count <= _LONGEST else "at least 10^29"
+        bidders = f" over {n} bidders" if n > 1 else ""
+        raise ValueError(f"grid of {points} points{bidders} exceeds budget {budget}")
+    if ":" in text:
+        return BidGrid(tuple(start + i * step for i in range(count)))
     return BidGrid(tuple(text.split(",")))
-
-
-def _root_floor(x: int, n: int) -> int:
-    """Largest k >= 0 with k**n <= x, for x >= 0 and n >= 1, in integers."""
-    if n > x.bit_length():
-        return min(x, 1)  # 2**n > x already
-    lo, hi = 0, 1 << (x.bit_length() // n + 1)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid**n <= x:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def dominance_point_limit(n: int, sweep_budget: int = DEFAULT_SWEEP_BUDGET) -> int:
-    """Most grid points a dominance sweep over n agents may have: with k
-    points each agent sweeps at least k**(n-1) * k cells, n * k**n in all."""
-    if n < 1:
-        return sweep_budget
-    return _root_floor(max(0, sweep_budget) // n, n)
-
-
-def soundness_point_limit(n: int, sweep_budget: int = DEFAULT_SWEEP_BUDGET) -> int:
-    """Most grid points a soundness sweep over n bids may have: k points give k**n bid vectors."""
-    if n < 1:
-        return sweep_budget
-    return _root_floor(max(0, sweep_budget), n)
 
 
 @dataclass(frozen=True)
@@ -413,18 +405,21 @@ def check_dominance(
         raise ValueError("no agents to check")
     if len(set(indices)) != len(indices) or not all(0 <= i < n for i in indices):
         raise ValueError(f"agent indices {list(indices)} must be distinct and in 0..{n - 1}")
-    d, (points, values) = _scaled(grid.points, v)
-    k = len(points)
-    # a deviation to an off-grid valuation is the truthful vector, counted but not re-run
-    cells = sum(k ** (n - 1) * len(set(points) | {v_i}) for v_i in values)
-    if cells > sweep_budget:
-        raise ValueError(f"dominance sweep of {cells} cells exceeds budget {sweep_budget}")
     # each checked agent's payoffs are taken on n-bid vectors, so on a
     # one-point grid the work grows with n * len(agents), not with the cells
     if n * len(indices) > sweep_budget:
         raise ValueError(f"dominance sweep over {n} bidders exceeds budget {sweep_budget}")
+    k = len(grid.points)
+    # each agent sweeps k**(n-1) opponents' bids times its deviations: the grid, plus an
+    # off-grid valuation (the truthful vector, counted but not re-run); k**n cells at least
+    on_grid = set(grid.points)
+    deviations = sum(k + (v_i not in on_grid) for v_i in v)
+    if _exceeds(k, n, sweep_budget) or (cells := k ** (n - 1) * deviations) > sweep_budget:
+        cells_text = _power(k, n - 1, deviations)
+        raise ValueError(f"dominance sweep of {cells_text} cells exceeds budget {sweep_budget}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    d, (points, values) = _scaled(grid.points, v)
     w = min(jobs, os.cpu_count() or 1, k)
     checks = tuple(zip(indices, values))
     tasks = [(n, checks, points, rule, k * r // w, k * (r + 1) // w) for r in range(w)]
@@ -551,9 +546,9 @@ def sweep_soundness(
     # a one-point grid has 1**n = 1 bid vector, but that vector holds n bids
     if n > sweep_budget:
         raise ValueError(f"soundness sweep over {n} bidders exceeds budget {sweep_budget}")
-    cells = len(grid.points) ** n
-    if cells > sweep_budget:
-        raise ValueError(f"soundness sweep of {cells} bid vectors exceeds budget {sweep_budget}")
+    k = len(grid.points)
+    if _exceeds(k, n, sweep_budget):
+        raise ValueError(f"soundness sweep of {_power(k, n)} bid vectors exceeds budget {sweep_budget}")
     d, (points,) = _scaled(grid.points)
     # scaling is injective, so each scaled point maps back to its grid point as given
     unscaled = dict(zip(points, grid.points))
@@ -569,7 +564,7 @@ def sweep_soundness(
                 f"are sound, but on the bids times {d}: {'; '.join(problems)}"
             )
         unsound.append(back)
-    return SoundnessSweep(cells, tuple(unsound))
+    return SoundnessSweep(k**n, tuple(unsound))
 
 
 def _max_items(xs: Sequence) -> list[Amount]:
@@ -638,5 +633,5 @@ def check_abstract_budget(n_max: int, grid: BidGrid, sweep_budget: int = DEFAULT
     """
     k = len(grid.points)
     for n in range(2, min(n_max, max(2, sweep_budget.bit_length())) + 1):
-        if k**n > sweep_budget:
-            raise ValueError(f"abstract sweep of {k**n} cells exceeds budget {sweep_budget}")
+        if _exceeds(k, n, sweep_budget):
+            raise ValueError(f"abstract sweep of {_power(k, n)} cells exceeds budget {sweep_budget}")

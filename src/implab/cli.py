@@ -190,7 +190,10 @@ def cmd_vickrey(args) -> tuple[dict, int]:
         values = args.values.split(",")
         if args.n != len(values):
             raise ValueError(f"--n {args.n} does not match {len(values)} --values entries")
-        grid = auctions.parse_grid(args.grid, auctions.dominance_point_limit(args.n, budget))
+        # check_dominance's own refusal, made before the grid is built
+        if args.n < 2:
+            raise ValueError(f"dominance check needs more than one participant, got {args.n}")
+        grid = auctions.parse_grid(args.grid, budget, args.n)
         res = auctions.check_weak_dominance(values, grid, rule, budget, jobs=args.jobs)
         payload = {
             "verdict": "holds" if res.holds else "counterexample",
@@ -214,7 +217,7 @@ def cmd_vickrey(args) -> tuple[dict, int]:
     if args.vickrey_cmd == "soundness":
         if args.n < 1:
             raise ValueError(f"--n must be at least 1, got {args.n}")
-        grid = auctions.parse_grid(args.grid, auctions.soundness_point_limit(args.n, budget))
+        grid = auctions.parse_grid(args.grid, budget, args.n)
         sweep = auctions.sweep_soundness(args.n, grid, rule, budget)
         payload = {
             "verdict": "sound" if not sweep.unsound else "violations",

@@ -420,9 +420,8 @@ def encode_arrow(n: int, axioms: frozenset[str] | set[str] = frozenset()) -> Cnf
             clauses.append(
                 tuple(-var(k, j) if bits[j] else var(k, j) for k in range(3) for j in range(size))
             )
-    ordered = sorted(set(tuple(sorted(c, key=abs)) for c in clauses))
     names = {var(k, j): f"{PAIR_NAMES[k]}:{j:0{n}b}" for k in range(3) for j in range(size)}
-    return Cnf(3 * size, tuple(ordered), var_names=names)
+    return Cnf(3 * size, tuple(sorted(clauses)), var_names=names)
 
 
 def decode_model(n: int, model: dict[int, bool]) -> PairwiseSwf:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from implab.auctions import (
     check_efficiency,
     check_soundness,
     check_weak_dominance,
-    dominance_point_limit,
     max_classical,
     max_constructive,
     outcome_violations,
@@ -25,7 +25,6 @@ from implab.auctions import (
     payoff,
     run_first_price,
     run_spa,
-    soundness_point_limit,
     sweep_soundness,
     to_amount,
     to_amounts,
@@ -666,17 +665,57 @@ def test_bidgrid_validation():
         BidGrid((Fraction(1), Fraction(1)))
 
 
-def test_point_limits_are_exact_integer_roots():
-    rng = random.Random(31)
-    budgets = list(range(40)) + [10**7, 10**7 - 1, 2**64] + [rng.randrange(10**40) for _ in range(200)]
-    for budget in budgets:
-        for n in range(1, 9):
-            k = soundness_point_limit(n, budget)
-            assert k**n <= budget < (k + 1) ** n, (budget, n)
-            k = dominance_point_limit(n, budget)
-            assert n * k**n <= budget < n * (k + 1) ** n, (budget, n)
-    assert dominance_point_limit(2) == 2236 and soundness_point_limit(3) == 215
-    assert soundness_point_limit(10**6) == 1
+def test_budget_rule_is_k_to_the_n_over_budget():
+    for k, n, budget in itertools.product(range(7), range(1, 41), (0, 1, 2, 99, 100, 101, 2**20, 10**7)):
+        assert auctions._exceeds(k, n, budget) == (k**n > budget), (k, n, budget)
+    rng = random.Random(34)
+    for _ in range(500):
+        k, n, budget = rng.randrange(10**6), rng.randrange(1, 60), rng.randrange(10**40)
+        assert auctions._exceeds(k, n, budget) == (k**n > budget), (k, n, budget)
+
+
+def test_budget_rule_answers_a_huge_exponent_without_the_power():
+    started = time.perf_counter()
+    assert auctions._exceeds(2, 10**9, 10**7) and auctions._exceeds(10**6, 10**9, 2**64)
+    assert not auctions._exceeds(1, 10**9, 1)
+    assert time.perf_counter() - started < 0.1
+
+
+def test_parse_grid_refuses_k_points_over_n_bidders_when_k_to_the_n_exceeds_the_budget():
+    assert len(parse_grid("0:10:1", budget=121, n=2).points) == 11
+    with pytest.raises(ValueError) as info:
+        parse_grid("0:10:1", budget=120, n=2)
+    assert str(info.value) == "grid of 11 points over 2 bidders exceeds budget 120"
+    with pytest.raises(ValueError) as info:
+        parse_grid("0,1,2", budget=26, n=3)
+    assert str(info.value) == "grid of 3 points over 3 bidders exceeds budget 26"
+
+
+@pytest.mark.parametrize(
+    "sweep, message",
+    [
+        (lambda: sweep_soundness(100000, BidGrid((0, 1, 2))), "soundness sweep of 3^100000 bid vectors"),
+        (lambda: check_dominance(100000, ((0, 1),), BidGrid((0, 1, 2))), "dominance sweep of 3*3^99999 cells"),
+        # an off-grid valuation adds its truthful deviation
+        (lambda: check_dominance(100000, ((0, 5),), BidGrid((0, 1, 2))), "dominance sweep of 4*3^99999 cells"),
+        (lambda: sweep_soundness(5_000_000, BidGrid((0, 1, 2))), "soundness sweep of 3^5000000 bid vectors"),
+    ],
+    ids=["soundness", "dominance", "dominance-off-grid", "soundness-5M"],
+)
+def test_sweep_over_budget_writes_a_long_count_in_closed_form(sweep, message):
+    started = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        sweep()
+    assert str(info.value) == f"{message} exceeds budget 10000000"
+    assert time.perf_counter() - started < 0.1
+
+
+def test_dominance_sweep_over_budget_names_its_exact_cell_count():
+    # 2 agents on 4 points: 4 * 4 cells each, though 4**2 = 16 is within budget
+    with pytest.raises(ValueError) as info:
+        check_weak_dominance([1, 2], parse_grid("0:3:1"), sweep_budget=18)
+    assert str(info.value) == "dominance sweep of 32 cells exceeds budget 18"
+    assert check_weak_dominance([1, 2], parse_grid("0:3:1"), sweep_budget=32).cells == 32
 
 
 def test_dominance_sweep_calls_the_rule_once_per_cell_and_per_truthful_profile():

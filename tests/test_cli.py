@@ -741,7 +741,7 @@ def test_list_grid_over_budget_exits_1_like_a_range(capsys, monkeypatch):
     monkeypatch.setenv("IMPLAB_BUDGET", "100")
     for grid in (",".join(map(str, range(11))), "0:10:1"):
         assert main(["vickrey", "soundness", "--n", "2", "--grid", grid]) == 1
-        assert capsys.readouterr().err == "error: grid of 11 points exceeds budget 10\n"
+        assert capsys.readouterr().err == "error: grid of 11 points over 2 bidders exceeds budget 100\n"
 
 
 def test_range_grid_is_sized_against_the_sweep_before_it_is_built(capsys):
@@ -749,9 +749,49 @@ def test_range_grid_is_sized_against_the_sweep_before_it_is_built(capsys):
     code = main(["vickrey", "dominance", "--n", "2", "--grid", "0:9999999:1", "--values", "1,2"])
     assert time.perf_counter() - started < 1.0
     assert code == 1
-    assert "grid of 10000000 points exceeds budget 2236" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: grid of 10000000 points over 2 bidders exceeds budget 10000000\n"
     assert main(["vickrey", "soundness", "--n", "3", "--grid", "0:9999999:1"]) == 1
-    assert "exceeds budget 215" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: grid of 10000000 points over 3 bidders exceeds budget 10000000\n"
+
+
+def test_dominance_below_two_bidders_is_refused_before_the_grid_is_built(capsys):
+    # a million Fraction points would take over 100 MB
+    tracemalloc.start()
+    try:
+        code = main(["vickrey", "dominance", "--n", "1", "--grid", "0:999999:1", "--values", "3"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: dominance check needs more than one participant, got 1\n"
+    assert peak < 1 << 20
+
+
+def test_grid_of_a_count_beyond_29_digits_is_refused_in_closed_form(capsys):
+    # the point count has 5000 digits, past Python's limit for converting an int to str
+    grid = f"0:{'9' * 4000}:1/1{'0' * 1000}"
+    assert main(["vickrey", "soundness", "--n", "1", "--grid", grid]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: grid of at least 10^29 points exceeds budget 10000000\n")
+
+
+@pytest.mark.parametrize(
+    "budget, argv, expected",
+    [
+        ("121", ("soundness", "--n", "2", "--grid", "0:10:1"),
+         "19899a77148b8ce753335ea3b00ab96ba4d5ea7c06d494e313a52ac2589dba51"),
+        ("18", ("dominance", "--n", "2", "--values", "1,2", "--grid", "0:2:1"),
+         "1baae10116700f7494038d823f173c343e65b1d4e2e84358efb5cd1ad73ba6e6"),
+    ],
+    ids=["soundness", "dominance"],
+)
+def test_grids_just_within_budget_give_the_pinned_reports(capsys, monkeypatch, budget, argv, expected):
+    # taken before the three sweeps shared one budget rule
+    monkeypatch.setenv("IMPLAB_BUDGET", budget)
+    code, report = run_cli(capsys, "vickrey", *argv)
+    text = json.dumps(strip_duration(report), indent=2, sort_keys=True) + "\n"
+    assert (code, hashlib.sha256(text.encode()).hexdigest()) == (0, expected)
 
 
 def test_abstract_sweep_over_budget_is_refused_before_any_rule_call(capsys, monkeypatch):
@@ -816,18 +856,19 @@ def test_grids_at_the_point_limit_give_the_same_reports(capsys, monkeypatch):
     dominance = ["vickrey", "dominance", "--n", "2", "--values", "1,2", "--grid"]
     soundness = ["vickrey", "soundness", "--n", "3", "--grid"]
     full = [run_cli(capsys, *dominance, "0:2:1"), run_cli(capsys, *soundness, "0:1:1")]
-    # n * k**n = 2 * 3**2 = 18 dominance cells and k**n = 2**3 = 8 bid vectors, at most
+    # 2 agents * 3**1 * 3 = 18 dominance cells and k**n = 2**3 = 8 bid vectors
     monkeypatch.setenv("IMPLAB_BUDGET", "18")
     code, report = run_cli(capsys, *dominance, "0:2:1")
     assert (code, strip_duration(report)) == (full[0][0], strip_duration(full[0][1]))
     assert report["cells"] == 18
+    # 4**2 = 16 is within budget, so the grid is built, and its 32 cells are refused
     assert main([*dominance, "0:3:1"]) == 1
-    assert "grid of 4 points exceeds budget 3" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: dominance sweep of 32 cells exceeds budget 18\n"
     monkeypatch.setenv("IMPLAB_BUDGET", "8")
     code, report = run_cli(capsys, *soundness, "0:1:1")
     assert (code, strip_duration(report)) == (full[1][0], strip_duration(full[1][1]))
     assert main([*soundness, "0:2:1"]) == 1
-    assert "grid of 3 points exceeds budget 2" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: grid of 3 points over 3 bidders exceeds budget 8\n"
 
 
 def test_internal_check_failure_exits_4_without_a_traceback(capsys, monkeypatch, tmp_path):
@@ -950,6 +991,29 @@ def test_readme_package_layout_names_every_module():
     named = re.findall(r"^  (\w+\.py) ", block, re.M)
     package = Path(swf.__file__).parent
     assert sorted(named) == sorted(p.name for p in package.glob("*.py"))
+
+
+def readme_budget_examples() -> list[tuple[str | None, list[str], str]]:
+    """(IMPLAB_BUDGET or None, argv, message) of each `implab ...` example that
+    the README's Budgets section says exits 1 with a quoted message."""
+    section = re.search(r"### Budgets\n(.*?)\n## ", README.read_text(), re.S).group(1)
+    pattern = r'`(?:IMPLAB_BUDGET=(\d+) )?implab ([^`]+)` exits 1 (?:at once )?with "([^"]+)"'
+    return [
+        (budget or None, shlex.split(command), message)
+        for budget, command, message in re.findall(pattern, " ".join(section.split()))
+    ]
+
+
+def test_readme_budget_examples_print_their_messages(capsys, monkeypatch):
+    examples = readme_budget_examples()
+    assert len(examples) == 9
+    for budget, argv, message in examples:
+        if budget is None:
+            monkeypatch.delenv("IMPLAB_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("IMPLAB_BUDGET", budget)
+        assert main(argv) == 1, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
 
 
 def test_readme_examples_run(capsys, monkeypatch, tmp_path):
