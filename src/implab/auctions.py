@@ -51,6 +51,7 @@ import itertools
 import math
 import os
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -69,14 +70,16 @@ Amount = int | Fraction
 
 # the digit or point that ends a mantissa, then an exponent marker
 _EXPONENT = re.compile(r"[0-9.][eE]")
+_DIGIT_RUN = re.compile(r"[0-9]+")
 _INT = frozenset({int})
 
 
 def to_amount(value) -> Amount:
     """An exact amount: an int or Fraction as it is, anything else through Fraction.
 
-    Strings with a non-ASCII character or a '_', or in exponent notation
-    such as '1e5', are refused.
+    Strings with a non-ASCII character or a '_', in exponent notation such
+    as '1e5', or with a number of more digits than the interpreter converts
+    to an int, are refused.
     """
     if type(value) is int or type(value) is Fraction:
         return value
@@ -89,6 +92,13 @@ def to_amount(value) -> Amount:
         # Fraction("1e999999999") would build a billion-digit integer first
         if _EXPONENT.search(value):
             raise ValueError(f"amount {value!r} uses exponent notation; write a decimal or a fraction")
+        # Fraction reads each run of digits with int(), whose refusal names no input.
+        # A limit of 0 is none, and Python before 3.10.7 has none.
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if limit and len(value) > limit:
+            longest = max(map(len, _DIGIT_RUN.findall(value)), default=0)
+            if longest > limit:
+                raise ValueError(f"amount with a {longest}-digit number exceeds the {limit}-digit limit")
     try:
         return Fraction(value)
     except ZeroDivisionError:

@@ -38,6 +38,10 @@ def _budget(default: int) -> int:
         return default
     if not (raw.isascii() and raw.isdigit()):
         raise ValueError(f"IMPLAB_BUDGET must be a non-negative integer, got {raw!r}")
+    # as auctions.to_amount does: int() would refuse it in words that name no input
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and len(raw) > limit:
+        raise ValueError(f"IMPLAB_BUDGET of {len(raw)} digits exceeds the {limit}-digit limit")
     return int(raw)
 
 

@@ -315,7 +315,8 @@ def encode_ranksets(
     for ax in CATALOG:
         if ax in wanted:
             clauses.extend(_axiom_clauses(u, ground_axiom(u, ax)))
-    ordered = sorted(set(tuple(sorted(cl, key=abs)) for cl in clauses))
+    # distinct already: no two constraints ground to the same clause
+    ordered = sorted(tuple(sorted(cl, key=abs)) for cl in clauses)
     size = (1 << u.m) - 1
     masks = list(u.subsets())
     names = {

@@ -28,13 +28,13 @@ the entry-pair groups list, and `decode_model(n, model)` reads an SWF
 back out of a model; the models of `encode_arrow(n, axioms)` decode to
 exactly `survivors(classes, axioms)`.
 
-Table entry convention: the entry index for a pair packs the agents' bits
-with agent 0 as the most significant bit, so index 2^n-1 is the all-ones
-input and index 0 the all-zeros input.  `_agent_bits` is the one place
-that reads an agent's bit out of an index: the table that copies that
-agent.
-As an int (`_table_to_int`, `_int_to_table`), entry 0 of a table is the
-most significant bit, so integer order is lexicographic order.
+Table convention: the entry index for a pair packs the agents' bits with
+agent 0 as the most significant bit, so index 2^n-1 is the all-ones input
+and index 0 the all-zeros input.  `_agent_bits` is the one place that
+reads an agent's bit out of an index: the table that copies that agent.
+A table is an int of 2^n bits, entry j at bit 2^n-1-j: entry 0 is the most
+significant bit, so integer order is lexicographic order, and the entry-pair
+group masks, the forced masks and the tables share one layout.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ from .orders import (
 from .satkit import Cnf
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 24
-ENCODE_AGENT_CAP = 10
+# encode_arrow(n) emits 2*6^n clauses: n = 8 is 3.4M clauses in about 0.5 GB
+ENCODE_AGENT_CAP = 8
 
 UN = "UN"
 ND = "ND"
@@ -67,43 +68,37 @@ SMALL_RANGE = "small_range"
 UNCLASSIFIED = "unclassified"
 CLASS_TAGS = (DICTATORIAL, INVERSELY_DICTATORIAL, CONSTANT, SMALL_RANGE, UNCLASSIFIED)
 
-_BITS = frozenset((0, 1))
-
 
 @dataclass(frozen=True)
 class PairwiseSwf:
-    """m=3 SWF as three per-pair truth tables over the agents' bits."""
+    """m=3 SWF as three per-pair truth tables over the agents' bits, each an
+    int of 2^n bits."""
 
     n: int
-    tables: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    tables: tuple[int, int, int]
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"agent count must be positive, got {self.n}")
         size = 1 << self.n
         tables = self.tables
-        if len(tables) != 3 or not len(tables[0]) == len(tables[1]) == len(tables[2]) == size:
-            raise ValueError(f"need 3 tables of {size} entries each")
-        # stored as tuples, as Cnf stores its clauses: a table given as a list
-        # then compares, hashes and classifies like the same table as a tuple
-        tables = ab, ac, bc = tuple(tables[0]), tuple(tables[1]), tuple(tables[2])
-        object.__setattr__(self, "tables", tables)
-        entries = ab + ac + bc
-        try:
-            bits = _BITS.issuperset(entries)
-        except TypeError:  # an unhashable entry; the per-entry test below decides
-            bits = False
-        if not bits and any(e not in (0, 1) for e in entries):
-            raise ValueError("table entries must be 0 or 1")
+        # a negative table makes the OR negative, and a shifted negative int is never 0
+        if not (
+            type(tables) is tuple
+            and len(tables) == 3
+            and type(tables[0]) is type(tables[1]) is type(tables[2]) is int
+            and not (tables[0] | tables[1] | tables[2]) >> size
+        ):
+            raise ValueError(f"need a tuple of 3 tables, each a non-negative int below 2^{size}")
+        ab, ac, bc = tables
         # the cyclic codes are 010 and 101: ab != ac, and bc equal to ab.
-        # The masks and the bc table are kept for range_of, outside the
-        # fields, so equality, hashing and repr still read only n and the tables.
+        # The masks are kept for range_of, outside the fields, so equality,
+        # hashing and repr still read only n and the tables.
         met = _bc_entries_met(self.n, ab, ac)
-        ones = _table_to_int(bc)
-        object.__setattr__(self, "_bc", (met, ones))
-        if met[0b01] & ~ones:
+        object.__setattr__(self, "_met", met)
+        if met[0b01] & ~bc:
             raise ValueError("tables produce cyclic social code (0, 1, 0) on some profile")
-        if met[0b10] & ones:
+        if met[0b10] & bc:
             raise ValueError("tables produce cyclic social code (1, 0, 1) on some profile")
 
 
@@ -133,22 +128,10 @@ def _within_one_swap(o1: LinearOrder, o2: LinearOrder) -> bool:
     return sum(a != b for a, b in zip(bits_of_order(o1), bits_of_order(o2))) <= 1
 
 
-def _table_to_int(table: tuple[int, ...]) -> int:
-    """The table as an int, entry 0 the most significant bit."""
-    x = 0
-    for e in table:
-        x = x << 1 | e
-    return x
-
-
-def _int_to_table(x: int, size: int) -> tuple[int, ...]:
-    return tuple((x >> (size - 1 - j)) & 1 for j in range(size))
-
-
 @lru_cache(maxsize=None)
 def _entry_pair_groups(n: int) -> tuple[tuple[int, int, int], ...]:
     """Per (ab entry, ac entry) pair: the pair and the bc entries that some
-    profile selects with it, as a mask in the _table_to_int layout.
+    profile selects with it, as a mask in the table layout.
 
     Per agent, the (ab, ac, bc) bits are a non-cyclic code, so where the
     agent's ab and ac bits differ its bc bit equals its ac bit, and where
@@ -165,10 +148,10 @@ def _entry_pair_groups(n: int) -> tuple[tuple[int, int, int], ...]:
 
 
 @lru_cache(maxsize=1 << 10)
-def _forces(n: int, ab: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _forces(n: int, ab: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per ac entry, under the ab table: the bc entries its bit 1 forces to 1
     (the ab bit is 0 there, else the code is 010) and its bit 0 forces to 0
-    (the ab bit is 1, else 101), as masks in the _table_to_int layout.
+    (the ab bit is 1, else 101), as masks in the table layout.
 
     The cache holds all 256 tables of n = 3; at n = 4, about 1.3 KB a
     table, it keeps 1024 of the 65,536, and a miss costs one pass over the
@@ -178,24 +161,25 @@ def _forces(n: int, ab: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ..
     force1 = [0] * size
     force0 = [0] * size
     for i1, i2, mask in _entry_pair_groups(n):
-        if ab[i1]:
+        if ab >> (size - 1 - i1) & 1:
             force0[i2] |= mask
         else:
             force1[i2] |= mask
     return tuple(force1), tuple(force0)
 
 
-def _bc_entries_met(n: int, ab: tuple[int, ...], ac: tuple[int, ...]) -> tuple[int, int, int, int]:
+def _bc_entries_met(n: int, ab: int, ac: int) -> tuple[int, int, int, int]:
     """Indexed by 2*ab bit + ac bit: the mask of bc entries that some
     profile selects together with that pair of social bits.
 
     One step per ac entry over the ab table's _forces: 8 at n = 3, against
     64 entry-pair groups.
     """
-    force1, force0 = _forces(n, tuple(ab))  # tuple(): a table may be a list
+    force1, force0 = _forces(n, ab)
     m00 = m01 = m10 = m11 = 0
-    for bit, f1, f0 in zip(ac, force1, force0):
-        if bit:
+    # entry j of ac is bit 2^n-1-j
+    for shift, f1, f0 in zip(range((1 << n) - 1, -1, -1), force1, force0):
+        if ac >> shift & 1:
             m01 |= f1
             m11 |= f0
         else:
@@ -206,31 +190,34 @@ def _bc_entries_met(n: int, ab: tuple[int, ...], ac: tuple[int, ...]) -> tuple[i
 
 def satisfies_unanimity(swf: PairwiseSwf) -> bool:
     """Unanimous pairwise preferences must be copied by the social order:
-    entry 2^n-1 of each table reads every agent's bit 1, entry 0 every
-    agent's bit 0."""
-    return all(t[0] == 0 and t[-1] == 1 for t in swf.tables)
+    entry 2^n-1 of each table (its lowest bit) reads every agent's bit 1,
+    entry 0 (its highest) every agent's bit 0."""
+    top = (1 << swf.n) - 1
+    return all(t & 1 and not t >> top for t in swf.tables)
 
 
-def _agent_bits(n: int, agent: int) -> tuple[int, ...]:
+def _agent_bits(n: int, agent: int) -> int:
     """The table that copies agent's bit: entry j is that agent's bit of j."""
-    return tuple((j >> (n - 1 - agent)) & 1 for j in range(1 << n))
+    size = 1 << n
+    return sum(1 << (size - 1 - j) for j in range(size) if j >> (n - 1 - agent) & 1)
 
 
 @lru_cache(maxsize=None)
-def _dictators(n: int) -> Mapping[tuple[tuple[int, ...], ...], SwfClass]:
+def _dictators(n: int) -> Mapping[tuple[int, int, int], SwfClass]:
     """Per agent, the table triple that copies its order and the one that
     reverses it, each mapped to its one shared class; read-only, as the
     cache hands the same mapping to every call."""
     out = {}
-    for tag, invert in ((DICTATORIAL, 0), (INVERSELY_DICTATORIAL, 1)):
+    for tag, invert in ((DICTATORIAL, 0), (INVERSELY_DICTATORIAL, (1 << (1 << n)) - 1)):
         for i in range(n):
-            bits = tuple(b ^ invert for b in _agent_bits(n, i))
+            bits = _agent_bits(n, i) ^ invert
             out[bits, bits, bits] = SwfClass(tag, agent=i)
     return MappingProxyType(out)
 
 
 def range_of(swf: PairwiseSwf) -> frozenset[LinearOrder]:
-    met, ones = swf._bc  # computed once, by the constructor
+    met = swf._met  # computed once, by the constructor
+    ones = swf.tables[2]
     # met is indexed by 2*ab + ac, so k << 1 | bc is the social code; bit c of codes marks code c
     zeros = ~ones
     codes = 0
@@ -290,10 +277,9 @@ def enumerate_iia_swfs(n: int, candidate_budget: int = DEFAULT_CANDIDATE_BUDGET)
             f"candidate space of {count} table triples exceeds budget {candidate_budget}"
         )
     size = 1 << n
-    tables = [_int_to_table(x, size) for x in range(1 << size)]
     full = (1 << size) - 1
     out: list[PairwiseSwf] = []
-    for ab in tables:
+    for ab in range(1 << size):
         force1, force0 = _forces(n, ab)
         # (next ac entry, ac table so far, forced-1 mask, forced-0 mask); bit 1
         # is pushed first, so bit 0 comes off the stack first
@@ -311,7 +297,7 @@ def enumerate_iia_swfs(n: int, candidate_budget: int = DEFAULT_CANDIDATE_BUDGET)
             free = full ^ (forced1 | forced0)
             sub = 0  # the subsets of free, in increasing order
             while True:
-                out.append(PairwiseSwf(n, (ab, tables[t2], tables[forced1 | sub])))
+                out.append(PairwiseSwf(n, (ab, t2, forced1 | sub)))
                 sub = (sub - free) & free
                 if not sub:
                     break
@@ -417,9 +403,8 @@ def encode_arrow(n: int, axioms: frozenset[str] | set[str] = frozenset()) -> Cnf
         # agent i is no dictator: some entry of some table differs from i's bit
         for i in range(n):
             bits = _agent_bits(n, i)
-            clauses.append(
-                tuple(-var(k, j) if bits[j] else var(k, j) for k in range(3) for j in range(size))
-            )
+            lits = (-var(k, j) if bits >> (size - 1 - j) & 1 else var(k, j) for k in range(3) for j in range(size))
+            clauses.append(tuple(lits))
     names = {var(k, j): f"{PAIR_NAMES[k]}:{j:0{n}b}" for k in range(3) for j in range(size)}
     return Cnf(3 * size, tuple(sorted(clauses)), var_names=names)
 
@@ -432,7 +417,7 @@ def decode_model(n: int, model: dict[int, bool]) -> PairwiseSwf:
     if missing:
         raise ValueError(f"model must assign all encoding variables; missing {missing[:5]}")
     tables = tuple(
-        tuple(1 if model[entry_var(n, k, j)] else 0 for j in range(size)) for k in range(3)
+        sum(1 << (size - 1 - j) for j in range(size) if model[entry_var(n, k, j)]) for k in range(3)
     )
     try:
         return PairwiseSwf(n, tables)
@@ -441,9 +426,8 @@ def decode_model(n: int, model: dict[int, bool]) -> PairwiseSwf:
 
 
 def pairwise_to_json(swf: PairwiseSwf) -> dict:
-    tables = {
-        PAIR_NAMES[k]: "".join(str(e) for e in swf.tables[k]) for k in range(3)
-    }
+    width = f"0{1 << swf.n}b"
+    tables = {PAIR_NAMES[k]: format(swf.tables[k], width) for k in range(3)}
     return {"form": "pairwise", "n": swf.n, "tables": tables}
 
 def swf_class_to_json(c: SwfClass) -> dict:

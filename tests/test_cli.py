@@ -146,16 +146,6 @@ def test_arrow_three_agents_computes_each_swfs_masks_once(capsys, monkeypatch):
     assert len(calls) == 1536
 
 
-def test_arrow_three_agents_converts_each_swfs_bc_table_once(capsys, monkeypatch):
-    calls = []
-    to_int = swf._table_to_int
-    monkeypatch.setattr(swf, "_table_to_int", lambda *args: calls.append(args) or to_int(*args))
-    code, report = run_cli(capsys, "arrow", "--agents", "3")
-    assert code == 0 and report["iia_count"] == 1536
-    # one per SWF, in its constructor; range_of reads the stored bc table
-    assert len(calls) == 1536
-
-
 def test_arrow_budget_error_exits_1(capsys):
     code = main(["arrow", "--agents", "4"])
     err = capsys.readouterr().err
@@ -435,6 +425,21 @@ def test_exponent_amounts_are_a_usage_error(capsys, amount):
         f"error: amount '{amount}' uses exponent notation; write a decimal or a fraction\n"
     )
     assert elapsed < 0.5
+
+
+# Python's int() converts at most 4300 digits by default, and its refusal names no input
+LONG_NUMBER = "9" * 5000
+
+
+@pytest.mark.parametrize("amount", [LONG_NUMBER, f"{LONG_NUMBER}/7"], ids=["integer", "fraction"])
+def test_amounts_of_more_digits_than_int_converts_are_refused_by_their_length(capsys, amount):
+    assert main(["vickrey", "efficiency", "--values", f"1,{amount}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: amount with a 5000-digit number exceeds the 4300-digit limit\n"
+    # a number at the limit is read as before
+    code, report = run_cli(capsys, "vickrey", "efficiency", "--values", "1," + "9" * 4300)
+    assert code == 0 and report["winner_valuation"] == "9" * 4300
 
 
 NOT_ASCII_DIGITS_CASES = [
@@ -948,6 +953,14 @@ def test_budget_env_var_must_be_a_non_negative_integer(capsys, monkeypatch, raw)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: IMPLAB_BUDGET must be a non-negative integer, got '{raw}'\n"
+
+
+def test_a_budget_of_more_digits_than_int_converts_is_refused_by_its_length(capsys, monkeypatch):
+    monkeypatch.setenv("IMPLAB_BUDGET", LONG_NUMBER)
+    assert main(["arrow", "--agents", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: IMPLAB_BUDGET of 5000 digits exceeds the 4300-digit limit\n"
 
 
 def test_ranksets_emit_dimacs(capsys, tmp_path):

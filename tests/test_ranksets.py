@@ -172,6 +172,15 @@ def test_encode_ranksets_m4_dimensions():
     assert len(transitivity_like) <= 15**3
 
 
+def test_encode_ranksets_emits_each_clause_once():
+    # encode_ranksets sorts its clauses without dropping duplicates; with the
+    # whole catalog this covers every axiom subset, whose clauses are a sublist
+    for m in range(2, 6):
+        for cls in RelationClass:
+            clauses = encode_ranksets(Universe(m), CATALOG, cls).clauses
+            assert len(set(clauses)) == len(clauses), (m, cls)
+
+
 def test_four_axioms_unsat_at_m4_under_linear_order():
     cnf = encode_ranksets(Universe(4), FOUR_AXIOMS, RelationClass.LINEAR_ORDER)
     assert not solve(cnf).satisfiable

@@ -54,26 +54,34 @@ BAC = LinearOrder((1, 0, 2))
 CBA = LinearOrder((2, 1, 0))
 
 
+def table_of_bits(bits) -> int:
+    """A truth table written entry by entry, as swf stores it: an int with
+    entry 0 as its most significant bit."""
+    return int("".join(map(str, bits)), 2)
+
+
+def bits_of_table(table: int, n: int) -> tuple[int, ...]:
+    """The entries of an n-agent table int, entry 0 first."""
+    size = 1 << n
+    return tuple(table >> (size - 1 - j) & 1 for j in range(size))
+
+
 def dictator(n: int, agent: int) -> PairwiseSwf:
     size = 1 << n
-    tables = tuple(
-        tuple((j >> (n - 1 - agent)) & 1 for j in range(size)) for _ in range(3)
-    )
-    return PairwiseSwf(n, tables)
+    table = table_of_bits((j >> (n - 1 - agent)) & 1 for j in range(size))
+    return PairwiseSwf(n, (table,) * 3)
 
 
 def inverse_dictator(n: int, agent: int) -> PairwiseSwf:
     size = 1 << n
-    tables = tuple(
-        tuple(1 - ((j >> (n - 1 - agent)) & 1) for j in range(size)) for _ in range(3)
-    )
-    return PairwiseSwf(n, tables)
+    table = table_of_bits(1 - ((j >> (n - 1 - agent)) & 1) for j in range(size))
+    return PairwiseSwf(n, (table,) * 3)
 
 
 def constant_swf(n: int, order: LinearOrder) -> PairwiseSwf:
     size = 1 << n
     bits = bits_of_order(order)
-    return PairwiseSwf(n, tuple((bits[k],) * size for k in range(3)))
+    return PairwiseSwf(n, tuple(table_of_bits((bits[k],) * size) for k in range(3)))
 
 
 def classified(n: int) -> dict[PairwiseSwf, SwfClass]:
@@ -82,7 +90,7 @@ def classified(n: int) -> dict[PairwiseSwf, SwfClass]:
 
 def two_outcome_swf() -> PairwiseSwf:
     # always a>b, always a>c; b>c unless both agents prefer c to b
-    return PairwiseSwf(2, ((1, 1, 1, 1), (1, 1, 1, 1), (0, 1, 1, 1)))
+    return PairwiseSwf(2, (0b1111, 0b1111, 0b0111))
 
 
 # The profile route, as an oracle: a profile is a tuple of one LinearOrder
@@ -123,8 +131,9 @@ ORACLE_ORDER_OF = {tuple(int(o.prefers(x, y)) for x, y in PAIRS3): o for o in al
 
 
 def oracle_outputs(s: PairwiseSwf) -> tuple[LinearOrder, ...]:
+    tables = [bits_of_table(t, s.n) for t in s.tables]
     return tuple(
-        ORACLE_ORDER_OF[tuple(t[j] for t, j in zip(s.tables, entries))] for entries in oracle_entries(s.n)
+        ORACLE_ORDER_OF[tuple(t[j] for t, j in zip(tables, entries))] for entries in oracle_entries(s.n)
     )
 
 
@@ -210,33 +219,35 @@ def test_evaluate_constant_ignores_profile():
 def test_pairwise_rejects_cyclic_tables():
     # ab always 0, ac always 1, bc always 0 is the cyclic pattern 010
     with pytest.raises(ValueError, match="cyclic"):
-        PairwiseSwf(1, ((0, 0), (1, 1), (0, 0)))
-
-
-def test_tables_given_as_lists_are_stored_as_tuples():
-    listed = PairwiseSwf(1, ([0, 1], [0, 1], [0, 1]))
-    tupled = PairwiseSwf(1, ((0, 1), (0, 1), (0, 1)))
-    assert listed.tables == tupled.tables == ((0, 1), (0, 1), (0, 1))
-    assert listed == tupled and hash(listed) == hash(tupled)
-    assert classify(listed) == SwfClass(DICTATORIAL, agent=0)
+        PairwiseSwf(1, (0b00, 0b11, 0b00))
 
 
 def test_agent_count_must_be_positive():
     with pytest.raises(ValueError, match="agent count must be positive, got 0"):
         enumerate_iia_swfs(0)
     with pytest.raises(ValueError, match="agent count must be positive, got 0"):
-        PairwiseSwf(0, ((), (), ()))
+        PairwiseSwf(0, (0, 0, 0))
 
 
-def test_construction_rejects_an_unhashable_entry():
-    with pytest.raises(ValueError, match="table entries must be 0 or 1"):
-        PairwiseSwf(1, ((0, [1]), (0, 1), (0, 1)))
+SHAPE_MESSAGE = r"need a tuple of 3 tables, each a non-negative int below 2\^2$"
 
 
-@pytest.mark.parametrize("tables", [((0, 1),) * 2, ((0, 1),) * 4, ((0, 1), (0, 1), (0, 1, 1))])
+@pytest.mark.parametrize("tables", [(0b01,) * 2, (0b01,) * 4, [0b01, 0b01, 0b01]])
 def test_construction_rejects_tables_of_the_wrong_shape(tables):
-    with pytest.raises(ValueError, match="need 3 tables of 2 entries each"):
+    with pytest.raises(ValueError, match=SHAPE_MESSAGE):
         PairwiseSwf(1, tables)
+
+
+def test_construction_refuses_a_table_that_is_not_an_int_of_2n_bits():
+    # at n = 1 a table is an int of 2 bits: a bool, a negative int, a third bit
+    # and the table written as a tuple of entries are each refused, in any pair
+    for bad in (True, -1, 0b100, (0, 1)):
+        for k in range(3):
+            tables = [0b01] * 3
+            tables[k] = bad
+            with pytest.raises(ValueError, match=SHAPE_MESSAGE):
+                PairwiseSwf(1, tuple(tables))
+    assert PairwiseSwf(1, (0b01,) * 3) == dictator(1, 0)
 
 
 def profile_walk_is_cyclic(n: int, tables) -> bool:
@@ -258,7 +269,7 @@ def test_construction_rejects_exactly_the_cyclic_triples(n):
     accepted = []
     for tables in itertools.product(all_tables, repeat=3):
         try:
-            swf = PairwiseSwf(n, tables)
+            swf = PairwiseSwf(n, tuple(map(table_of_bits, tables)))
         except ValueError as e:
             assert "cyclic social code" in str(e)
             assert profile_walk_is_cyclic(n, tables), tables
@@ -268,6 +279,13 @@ def test_construction_rejects_exactly_the_cyclic_triples(n):
     assert len(accepted) == iia_closed_form(n)
     # itertools.product over sorted tables is lexicographic on the concatenation
     assert enumerate_iia_swfs(n) == accepted
+
+
+@pytest.mark.parametrize("n", [0, swf_module.ENCODE_AGENT_CAP + 1])
+def test_encode_arrow_refuses_an_agent_count_outside_its_range(n):
+    # checked before any clause is built: at the cap, n = 8, the CNF takes about 0.5 GB
+    with pytest.raises(ValueError, match=rf"agent count {n} outside supported range 1\.\.8$"):
+        implab.encode_arrow(n)
 
 
 def test_decode_model_refuses_a_model_with_cyclic_tables():
@@ -281,7 +299,9 @@ def test_decode_model_refuses_a_model_with_cyclic_tables():
 @pytest.mark.parametrize("n", [1, 2])
 def test_decode_model_round_trips_every_swf(n):
     for s in enumerate_iia_swfs(n):
-        model = {entry_var(n, k, j): bool(e) for k, t in enumerate(s.tables) for j, e in enumerate(t)}
+        model = {
+            entry_var(n, k, j): bool(e) for k, t in enumerate(s.tables) for j, e in enumerate(bits_of_table(t, n))
+        }
         assert decode_model(n, model) == s
 
 
@@ -385,7 +405,7 @@ def test_enumerate_iia_swfs_n2_has_94():
 
 def test_enumerate_is_canonically_sorted_and_unique():
     swfs = enumerate_iia_swfs(2)
-    keys = [s.tables[0] + s.tables[1] + s.tables[2] for s in swfs]
+    keys = [sum((bits_of_table(t, 2) for t in s.tables), ()) for s in swfs]
     assert keys == sorted(keys)
     assert len(set(swfs)) == len(swfs)
 
@@ -407,8 +427,9 @@ def test_entry_pair_groups_match_the_profile_walk(n):
     assert len(swf_module._entry_pair_groups(n)) == 4**n
 
 
-def group_loop_met(n: int, ab: tuple[int, ...], ac: tuple[int, ...]) -> tuple[int, int, int, int]:
+def group_loop_met(n: int, ab: int, ac: int) -> tuple[int, int, int, int]:
     """_bc_entries_met as one step per entry-pair group, its oracle."""
+    ab, ac = bits_of_table(ab, n), bits_of_table(ac, n)
     met = [0, 0, 0, 0]
     for i1, i2, mask in swf_module._entry_pair_groups(n):
         met[ab[i1] << 1 | ac[i2]] |= mask
@@ -420,13 +441,9 @@ def test_bc_entries_met_matches_the_group_loop(n):
     size = 1 << n
     # every (ab, ac) pair up to n = 3; at n = 4 every 1021st table, both ends included
     ints = list(range(1 << size)) if n <= 3 else sorted({*range(0, 1 << size, 1021), (1 << size) - 1})
-    tables = [swf_module._int_to_table(x, size) for x in ints]
-    for ab in tables:
-        for ac in tables:
+    for ab in ints:
+        for ac in ints:
             assert swf_module._bc_entries_met(n, ab, ac) == group_loop_met(n, ab, ac), (ab, ac)
-    # a table given as a list reads the same
-    ab, ac = tables[len(tables) // 3], tables[len(tables) // 2]
-    assert swf_module._bc_entries_met(n, list(ab), list(ac)) == group_loop_met(n, ab, ac)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -465,11 +482,10 @@ def or_table_enumeration(n: int) -> list[PairwiseSwf]:
     tables of ORs, and every ac table is scanned against them."""
     size = 1 << n
     groups = swf_module._entry_pair_groups(n)
-    tables = [swf_module._int_to_table(x, size) for x in range(1 << size)]
     full = (1 << size) - 1
     out = []
     for t1 in range(1 << size):
-        ab = tables[t1]
+        ab = bits_of_table(t1, n)
         force1 = [0] * size
         force0 = [0] * size
         for i1, i2, mask in groups:
@@ -491,7 +507,7 @@ def or_table_enumeration(n: int) -> list[PairwiseSwf]:
             free = full ^ (forced1 | forced0)
             sub = 0
             while True:
-                out.append(PairwiseSwf(n, (ab, tables[t2], tables[forced1 | sub])))
+                out.append(PairwiseSwf(n, (t1, t2, forced1 | sub)))
                 sub = (sub - free) & free
                 if not sub:
                     break
@@ -558,7 +574,7 @@ def test_every_enumerated_swf_passes_iia_extensionally():
 
 def test_pairwise_extensional_round_trip_on_all_94():
     for s in enumerate_iia_swfs(2):
-        assert oracle_rebuild_tables(2, oracle_outputs(s)) == s.tables
+        assert oracle_rebuild_tables(2, oracle_outputs(s)) == tuple(bits_of_table(t, 2) for t in s.tables)
 
 
 def test_to_pairwise_rejects_non_iia():
@@ -619,7 +635,7 @@ def test_table_route_matches_profile_route_on_every_swf(n):
         c = classify(s)
         assert (c.tag, c.agent, c.orders) == oracle_classify(n, outputs)
         assert satisfies_unanimity(s) == oracle_unanimous(n, outputs)
-        assert oracle_rebuild_tables(n, outputs) == s.tables
+        assert oracle_rebuild_tables(n, outputs) == tuple(bits_of_table(t, n) for t in s.tables)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -627,7 +643,8 @@ def test_range_of_matches_order_of_bits_on_every_swf(n):
     # the codes that the profiles select, each decoded by a table that shares nothing with orders
     entries = set(oracle_entries(n))
     for s in enumerate_iia_swfs(n):
-        codes = {tuple(t[j] for t, j in zip(s.tables, e)) for e in entries}
+        tables = [bits_of_table(t, n) for t in s.tables]
+        codes = {tuple(t[j] for t, j in zip(tables, e)) for e in entries}
         assert range_of(s) == frozenset(ORACLE_ORDER_OF[code] for code in codes)
 
 
@@ -719,7 +736,8 @@ def sha256_of_json(obj) -> str:
 def test_n3_enumeration_and_classes_are_pinned():
     # as the profile-walking check, range and enumerator produced them
     swfs = enumerate_iia_swfs(3)
-    assert sha256_of_json([s.tables for s in swfs]) == (
+    # the digest of the tables written as entry tuples
+    assert sha256_of_json([[bits_of_table(t, 3) for t in s.tables] for s in swfs]) == (
         "9eb1368828c6b7739cd5237cdbc338f8bd5e806d45fcae2c5c0a1630b16cb84d"
     )
     assert sha256_of_json([swf_class_to_json(classify(s)) for s in swfs]) == (
@@ -805,7 +823,7 @@ def oracle_small_range(n: int) -> set[PairwiseSwf]:
                 tables[k] = table
                 tables[others[0]] = (fixed[0],) * size
                 tables[others[1]] = (fixed[1],) * size
-                seen.add(PairwiseSwf(n, tuple(tables)))
+                seen.add(PairwiseSwf(n, tuple(map(table_of_bits, tables))))
     return seen
 
 
