@@ -77,14 +77,16 @@ _INT = frozenset({int})
 def to_amount(value) -> Amount:
     """An exact amount: an int or Fraction as it is, anything else through Fraction.
 
-    Strings with a non-ASCII character or a '_', in exponent notation such
-    as '1e5', or with a number of more digits than the interpreter converts
-    to an int, are refused.
+    Strings with a non-ASCII character or a '_', or in exponent notation
+    such as '1e5', are refused, and so is an amount whose numerator or
+    denominator has more digits than the interpreter converts to a string.
     """
     if type(value) is int or type(value) is Fraction:
         return value
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass int, str, or Fraction for exactness")
+    # A limit of 0 is none, and Python before 3.10.7 has none
+    limit = getattr(sys, "get_int_max_str_digits", int)()
     if isinstance(value, str):
         # Fraction also reads non-ASCII digits and '_' separators
         if not value.isascii() or "_" in value:
@@ -92,17 +94,30 @@ def to_amount(value) -> Amount:
         # Fraction("1e999999999") would build a billion-digit integer first
         if _EXPONENT.search(value):
             raise ValueError(f"amount {value!r} uses exponent notation; write a decimal or a fraction")
-        # Fraction reads each run of digits with int(), whose refusal names no input.
-        # A limit of 0 is none, and Python before 3.10.7 has none.
-        limit = getattr(sys, "get_int_max_str_digits", int)()
+        # Fraction reads each run of digits with int(), whose refusal names no input
         if limit and len(value) > limit:
             longest = max(map(len, _DIGIT_RUN.findall(value)), default=0)
             if longest > limit:
                 raise ValueError(f"amount with a {longest}-digit number exceeds the {limit}-digit limit")
     try:
-        return Fraction(value)
+        amount = Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"amount {value!r} has a zero denominator") from None
+    # a decimal's digits may pass the limit only together, and str() would
+    # refuse its numerator or denominator when the report is written
+    widest, digits = max(abs(amount.numerator), amount.denominator), 0
+    while limit and widest >= _ten_to(limit):
+        widest //= _ten_to(limit)
+        digits += limit
+    if digits:
+        digits += len(str(widest))
+        raise ValueError(f"amount with a {digits}-digit number exceeds the {limit}-digit limit")
+    return amount
+
+
+@functools.cache
+def _ten_to(k: int) -> int:
+    return 10**k
 
 
 def to_amounts(values, label: str = "amount") -> tuple[Amount, ...]:
@@ -148,10 +163,9 @@ def outcome_violations(out: AuctionOutcome, n: int) -> list[str]:
     n entries, an allocation of 0s and 1s with exactly one winner, no
     negative payment and no loser paying.  sweep_soundness calls it once
     per distinct outcome object, not once per bid vector."""
-    problems = []
     if len(out.x) != n or len(out.p) != n:
-        problems.append(f"vectors sized ({len(out.x)},{len(out.p)}), expected {n}")
-        return problems
+        return [f"vectors sized ({len(out.x)},{len(out.p)}), expected {n}"]
+    problems = []
     if any(xi not in (0, 1) for xi in out.x):
         problems.append("allocation entries must be 0 or 1")
     if sum(out.x) != 1:
@@ -470,14 +484,8 @@ class EfficiencyResult:
 def check_efficiency(valuations: Sequence, rule: AuctionRule = run_spa) -> EfficiencyResult:
     """Truthful bidding must award the good to a maximal valuation."""
     v = to_amounts(valuations, "valuation")
-    out = rule(v)
-    winner = out.x.index(1)
-    return EfficiencyResult(
-        holds=v[winner] == max(v),
-        winner=winner,
-        winner_valuation=v[winner],
-        max_valuation=max(v),
-    )
+    winner = rule(v).x.index(1)
+    return EfficiencyResult(v[winner] == max(v), winner, v[winner], max(v))
 
 
 @dataclass(frozen=True)
@@ -590,10 +598,8 @@ def _max_items(xs: Sequence) -> list[Amount]:
 def max_classical(xs: Sequence) -> Amount:
     """Pick the witness element certified >= every element by direct scan."""
     items = _max_items(xs)
-    for candidate in items:
-        if all(candidate >= other for other in items):
-            return candidate
-    raise AssertionError("unreachable: a finite list has a maximal element")
+    # a finite list has a maximal element
+    return next(c for c in items if all(c >= other for other in items))
 
 
 def max_constructive(xs: Sequence) -> Amount:

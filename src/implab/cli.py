@@ -38,11 +38,35 @@ def _budget(default: int) -> int:
         return default
     if not (raw.isascii() and raw.isdigit()):
         raise ValueError(f"IMPLAB_BUDGET must be a non-negative integer, got {raw!r}")
-    # as auctions.to_amount does: int() would refuse it in words that name no input
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit and len(raw) > limit:
-        raise ValueError(f"IMPLAB_BUDGET of {len(raw)} digits exceeds the {limit}-digit limit")
+    _check_digits("IMPLAB_BUDGET", raw)
     return int(raw)
+
+
+def _check_digits(label: str, text: str) -> None:
+    """Refuse a number of more digits than int() converts, by its length:
+    int() would refuse it in words that name no input.  A limit of 0 is
+    none, and Python before 3.10.7 has none."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    digits = sum(map(str.isdigit, text))
+    if limit and digits > limit:
+        raise ValueError(f"{label} of {digits} digits exceeds the {limit}-digit limit")
+
+
+def _int_option(text: str) -> int:
+    """argparse's type=int, except that a number longer than int() converts
+    is refused by its digit count instead of echoed, and that non-ASCII
+    digits and '_' separators, which int() reads, are refused as amounts,
+    DIMACS and IMPLAB_BUDGET refuse them."""
+    try:
+        _check_digits("value", text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    if text.isascii() and "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _emit_dimacs(cnf: satkit.Cnf, path: str) -> None:
@@ -56,8 +80,8 @@ def _emit_dimacs(cnf: satkit.Cnf, path: str) -> None:
         f.write("\n")
 
 
-def _dominance_ce_json(ce: auctions.DominanceCounterexample) -> dict:
-    return {
+def _dominance_ce_json(ce: auctions.DominanceCounterexample | None) -> dict | None:
+    return ce and {
         "agent": ce.agent,
         "truthful_bids": list(map(str, ce.truthful_bids)),
         "deviation_bids": list(map(str, ce.deviation_bids)),
@@ -165,16 +189,15 @@ def cmd_ranksets(args) -> tuple[dict, int]:
     # discover: the required subparsers admit no other name
     cls = RelationClass(args.relation_class)
     found = ranksets.find_inconsistent_subsets(args.max_m, relation_class=cls)
-    findings = []
-    for f in found:
-        findings.append(
-            {
-                "axioms": [a.value for a in f.axioms],
-                "statuses": {str(m): s for m, s in f.statuses.items()},
-                "minimal_unsat_m": f.minimal_unsat_m,
-                "witness": ranksets.relation_to_json(f.witness) if f.witness else None,
-            }
-        )
+    findings = [
+        {
+            "axioms": [a.value for a in f.axioms],
+            "statuses": {str(m): s for m, s in f.statuses.items()},
+            "minimal_unsat_m": f.minimal_unsat_m,
+            "witness": ranksets.relation_to_json(f.witness) if f.witness else None,
+        }
+        for f in found
+    ]
     inconsistent = sum(1 for f in found if f.minimal_unsat_m is not None)
     payload = {
         "verdict": f"{inconsistent} inconsistent axiom subsets up to m={args.max_m}",
@@ -205,7 +228,7 @@ def cmd_vickrey(args) -> tuple[dict, int]:
             "values": list(map(str, auctions.to_amounts(values))),
             "grid": list(map(str, grid.points)),
             "cells": res.cells,
-            "counterexample": _dominance_ce_json(res.counterexample) if res.counterexample else None,
+            "counterexample": _dominance_ce_json(res.counterexample),
         }
         return payload, 0 if res.holds else 3
     if args.vickrey_cmd == "efficiency":
@@ -251,9 +274,7 @@ def cmd_vickrey(args) -> tuple[dict, int]:
                     "holds": res.holds,
                     "grid": list(map(str, grid.points)),
                     "cells": res.cells,
-                    "counterexample": _dominance_ce_json(res.counterexample)
-                    if res.counterexample
-                    else None,
+                    "counterexample": _dominance_ce_json(res.counterexample),
                 }
             )
         payload = {
@@ -327,12 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", help="write the JSON report to this path instead of stdout")
     parser.add_argument("--summary", action="store_true", help="also print a prose summary to stderr")
     parser.add_argument(
-        "--jobs", type=int, default=1, help="parallel workers for the vickrey dominance sweep (default 1)"
+        "--jobs", type=_int_option, default=1, help="parallel workers for the vickrey dominance sweep (default 1)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("arrow", help="base-case social welfare function analysis")
-    p.add_argument("--agents", type=int, default=2)
+    p.add_argument("--agents", type=_int_option, default=2)
     p.add_argument("--drop-axiom", action="append", default=[], choices=["un", "nd"])
     p.add_argument("--count-models", action="store_true")
     p.add_argument("--emit-dimacs", metavar="PATH")
@@ -341,20 +362,20 @@ def build_parser() -> argparse.ArgumentParser:
     rsub = p.add_subparsers(dest="ranksets_cmd", required=True)
     pc = rsub.add_parser("check", help="solve one axiom subset at one universe size")
     pc.add_argument("--axioms", required=True, help="comma list: " + ",".join(AXIOM_NAMES))
-    pc.add_argument("--m", type=int, required=True)
+    pc.add_argument("--m", type=_int_option, required=True)
     pc.add_argument("--class", dest="relation_class", default="linear", choices=CLASS_NAMES)
     pc.add_argument("--emit-dimacs", metavar="PATH")
     pm = rsub.add_parser("minmax", help="check axioms against the min-max ordering")
-    pm.add_argument("--m", type=int, required=True)
+    pm.add_argument("--m", type=_int_option, required=True)
     pm.add_argument("--axiom", choices=AXIOM_NAMES)
     pd = rsub.add_parser("discover", help="minimal inconsistent universe per axiom subset")
-    pd.add_argument("--max-m", type=int, default=4)
+    pd.add_argument("--max-m", type=_int_option, default=4)
     pd.add_argument("--class", dest="relation_class", default="linear", choices=CLASS_NAMES)
 
     p = sub.add_parser("vickrey", help="second-price auction checks")
     vsub = p.add_subparsers(dest="vickrey_cmd", required=True)
     pv = vsub.add_parser("dominance")
-    pv.add_argument("--n", type=int, required=True)
+    pv.add_argument("--n", type=_int_option, required=True)
     pv.add_argument("--grid", required=True, help="start:stop:step or comma list")
     pv.add_argument("--values", required=True, help="comma list of valuations")
     pv.add_argument("--rule", default="second-price", choices=RULE_NAMES)
@@ -362,11 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--values", required=True)
     pe.add_argument("--rule", default="second-price", choices=RULE_NAMES)
     ps = vsub.add_parser("soundness")
-    ps.add_argument("--n", type=int, required=True)
+    ps.add_argument("--n", type=_int_option, required=True)
     ps.add_argument("--grid", required=True)
     ps.add_argument("--rule", default="second-price", choices=RULE_NAMES)
     pa = vsub.add_parser("abstract")
-    pa.add_argument("--n-max", type=int, default=6)
+    pa.add_argument("--n-max", type=_int_option, default=6)
     pa.add_argument("--value", required=True)
     pa.add_argument("--delta", required=True)
     pa.add_argument("--rule", default="second-price", choices=RULE_NAMES)

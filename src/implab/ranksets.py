@@ -423,14 +423,7 @@ def find_inconsistent_subsets(
             statuses = {m: "sat" if w is not None else "unsat" for m, w in witnesses.items()}
             unsat = [m for m, w in witnesses.items() if w is None]
             sat = [w for w in witnesses.values() if w is not None]
-            findings.append(
-                SubsetFinding(
-                    subset,
-                    statuses,
-                    minimal_unsat_m=unsat[0] if unsat else None,
-                    witness=sat[-1] if sat else None,
-                )
-            )
+            findings.append(SubsetFinding(subset, statuses, unsat[0] if unsat else None, sat[-1] if sat else None))
         smaller = layer
     return tuple(findings)
 

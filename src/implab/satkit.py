@@ -22,6 +22,7 @@ models in lexicographically descending order.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import chain
 
@@ -232,17 +233,21 @@ def enumerate_models(cnf: Cnf, *, limit: int | None = None) -> ModelEnumeration:
 
 def to_dimacs(cnf: Cnf) -> str:
     lines = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
-    for c in cnf.clauses:
-        lines.append(" ".join(str(lit) for lit in c) + " 0")
+    lines += [" ".join(map(str, c)) + " 0" for c in cnf.clauses]
     return "\n".join(lines) + "\n"
 
 
-def _check_ascii_ints(line: str) -> None:
-    """int() also reads non-ASCII digits and '_' separators, which DIMACS
-    does not allow; with neither in the line, int() reads a token exactly
-    when it is ASCII digits after an optional sign."""
-    if not line.isascii() or "_" in line:
-        raise ValueError(line)
+def _ints(tokens: list[str], lineno: int, line: str, what: str) -> list[int]:
+    """The tokens of a line as ints.  int() also reads non-ASCII digits and
+    '_' separators, which DIMACS does not allow; with neither in the line,
+    int() reads a token exactly when it is ASCII digits after an optional
+    sign."""
+    try:
+        if not line.isascii() or "_" in line:
+            raise ValueError
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise ValueError(f"line {lineno}: {what} {line!r}") from None
 
 
 def from_dimacs(text: str) -> Cnf:
@@ -252,34 +257,33 @@ def from_dimacs(text: str) -> Cnf:
     clauses: list[tuple[int, ...]] = []
     clause: list[int] = []
     clause_lineno = 0  # line of the open clause's latest literal
+    # int() refuses a number longer than this in words that name no input, so
+    # such a number is refused by its length, without echoing its line, as cli
+    # and auctions do.  A limit of 0 is none; Python before 3.10.7 has none
+    limit = getattr(sys, "get_int_max_str_digits", int)()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         if line.startswith("%"):
             break
+        if limit and len(line) > limit:
+            digits = max(sum(map(str.isdigit, t)) for t in line.split())
+            if digits > limit:
+                raise ValueError(f"line {lineno}: number of {digits} digits exceeds the {limit}-digit limit")
         if line.startswith("p"):
             if num_vars is not None:
                 raise ValueError(f"line {lineno}: duplicate header")
             parts = line.split()
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise ValueError(f"line {lineno}: malformed header {line!r}, expected 'p cnf V C'")
-            try:
-                _check_ascii_ints(line)
-                num_vars, declared_clauses = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ValueError(f"line {lineno}: non-integer counts in header {line!r}") from None
+            num_vars, declared_clauses = _ints(parts[2:], lineno, line, "non-integer counts in header")
             if num_vars < 0 or declared_clauses < 0:
                 raise ValueError(f"line {lineno}: negative counts in header {line!r}")
             continue
         if num_vars is None:
             raise ValueError(f"line {lineno}: clause before 'p cnf' header")
-        try:
-            _check_ascii_ints(line)
-            tokens = [int(t) for t in line.split()]
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer literal in {line!r}") from None
-        for t in tokens:
+        for t in _ints(line.split(), lineno, line, "non-integer literal in"):
             if t == 0:
                 if not clause:
                     raise ValueError(f"line {lineno}: empty clause")

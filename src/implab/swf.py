@@ -55,7 +55,9 @@ from .orders import (
 from .satkit import Cnf
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 24
-# encode_arrow(n) emits 2*6^n clauses: n = 8 is 3.4M clauses in about 0.5 GB
+# encode_arrow(n) emits 2*6^n clauses: n = 8 is 3.4M clauses in about 0.5 GB.
+# A PairwiseSwf has the same cap, as its first one at n builds
+# _entry_pair_groups(n) in about 8^n steps: 1.75 s at n = 8, 16.7 s at n = 9
 ENCODE_AGENT_CAP = 8
 
 UN = "UN"
@@ -69,6 +71,11 @@ UNCLASSIFIED = "unclassified"
 CLASS_TAGS = (DICTATORIAL, INVERSELY_DICTATORIAL, CONSTANT, SMALL_RANGE, UNCLASSIFIED)
 
 
+def _check_agent_count(n: int) -> None:
+    if not 1 <= n <= ENCODE_AGENT_CAP:
+        raise ValueError(f"agent count {n} outside supported range 1..{ENCODE_AGENT_CAP}")
+
+
 @dataclass(frozen=True)
 class PairwiseSwf:
     """m=3 SWF as three per-pair truth tables over the agents' bits, each an
@@ -78,8 +85,7 @@ class PairwiseSwf:
     tables: tuple[int, int, int]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"agent count must be positive, got {self.n}")
+        _check_agent_count(self.n)
         size = 1 << self.n
         tables = self.tables
         # a negative table makes the OR negative, and a shifted negative int is never 0
@@ -381,8 +387,7 @@ def encode_arrow(n: int, axioms: frozenset[str] | set[str] = frozenset()) -> Cnf
     Independence is structural: the variables *are* the table entries, so
     only acyclicity and the requested axioms need clauses.
     """
-    if n < 1 or n > ENCODE_AGENT_CAP:
-        raise ValueError(f"agent count {n} outside supported range 1..{ENCODE_AGENT_CAP}")
+    _check_agent_count(n)
     axioms = _axiom_set(axioms)
     size = 1 << n
     var = partial(entry_var, n)
@@ -412,6 +417,7 @@ def encode_arrow(n: int, axioms: frozenset[str] | set[str] = frozenset()) -> Cnf
 def decode_model(n: int, model: dict[int, bool]) -> PairwiseSwf:
     """Read the n-agent table entries out of a model of encode_arrow; must
     yield a valid SWF."""
+    _check_agent_count(n)
     size = 1 << n
     missing = [v for v in range(1, 3 * size + 1) if v not in model]
     if missing:

@@ -60,6 +60,18 @@ def test_run_spa_rejects_negative_bids():
         run_spa([1, -2])
 
 
+def test_an_amount_whose_numerator_or_denominator_passes_the_int_limit_is_refused():
+    # each run of digits is within the limit, but str() would refuse the Fraction's parts
+    message = r"^amount with a {}-digit number exceeds the 4300-digit limit$"
+    with pytest.raises(ValueError, match=message.format(4301)):
+        to_amount("1." + "1" * 4300)
+    with pytest.raises(ValueError, match=message.format(4301)):
+        to_amount("0." + "0" * 4299 + "1")  # 1/10^4300
+    with pytest.raises(ValueError, match=message.format(8600)):
+        to_amount("9" * 4300 + "." + "9" * 4300)
+    assert to_amount("1." + "1" * 4299) == Fraction(int("1" * 4300), 10**4299)
+
+
 def test_amounts_reject_floats():
     with pytest.raises(TypeError, match="float"):
         run_spa([1.5, 2])

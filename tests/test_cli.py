@@ -442,6 +442,86 @@ def test_amounts_of_more_digits_than_int_converts_are_refused_by_their_length(ca
     assert code == 0 and report["winner_valuation"] == "9" * 4300
 
 
+# each integer option, given a number longer than int() converts
+LONG_OPTION_ARGVS = [
+    ["--jobs", LONG_NUMBER, "vickrey", "maxcheck"],
+    ["arrow", "--agents", LONG_NUMBER],
+    ["ranksets", "check", "--axioms", "dominance", "--m", LONG_NUMBER],
+    ["ranksets", "minmax", "--m", LONG_NUMBER],
+    ["ranksets", "discover", "--max-m", LONG_NUMBER],
+    ["vickrey", "dominance", "--n", LONG_NUMBER, "--grid", "0", "--values", "1"],
+    ["vickrey", "soundness", "--n", LONG_NUMBER, "--grid", "0"],
+    ["vickrey", "abstract", "--n-max", LONG_NUMBER, "--value", "1", "--delta", "1"],
+]
+
+
+def option_refusal(argv: list[str]) -> str:
+    """argparse's refusal of the option before LONG_NUMBER, named by the
+    parser of the subcommand words before the first option."""
+    first_option = next(k for k, arg in enumerate(argv) if arg.startswith("-"))
+    prog = " ".join(["implab", *argv[:first_option]])
+    return f"{prog}: error: argument {argv[argv.index(LONG_NUMBER) - 1]}: value of 5000 digits"
+
+
+# (IMPLAB_BUDGET or None, argv, stdin, the last line of stderr up to
+# " exceeds the 4300-digit limit") for each reader of an outside number
+LONG_NUMBER_CASES = [
+    *((None, argv, "", option_refusal(argv)) for argv in LONG_OPTION_ARGVS),
+    (LONG_NUMBER, ["vickrey", "maxcheck"], "", "error: IMPLAB_BUDGET of 5000 digits"),
+    (None, ["vickrey", "efficiency", "--values", f"1,{LONG_NUMBER}"], "", "error: amount with a 5000-digit number"),
+    # each run of digits is within the limit, but not the numerator they make
+    (None, ["vickrey", "efficiency", "--values", "1,1." + "1" * 4300], "", "error: amount with a 4301-digit number"),
+    (None, ["sat", "-"], f"p cnf {LONG_NUMBER} 1\n1 0\n", "error: line 1: number of 5000 digits"),
+    (None, ["sat", "-"], f"p cnf 1 1\nc\n1 -{LONG_NUMBER} 0\n", "error: line 3: number of 5000 digits"),
+]
+LONG_NUMBER_IDS = [
+    "--jobs", "--agents", "check --m", "minmax --m", "--max-m", "dominance --n", "soundness --n", "--n-max",
+    "IMPLAB_BUDGET", "integer amount", "decimal amount", "DIMACS header", "DIMACS literal",
+]
+
+
+@pytest.mark.parametrize("budget, argv, stdin, refusal", LONG_NUMBER_CASES, ids=LONG_NUMBER_IDS)
+def test_every_number_reader_refuses_a_long_number_by_its_digit_count(
+    capsys, monkeypatch, budget, argv, stdin, refusal
+):
+    if budget is None:
+        monkeypatch.delenv("IMPLAB_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("IMPLAB_BUDGET", budget)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    start = time.perf_counter()
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse's refusal of an option
+        code = e.code
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.splitlines()[-1] == refusal + " exceeds the 4300-digit limit"
+    assert len(captured.err.encode()) < 300
+    assert elapsed < 0.5
+
+
+@pytest.mark.parametrize(
+    "argv, prog, option, value",
+    [
+        (["arrow", "--agents", "\u0663"], "implab arrow", "--agents", "\u0663"),
+        (["arrow", "--agents", "1_0"], "implab arrow", "--agents", "1_0"),
+        (["--jobs", "1_0", "vickrey", "maxcheck"], "implab", "--jobs", "1_0"),
+        (["vickrey", "soundness", "--n", "two", "--grid", "0"], "implab vickrey soundness", "--n", "two"),
+    ],
+)
+def test_integer_options_read_only_ascii_digits(capsys, argv, prog, option, value):
+    # int() alone reads the Arabic-Indic digit three as 3 and '1_0' as 10
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (1, "")
+    assert captured.err.splitlines()[-1] == f"{prog}: error: argument {option}: invalid int value: {value!r}"
+    # a sign and surrounding blanks are read as int() reads them
+    assert build_parser().parse_args(["--jobs", " +2 ", "vickrey", "maxcheck"]).jobs == 2
+
+
 NOT_ASCII_DIGITS_CASES = [
     (("dominance", "--n", "2", "--grid", "0:2:1", "--values", "\u0663,1"), "\u0663"),
     (("efficiency", "--values", "\u0663,1"), "\u0663"),
@@ -666,6 +746,17 @@ def test_each_command_imports_only_the_layers_it_runs(argv, stdin, layers):
     out = subprocess.run([sys.executable, "-c", code], input=stdin, env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert ast.literal_eval(out.stderr) == sorted(["implab.cli", *(f"implab.{m}" for m in layers)])
+
+
+def test_the_package_root_binds_only_its_version_and_loads_no_layer():
+    # each name has one import path, its module's: implab.satkit.Cnf, not implab.Cnf
+    code = (
+        "import sys, implab; print(sorted(m for m in sys.modules if m.startswith('implab.')), "
+        "sorted(name for name in vars(implab) if not name.startswith('__')), implab.__version__)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[] [] 0.1.0\n"
 
 
 def test_no_module_imports_random():

@@ -345,6 +345,17 @@ def test_from_dimacs_reads_only_ascii_integers():
     assert from_dimacs("p cnf +2 1\n+1 -2 0\n").clauses == ((1, -2),)
 
 
+def test_from_dimacs_refuses_a_number_past_the_int_limit_by_its_length():
+    # int() would refuse it in words that name no line, and the message would echo it
+    long = "9" * 5000
+    with pytest.raises(ValueError, match=r"^line 1: number of 5000 digits exceeds the 4300-digit limit$"):
+        from_dimacs(f"p cnf {long} 1\n1 0\n")
+    with pytest.raises(ValueError, match=r"^line 3: number of 5000 digits exceeds the 4300-digit limit$"):
+        from_dimacs(f"p cnf 2 1\nc {long}\n1 -{long} 0\n")
+    # a line longer than the limit, of short numbers, is read
+    assert from_dimacs("p cnf 1 1\n" + "1 " * 3000 + "0\n").clauses == ((1,) * 3000,)
+
+
 def test_from_dimacs_accepts_a_clause_spanning_lines():
     assert from_dimacs("p cnf 3 1\n1 2\n3 0\n").clauses == ((1, 2, 3),)
     assert from_dimacs("p cnf 3 2\n1\nc inside a clause\n-2 0 2\n3 0\n").clauses == (

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from functools import lru_cache
 from pathlib import Path
 
@@ -225,8 +226,18 @@ def test_pairwise_rejects_cyclic_tables():
 def test_agent_count_must_be_positive():
     with pytest.raises(ValueError, match="agent count must be positive, got 0"):
         enumerate_iia_swfs(0)
-    with pytest.raises(ValueError, match="agent count must be positive, got 0"):
-        PairwiseSwf(0, (0, 0, 0))
+
+
+@pytest.mark.parametrize("n", [0, swf_module.ENCODE_AGENT_CAP + 1])
+def test_pairwise_swf_and_decode_model_refuse_an_agent_count_outside_encode_arrows_range(n):
+    # checked before any mask is built: the first PairwiseSwf at n = 9 took 16.7 s
+    message = rf"agent count {n} outside supported range 1\.\.8$"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        PairwiseSwf(n, (0, 0, 0))
+    with pytest.raises(ValueError, match=message):
+        decode_model(n, {})
+    assert time.perf_counter() - start < 0.1
 
 
 SHAPE_MESSAGE = r"need a tuple of 3 tables, each a non-negative int below 2\^2$"
@@ -285,7 +296,7 @@ def test_construction_rejects_exactly_the_cyclic_triples(n):
 def test_encode_arrow_refuses_an_agent_count_outside_its_range(n):
     # checked before any clause is built: at the cap, n = 8, the CNF takes about 0.5 GB
     with pytest.raises(ValueError, match=rf"agent count {n} outside supported range 1\.\.8$"):
-        implab.encode_arrow(n)
+        swf_module.encode_arrow(n)
 
 
 def test_decode_model_refuses_a_model_with_cyclic_tables():
@@ -684,49 +695,6 @@ def test_the_package_has_no_profile_layer():
             else:
                 continue
             assert not PROFILE_LAYER & set(names), f"{path.name}:{node.lineno} {names}"
-
-
-def test_public_api_is_pinned():
-    assert implab.__all__ == [
-        "__version__",
-        "LinearOrder",
-        "all_linear_orders",
-        "bits_of_order",
-        "Cnf",
-        "SolveResult",
-        "Solver",
-        "solve",
-        "enumerate_models",
-        "to_dimacs",
-        "from_dimacs",
-        "encode_arrow",
-    ]
-    for name in implab.__all__:
-        assert getattr(implab, name) is not None
-
-
-def test_public_names_load_their_module_on_first_use():
-    # `import implab` builds no layer, yet dir() lists every export; each
-    # export is its home module's own object
-    code = (
-        "import sys, implab; print(sorted(m for m in sys.modules if m.startswith('implab.')), "
-        "sorted(set(implab.__all__) - set(dir(implab)))); "
-        "from implab import encode_arrow; print(encode_arrow.__module__)"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(implab.__file__).parent.parent)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "[] []\nimplab.swf\n"
-    homes = {
-        "orders": ("LinearOrder", "all_linear_orders", "bits_of_order"),
-        "satkit": ("Cnf", "SolveResult", "Solver", "solve", "enumerate_models", "to_dimacs", "from_dimacs"),
-        "swf": ("encode_arrow",),
-    }
-    assert [name for names in homes.values() for name in names] == implab.__all__[1:]
-    for module, names in homes.items():
-        for name in names:
-            assert getattr(implab, name) is getattr(getattr(implab, module), name)
-    with pytest.raises(AttributeError, match="'nope'"):
-        implab.nope
 
 
 def sha256_of_json(obj) -> str:
