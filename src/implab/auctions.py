@@ -85,8 +85,6 @@ def to_amount(value) -> Amount:
         return value
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass int, str, or Fraction for exactness")
-    # A limit of 0 is none, and Python before 3.10.7 has none
-    limit = getattr(sys, "get_int_max_str_digits", int)()
     if isinstance(value, str):
         # Fraction also reads non-ASCII digits and '_' separators
         if not value.isascii() or "_" in value:
@@ -95,6 +93,7 @@ def to_amount(value) -> Amount:
         if _EXPONENT.search(value):
             raise ValueError(f"amount {value!r} uses exponent notation; write a decimal or a fraction")
         # Fraction reads each run of digits with int(), whose refusal names no input
+        limit = getattr(sys, "get_int_max_str_digits", int)()
         if limit and len(value) > limit:
             longest = max(map(len, _DIGIT_RUN.findall(value)), default=0)
             if longest > limit:
@@ -103,15 +102,22 @@ def to_amount(value) -> Amount:
         amount = Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"amount {value!r} has a zero denominator") from None
-    # a decimal's digits may pass the limit only together, and str() would
-    # refuse its numerator or denominator when the report is written
+    # a decimal's digits may pass the limit only together
+    return _writable(amount, "amount")
+
+
+def _writable(amount: Fraction, label: str) -> Fraction:
+    """amount, refused by its digit count when its numerator or denominator
+    has more digits than str() writes.  A limit of 0 is none, and Python
+    before 3.10.7 has none."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
     widest, digits = max(abs(amount.numerator), amount.denominator), 0
     while limit and widest >= _ten_to(limit):
         widest //= _ten_to(limit)
         digits += limit
     if digits:
         digits += len(str(widest))
-        raise ValueError(f"amount with a {digits}-digit number exceeds the {limit}-digit limit")
+        raise ValueError(f"{label} with a {digits}-digit number exceeds the {limit}-digit limit")
     return amount
 
 
@@ -375,14 +381,15 @@ def _unscaled(ce: DominanceCounterexample, d: int, rule: AuctionRule) -> Dominan
 
     Both bid vectors are re-run through rule on the unscaled amounts; a
     payoff that does not reproduce means rule breaks the scaling contract.
+    A payoff may have more digits than any amount it is made of.
     """
     i = ce.agent
     back = DominanceCounterexample(
         agent=i,
         truthful_bids=tuple(Fraction(b, d) for b in ce.truthful_bids),
         deviation_bids=tuple(Fraction(b, d) for b in ce.deviation_bids),
-        truthful_payoff=Fraction(ce.truthful_payoff, d),
-        deviation_payoff=Fraction(ce.deviation_payoff, d),
+        truthful_payoff=_writable(Fraction(ce.truthful_payoff, d), "payoff"),
+        deviation_payoff=_writable(Fraction(ce.deviation_payoff, d), "payoff"),
     )
     v_i = back.truthful_bids[i]
     for bids, expected in (
@@ -643,11 +650,10 @@ def abstract_grid(v_i, delta) -> BidGrid:
 def check_abstract_budget(n_max: int, grid: BidGrid, sweep_budget: int = DEFAULT_SWEEP_BUDGET) -> None:
     """Refuse the sweeps of agent 0 over grid for n = 2..n_max before any of them runs.
 
-    With k grid points the sweep over n bidders has k**n cells.  An abstract
-    grid has at least 2 points, so every n from sweep_budget.bit_length()
-    on is over budget, and the search for the first n over it stops there.
+    With k grid points the sweep over n bidders has k**n cells, which grows
+    with n, so the sweeps fit when the last one, over n_max bidders, does.
     """
     k = len(grid.points)
-    for n in range(2, min(n_max, max(2, sweep_budget.bit_length())) + 1):
-        if _exceeds(k, n, sweep_budget):
-            raise ValueError(f"abstract sweep of {_power(k, n)} cells exceeds budget {sweep_budget}")
+    if _exceeds(k, n_max, sweep_budget):
+        cells = _power(k, n_max)
+        raise ValueError(f"abstract sweep of {cells} cells over {n_max} bidders exceeds budget {sweep_budget}")

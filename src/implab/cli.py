@@ -30,6 +30,7 @@ from . import __version__
 AXIOM_NAMES = ("dominance", "independence", "aversion", "appeal", "topmono")
 CLASS_NAMES = ("transitive", "weak", "linear")
 RULE_NAMES = ("first-price", "second-price")
+COUNT_DIGITS = 18  # an integer option is a count, and no count a run reaches has more digits
 
 
 def _budget(default: int) -> int:
@@ -38,29 +39,22 @@ def _budget(default: int) -> int:
         return default
     if not (raw.isascii() and raw.isdigit()):
         raise ValueError(f"IMPLAB_BUDGET must be a non-negative integer, got {raw!r}")
-    _check_digits("IMPLAB_BUDGET", raw)
+    # int() would refuse more digits in words that name no input.  A limit
+    # of 0 is none, and Python before 3.10.7 has none
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and len(raw) > limit:
+        raise ValueError(f"IMPLAB_BUDGET of {len(raw)} digits exceeds the {limit}-digit limit")
     return int(raw)
 
 
-def _check_digits(label: str, text: str) -> None:
-    """Refuse a number of more digits than int() converts, by its length:
-    int() would refuse it in words that name no input.  A limit of 0 is
-    none, and Python before 3.10.7 has none."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    digits = sum(map(str.isdigit, text))
-    if limit and digits > limit:
-        raise ValueError(f"{label} of {digits} digits exceeds the {limit}-digit limit")
-
-
 def _int_option(text: str) -> int:
-    """argparse's type=int, except that a number longer than int() converts
-    is refused by its digit count instead of echoed, and that non-ASCII
-    digits and '_' separators, which int() reads, are refused as amounts,
-    DIMACS and IMPLAB_BUDGET refuse them."""
-    try:
-        _check_digits("value", text)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+    """argparse's type=int, except that a number of more than COUNT_DIGITS
+    digits is refused by its digit count instead of echoed, and that
+    non-ASCII digits and '_' separators, which int() reads, are refused as
+    amounts, DIMACS and IMPLAB_BUDGET refuse them."""
+    digits = sum(map(str.isdigit, text))
+    if digits > COUNT_DIGITS:
+        raise argparse.ArgumentTypeError(f"value of {digits} digits exceeds the {COUNT_DIGITS}-digit limit")
     if text.isascii() and "_" not in text:
         try:
             return int(text)
@@ -161,11 +155,8 @@ def cmd_ranksets(args) -> tuple[dict, int]:
             "model": None,
         }
         if res.satisfiable:
-            rel = ranksets.decode_ranksets(u, res.assignment, cls)
-            checks = [ranksets.check_relation(rel, ax) for ax in axioms]
-            if not all(c.holds for c in checks):
-                raise RuntimeError("decoded model fails an enabled axiom; encoder bug")
-            payload["model"] = ranksets.relation_to_json(rel)
+            grounded = [ranksets.ground_axiom(u, ax) for ax in axioms]
+            payload["model"] = ranksets.relation_to_json(ranksets.decode_ranksets(u, res.assignment, cls, grounded))
         return payload, 0
     if args.ranksets_cmd == "minmax":
         u = Universe(args.m)

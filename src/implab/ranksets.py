@@ -348,15 +348,19 @@ def _solve_subset(solver: Solver, catalog: tuple[Axiom, ...], subset) -> SolveRe
 
 
 def decode_ranksets(
-    u: Universe, model: dict[int, bool], relation_class: RelationClass
+    u: Universe, model: dict[int, bool], relation_class: RelationClass, grounded=()
 ) -> SetRelation:
-    """Read the geq atoms out of a model; must yield a relation of the class."""
+    """Read the geq atoms out of a model; must yield a relation of the class
+    that meets each axiom in grounded, each grounded on u."""
     masks = list(u.subsets())
     geq = tuple(tuple(model[_var(u, a, b)] for b in masks) for a in masks)
     try:
-        return SetRelation(u, geq, relation_class)
+        rel = SetRelation(u, geq, relation_class)
     except ValueError as e:
         raise RuntimeError(f"encoder bug: model decodes to an invalid relation ({e})") from e
+    if not all(check_grounded(rel, g).holds for g in grounded):
+        raise RuntimeError("decoded model fails an enabled axiom; encoder bug")
+    return rel
 
 
 @dataclass(frozen=True)
@@ -388,20 +392,19 @@ def find_inconsistent_subsets(
     report is what solving every cell gives.  The reuse depends on that
     canonical choice of model: a solver that may return any model, such as
     a heuristic CDCL answering bare verdicts, must not back these
-    witnesses.  A reused witness was checked against the class clauses and
-    the axioms of S - {ax} when it was solved and decoded, and against ax
-    by check_grounded.
+    witnesses.  Every witness passes check_grounded on every axiom of its
+    subset: a solved one in decode_ranksets, and a reused one here for ax
+    and, when the witness of S - {ax} was made, for the other axioms.
     """
-    if not 2 <= u_max <= 6:
-        raise ValueError(f"u_max {u_max} outside supported range 2..6")
+    sizes = range(2, Universe(u_max).m + 1)  # Universe refuses a u_max outside its range
     catalog = distinct_axioms(catalog)
-    sizes = range(2, u_max + 1)
     grounded = {m: {ax: ground_axiom(Universe(m), ax) for ax in catalog} for m in sizes}
     solvers = {m: _guarded_solver(Universe(m), grounded[m].values(), relation_class) for m in sizes}
 
     def solved(m: int, subset) -> SetRelation | None:
         res = _solve_subset(solvers[m], catalog, subset)
-        return decode_ranksets(Universe(m), res.assignment, relation_class) if res.satisfiable else None
+        axioms = [grounded[m][ax] for ax in subset]
+        return decode_ranksets(Universe(m), res.assignment, relation_class, axioms) if res.satisfiable else None
 
     # per subset of the layer below, its witness at each m, None where unsat
     smaller = {frozenset(): {m: solved(m, ()) for m in sizes}}

@@ -22,12 +22,14 @@ models in lexicographically descending order.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import chain
 
 # variables a DIMACS header may declare: the solver allocates per variable
 DEFAULT_VAR_BUDGET = 1_000_000
+# the most digits of a DIMACS number, and the most characters a refusal quotes of a line
+COUNT_DIGITS = 18
+QUOTED_CHARS = 40
 
 
 @dataclass(frozen=True)
@@ -238,16 +240,26 @@ def to_dimacs(cnf: Cnf) -> str:
 
 
 def _ints(tokens: list[str], lineno: int, line: str, what: str) -> list[int]:
-    """The tokens of a line as ints.  int() also reads non-ASCII digits and
-    '_' separators, which DIMACS does not allow; with neither in the line,
-    int() reads a token exactly when it is ASCII digits after an optional
-    sign."""
+    """The tokens of a line as ints.  A DIMACS number is a count or a
+    variable, so one of more than COUNT_DIGITS digits is refused by its digit
+    count.  int() also reads non-ASCII digits and '_' separators, which
+    DIMACS does not allow; with neither in the line, int() reads a token
+    exactly when it is ASCII digits after an optional sign."""
+    if max(map(len, tokens)) > COUNT_DIGITS:
+        digits = max(sum(map(str.isdigit, t)) for t in tokens)
+        if digits > COUNT_DIGITS:
+            raise ValueError(f"line {lineno}: number of {digits} digits exceeds the {COUNT_DIGITS}-digit limit")
     try:
         if not line.isascii() or "_" in line:
             raise ValueError
         return [int(t) for t in tokens]
     except ValueError:
-        raise ValueError(f"line {lineno}: {what} {line!r}") from None
+        raise ValueError(f"line {lineno}: {what} {_quoted(line)}") from None
+
+
+def _quoted(line: str) -> str:
+    """A refused line's first QUOTED_CHARS characters, then '...' if it is longer."""
+    return repr(line[:QUOTED_CHARS]) + "..." * (len(line) > QUOTED_CHARS)
 
 
 def from_dimacs(text: str) -> Cnf:
@@ -257,29 +269,21 @@ def from_dimacs(text: str) -> Cnf:
     clauses: list[tuple[int, ...]] = []
     clause: list[int] = []
     clause_lineno = 0  # line of the open clause's latest literal
-    # int() refuses a number longer than this in words that name no input, so
-    # such a number is refused by its length, without echoing its line, as cli
-    # and auctions do.  A limit of 0 is none; Python before 3.10.7 has none
-    limit = getattr(sys, "get_int_max_str_digits", int)()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         if line.startswith("%"):
             break
-        if limit and len(line) > limit:
-            digits = max(sum(map(str.isdigit, t)) for t in line.split())
-            if digits > limit:
-                raise ValueError(f"line {lineno}: number of {digits} digits exceeds the {limit}-digit limit")
         if line.startswith("p"):
             if num_vars is not None:
                 raise ValueError(f"line {lineno}: duplicate header")
             parts = line.split()
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise ValueError(f"line {lineno}: malformed header {line!r}, expected 'p cnf V C'")
+                raise ValueError(f"line {lineno}: malformed header {_quoted(line)}, expected 'p cnf V C'")
             num_vars, declared_clauses = _ints(parts[2:], lineno, line, "non-integer counts in header")
             if num_vars < 0 or declared_clauses < 0:
-                raise ValueError(f"line {lineno}: negative counts in header {line!r}")
+                raise ValueError(f"line {lineno}: negative counts in header {_quoted(line)}")
             continue
         if num_vars is None:
             raise ValueError(f"line {lineno}: clause before 'p cnf' header")

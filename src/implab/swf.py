@@ -56,8 +56,8 @@ from .satkit import Cnf
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 24
 # encode_arrow(n) emits 2*6^n clauses: n = 8 is 3.4M clauses in about 0.5 GB.
-# A PairwiseSwf has the same cap, as its first one at n builds
-# _entry_pair_groups(n) in about 8^n steps: 1.75 s at n = 8, 16.7 s at n = 9
+# PairwiseSwf, decode_model and enumerate_iia_swfs share the cap: the first call
+# at n builds _entry_pair_groups(n) in about 8^n steps, 16.7 s at n = 9
 ENCODE_AGENT_CAP = 8
 
 UN = "UN"
@@ -271,17 +271,12 @@ def enumerate_iia_swfs(n: int, candidate_budget: int = DEFAULT_CANDIDATE_BUDGET)
     ac table leaves the other bc entries free, so its bc tables are
     completed directly instead of scanned.
     """
-    if n < 1:
-        raise ValueError(f"agent count must be positive, got {n}")
-    # 2^(3*2^n) candidates exceed the budget iff 3*2^n >= L = budget.bit_length(),
-    # which every n >= L.bit_length() meets, so no 2^n is built for those; the
-    # count is printed in full up to n = 5 (29 digits)
-    bits = candidate_budget.bit_length()
-    if n >= bits.bit_length() or 3 << n >= bits:
-        count = 1 << (3 << n) if n <= 5 else f"2^(3*2^{n})"
-        raise ValueError(
-            f"candidate space of {count} table triples exceeds budget {candidate_budget}"
-        )
+    _check_agent_count(n)
+    count = 1 << (3 << n)
+    if count > candidate_budget:
+        # written out up to n = 5 (29 digits)
+        count = count if n <= 5 else f"2^(3*2^{n})"
+        raise ValueError(f"candidate space of {count} table triples exceeds budget {candidate_budget}")
     size = 1 << n
     full = (1 << size) - 1
     out: list[PairwiseSwf] = []

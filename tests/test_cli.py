@@ -159,7 +159,19 @@ def test_arrow_far_over_budget_is_refused_without_sizing_the_space(capsys):
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err == "error: candidate space of 2^(3*2^64) table triples exceeds budget 16777216\n"
+    assert captured.err == "error: agent count 64 outside supported range 1..8\n"
+    assert elapsed < 0.5
+
+
+def test_arrow_agent_count_past_the_cap_is_refused_at_once_under_any_budget(capsys, monkeypatch):
+    # 2^(3*2^9) candidates fit a budget of 2^1600, but the entry-pair groups
+    # at n = 9 took 10.8 s to build before the cap was checked first
+    monkeypatch.setenv("IMPLAB_BUDGET", str(1 << 1600))
+    start = time.perf_counter()
+    code = main(["arrow", "--agents", "9"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", "error: agent count 9 outside supported range 1..8\n")
     assert elapsed < 0.5
 
 
@@ -173,7 +185,7 @@ def test_arrow_agent_count_is_refused_before_any_power_of_two_is_built(capsys):
         tracemalloc.stop()
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err == "error: candidate space of 2^(3*2^100000000) table triples exceeds budget 16777216\n"
+    assert captured.err == "error: agent count 100000000 outside supported range 1..8\n"
     assert peak < 1 << 20
 
 
@@ -232,11 +244,13 @@ def test_ranksets_check_refuses_a_repeated_axiom(capsys):
 
 
 def test_ranksets_check_refuses_a_model_that_fails_an_enabled_axiom(capsys, monkeypatch):
-    # without the axiom clauses the solver's model need not satisfy the axiom, and the re-check catches it
+    # without the axiom clauses the solver's model need not satisfy the axiom,
+    # and decode_ranksets, which checks the models of check and discover alike, catches it
     monkeypatch.setattr(ranksets, "_axiom_clauses", lambda u, constraints: [])
-    assert main(["ranksets", "check", "--axioms", "dominance", "--m", "3"]) == 4
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: decoded model fails an enabled axiom; encoder bug\n")
+    for argv in (["ranksets", "check", "--axioms", "dominance", "--m", "3"], ["ranksets", "discover", "--max-m", "3"]):
+        assert main(argv) == 4, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: decoded model fails an enabled axiom; encoder bug\n")
 
 
 def test_ranksets_minmax_independence_witness(capsys):
@@ -442,7 +456,11 @@ def test_amounts_of_more_digits_than_int_converts_are_refused_by_their_length(ca
     assert code == 0 and report["winner_valuation"] == "9" * 4300
 
 
-# each integer option, given a number longer than int() converts
+# a number of as many digits as int() converts, so no reader refuses it for
+# the int-conversion limit
+LIMIT_NUMBER = "9" * 4300
+
+# each integer option, given a number of more digits than any count
 LONG_OPTION_ARGVS = [
     ["--jobs", LONG_NUMBER, "vickrey", "maxcheck"],
     ["arrow", "--agents", LONG_NUMBER],
@@ -452,31 +470,72 @@ LONG_OPTION_ARGVS = [
     ["vickrey", "dominance", "--n", LONG_NUMBER, "--grid", "0", "--values", "1"],
     ["vickrey", "soundness", "--n", LONG_NUMBER, "--grid", "0"],
     ["vickrey", "abstract", "--n-max", LONG_NUMBER, "--value", "1", "--delta", "1"],
+    # within the int-conversion limit, these were echoed in full by the range refusals
+    ["arrow", "--agents", LIMIT_NUMBER],
+    ["ranksets", "minmax", "--m", LIMIT_NUMBER],
+    ["ranksets", "discover", "--max-m", LIMIT_NUMBER],
+    ["vickrey", "soundness", "--n", LIMIT_NUMBER, "--grid", "0"],
 ]
 
 
 def option_refusal(argv: list[str]) -> str:
-    """argparse's refusal of the option before LONG_NUMBER, named by the
-    parser of the subcommand words before the first option."""
+    """argparse's refusal of the option before the long number, named by
+    the parser of the subcommand words before the first option."""
     first_option = next(k for k, arg in enumerate(argv) if arg.startswith("-"))
     prog = " ".join(["implab", *argv[:first_option]])
-    return f"{prog}: error: argument {argv[argv.index(LONG_NUMBER) - 1]}: value of 5000 digits"
+    number = next(arg for arg in argv if arg in (LONG_NUMBER, LIMIT_NUMBER))
+    option = argv[argv.index(number) - 1]
+    return f"{prog}: error: argument {option}: value of {len(number)} digits exceeds the 18-digit limit"
 
 
-# (IMPLAB_BUDGET or None, argv, stdin, the last line of stderr up to
-# " exceeds the 4300-digit limit") for each reader of an outside number
+# a payoff, the difference of two amounts within the limit, whose denominator is not
+PAYOFF_ARGV = [
+    "vickrey", "dominance", "--n", "2", "--grid", "1/" + "9" * 2200,
+    "--values", ",".join(["1/" + "9" * 2199 + "7"] * 2), "--rule", "first-price",
+]
+
+# (IMPLAB_BUDGET or None, argv, stdin, the last line of stderr) for each
+# reader of an outside number: amounts and IMPLAB_BUDGET are refused past
+# the int-conversion limit, and counts past 18 digits
 LONG_NUMBER_CASES = [
-    *((None, argv, "", option_refusal(argv)) for argv in LONG_OPTION_ARGVS),
-    (LONG_NUMBER, ["vickrey", "maxcheck"], "", "error: IMPLAB_BUDGET of 5000 digits"),
-    (None, ["vickrey", "efficiency", "--values", f"1,{LONG_NUMBER}"], "", "error: amount with a 5000-digit number"),
+    *((None, argv, "", option_refusal(argv)) for argv in LONG_OPTION_ARGVS[:8]),
+    (LONG_NUMBER, ["vickrey", "maxcheck"], "", "error: IMPLAB_BUDGET of 5000 digits exceeds the 4300-digit limit"),
+    (
+        None,
+        ["vickrey", "efficiency", "--values", f"1,{LONG_NUMBER}"],
+        "",
+        "error: amount with a 5000-digit number exceeds the 4300-digit limit",
+    ),
     # each run of digits is within the limit, but not the numerator they make
-    (None, ["vickrey", "efficiency", "--values", "1,1." + "1" * 4300], "", "error: amount with a 4301-digit number"),
-    (None, ["sat", "-"], f"p cnf {LONG_NUMBER} 1\n1 0\n", "error: line 1: number of 5000 digits"),
-    (None, ["sat", "-"], f"p cnf 1 1\nc\n1 -{LONG_NUMBER} 0\n", "error: line 3: number of 5000 digits"),
+    (
+        None,
+        ["vickrey", "efficiency", "--values", "1,1." + "1" * 4300],
+        "",
+        "error: amount with a 4301-digit number exceeds the 4300-digit limit",
+    ),
+    (None, ["sat", "-"], f"p cnf {LONG_NUMBER} 1\n1 0\n", "error: line 1: number of 5000 digits exceeds the 18-digit limit"),
+    (
+        None,
+        ["sat", "-"],
+        f"p cnf 1 1\nc\n1 -{LONG_NUMBER} 0\n",
+        "error: line 3: number of 5000 digits exceeds the 18-digit limit",
+    ),
+    *((None, argv, "", option_refusal(argv)) for argv in LONG_OPTION_ARGVS[8:]),
+    (
+        None,
+        ["sat", "-"],
+        f"p cnf 1 1\nc\n1 -{LIMIT_NUMBER} 0\n",
+        "error: line 3: number of 4300 digits exceeds the 18-digit limit",
+    ),
+    # no number at all: the refusal quotes the line's first 40 characters
+    (None, ["sat", "-"], "p cnf 1 1\n" + "x" * 100_000 + "\n", f"error: line 2: non-integer literal in {'x' * 40!r}..."),
+    (None, PAYOFF_ARGV, "", "error: payoff with a 4400-digit number exceeds the 4300-digit limit"),
 ]
 LONG_NUMBER_IDS = [
     "--jobs", "--agents", "check --m", "minmax --m", "--max-m", "dominance --n", "soundness --n", "--n-max",
     "IMPLAB_BUDGET", "integer amount", "decimal amount", "DIMACS header", "DIMACS literal",
+    "--agents at the limit", "minmax --m at the limit", "--max-m at the limit", "soundness --n at the limit",
+    "DIMACS literal at the limit", "DIMACS letters", "payoff",
 ]
 
 
@@ -497,7 +556,7 @@ def test_every_number_reader_refuses_a_long_number_by_its_digit_count(
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
-    assert captured.err.splitlines()[-1] == refusal + " exceeds the 4300-digit limit"
+    assert captured.err.splitlines()[-1] == refusal
     assert len(captured.err.encode()) < 300
     assert elapsed < 0.5
 
@@ -895,10 +954,10 @@ def test_abstract_sweep_over_budget_is_refused_before_any_rule_call(capsys, monk
     rule = auctions.RULES["second-price"]
     monkeypatch.setitem(auctions.RULES, "second-price", lambda bids: calls.append(bids) or rule(bids))
     monkeypatch.setenv("IMPLAB_BUDGET", "100")
-    # grid 0, 1, 2: 3**n cells, and n = 5 is the first over 100
+    # grid 0, 1, 2: 3**n cells, which grow with n, so the n = 10 sweep decides
     assert main(["vickrey", "abstract", "--n-max", "10", "--value", "1", "--delta", "1"]) == 1
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: abstract sweep of 243 cells exceeds budget 100\n")
+    assert (captured.out, captured.err) == ("", "error: abstract sweep of 59049 cells over 10 bidders exceeds budget 100\n")
     assert calls == []
 
 

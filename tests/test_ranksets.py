@@ -243,6 +243,9 @@ def test_decode_rejects_relation_outside_declared_class():
     assert decode_ranksets(u, model, RelationClass.TRANSITIVE) is not None
     with pytest.raises(RuntimeError, match="totality"):
         decode_ranksets(u, model, RelationClass.WEAK_ORDER)
+    # and outside an axiom it is given grounded: no {x} > {x,y} holds
+    with pytest.raises(RuntimeError, match="^decoded model fails an enabled axiom; encoder bug$"):
+        decode_ranksets(u, model, RelationClass.TRANSITIVE, [ground_axiom(u, Axiom.SIMPLE_DOMINANCE)])
     assert res.satisfiable
 
 

@@ -346,14 +346,30 @@ def test_from_dimacs_reads_only_ascii_integers():
 
 
 def test_from_dimacs_refuses_a_number_past_the_int_limit_by_its_length():
-    # int() would refuse it in words that name no line, and the message would echo it
+    # a DIMACS number is a count or a variable: past 18 digits it is refused
+    # by its digit count, which int()'s limit would refuse in words that name
+    # no line, and which the message would otherwise echo
     long = "9" * 5000
-    with pytest.raises(ValueError, match=r"^line 1: number of 5000 digits exceeds the 4300-digit limit$"):
+    with pytest.raises(ValueError, match=r"^line 1: number of 5000 digits exceeds the 18-digit limit$"):
         from_dimacs(f"p cnf {long} 1\n1 0\n")
-    with pytest.raises(ValueError, match=r"^line 3: number of 5000 digits exceeds the 4300-digit limit$"):
+    with pytest.raises(ValueError, match=r"^line 3: number of 5000 digits exceeds the 18-digit limit$"):
         from_dimacs(f"p cnf 2 1\nc {long}\n1 -{long} 0\n")
+    with pytest.raises(ValueError, match=r"^line 2: number of 19 digits exceeds the 18-digit limit$"):
+        from_dimacs("p cnf 2 1\n1 -" + "0" * 18 + "1 0\n")
+    assert from_dimacs("p cnf " + "9" * 18 + " 0\n").num_vars == 10**18 - 1
     # a line longer than the limit, of short numbers, is read
     assert from_dimacs("p cnf 1 1\n" + "1 " * 3000 + "0\n").clauses == ((1,) * 3000,)
+
+
+def test_from_dimacs_quotes_at_most_40_characters_of_a_refused_line():
+    letters = "x" * 100_000
+    with pytest.raises(ValueError, match=rf"^line 2: non-integer literal in '{'x' * 40}'\.\.\.$"):
+        from_dimacs(f"p cnf 1 1\n{letters}\n")
+    with pytest.raises(ValueError, match=rf"^line 1: malformed header 'p cnf 1 1 {'x' * 30}'\.\.\., expected"):
+        from_dimacs(f"p cnf 1 1 {letters}\n")
+    # a line of 40 characters is quoted whole
+    with pytest.raises(ValueError, match=rf"^line 2: non-integer literal in '{'x' * 40}'$"):
+        from_dimacs("p cnf 1 1\n" + "x" * 40 + "\n")
 
 
 def test_from_dimacs_accepts_a_clause_spanning_lines():

@@ -224,8 +224,14 @@ def test_pairwise_rejects_cyclic_tables():
 
 
 def test_agent_count_must_be_positive():
-    with pytest.raises(ValueError, match="agent count must be positive, got 0"):
+    with pytest.raises(ValueError, match=r"^agent count 0 outside supported range 1\.\.8$"):
         enumerate_iia_swfs(0)
+    # the cap is checked before the budget: 2^(3*2^9) candidates fit 2^1600,
+    # and the entry-pair groups at n = 9 take seconds to build
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^agent count 9 outside supported range 1\.\.8$"):
+        enumerate_iia_swfs(9, 1 << 1600)
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("n", [0, swf_module.ENCODE_AGENT_CAP + 1])
@@ -574,8 +580,11 @@ def test_enumerate_budget_admits_exactly_the_candidate_count():
     assert len(enumerate_iia_swfs(2, 4096)) == 94
     with pytest.raises(ValueError, match="candidate space of 4096 table triples exceeds budget 4095"):
         enumerate_iia_swfs(2, 4095)
-    with pytest.raises(ValueError, match=r"candidate space of 2\^\(3\*2\^30\) table triples"):
-        enumerate_iia_swfs(30)
+    # past 29 digits the count is written in closed form
+    with pytest.raises(ValueError, match=r"candidate space of 2\^\(3\*2\^6\) table triples exceeds budget 16777216"):
+        enumerate_iia_swfs(6)
+    with pytest.raises(ValueError, match=r"candidate space of 2\^\(3\*2\^8\) table triples"):
+        enumerate_iia_swfs(8, (1 << 768) - 1)
 
 
 def test_every_enumerated_swf_passes_iia_extensionally():
