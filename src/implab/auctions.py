@@ -106,7 +106,7 @@ def to_amount(value) -> Amount:
     return _writable(amount, "amount")
 
 
-def _writable(amount: Fraction, label: str) -> Fraction:
+def _writable(amount: Amount, label: str) -> Amount:
     """amount, refused by its digit count when its numerator or denominator
     has more digits than str() writes.  A limit of 0 is none, and Python
     before 3.10.7 has none."""
@@ -264,7 +264,9 @@ def parse_grid(text: str, budget: int = DEFAULT_SWEEP_BUDGET, n: int = 1) -> Bid
 
     A grid is sized before any point is built, a range from its bounds and
     a list by counting its commas, and its k points are refused when
-    k**n > budget, n being the number of bidders that sweep it.
+    k**n > budget, n being the number of bidders that sweep it.  Each point
+    a range computes is refused, as an amount is, when its numerator or
+    denominator has more digits than str() writes.
     """
     if ":" in text:
         parts = text.split(":")
@@ -281,7 +283,7 @@ def parse_grid(text: str, budget: int = DEFAULT_SWEEP_BUDGET, n: int = 1) -> Bid
         bidders = f" over {n} bidders" if n > 1 else ""
         raise ValueError(f"grid of {points} points{bidders} exceeds budget {budget}")
     if ":" in text:
-        return BidGrid(tuple(start + i * step for i in range(count)))
+        return BidGrid(tuple(_writable(start + i * step, "grid point") for i in range(count)))
     return BidGrid(tuple(text.split(",")))
 
 
@@ -638,13 +640,15 @@ def order_types(k_max: int) -> Iterator[tuple[int, ...]]:
 
 def abstract_grid(v_i, delta) -> BidGrid:
     """The three representatives of the bid space around a valuation:
-    v_i - delta (floored at 0), v_i and v_i + delta."""
+    v_i - delta (floored at 0), v_i and v_i + delta, the two computed ones
+    refused by their digit count as an amount is."""
     value, step = to_amount(v_i), to_amount(delta)
     if step <= 0:
         raise ValueError("delta must be positive")
     if value < 0:
         raise ValueError(f"negative value {value}")
-    return BidGrid(tuple(sorted({max(0, value - step), value, value + step})))
+    points = (_writable(max(0, value - step), "grid point"), value, _writable(value + step, "grid point"))
+    return BidGrid(tuple(sorted(set(points))))
 
 
 def check_abstract_budget(n_max: int, grid: BidGrid, sweep_budget: int = DEFAULT_SWEEP_BUDGET) -> None:

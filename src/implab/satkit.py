@@ -18,6 +18,19 @@ formulas.  `solve(cnf)` is a one-shot solver.  `enumerate_models` is
 AllSAT by continuation: one search on one solver goes on past each model
 as if it were a conflict, so it adds no blocking clauses and yields the
 models in lexicographically descending order.
+
+No model reaches a caller unverified, but the search itself verifies
+nothing: each of its two callers checks what it takes, in the way that
+suits how many models it takes.  `Solver.solve` takes one and checks it
+with `_check_model`, one set test per clause.  `enumerate_models` takes
+every model, the one that only tells it the run is truncated included,
+and checks each against per-literal clause masks that `_clause_masks`
+builds at its first model: a model passes when the masks of its true
+literals OR to all ones, one big-int OR per variable instead of one set
+test per clause.  The masks cost about ten set passes to build, and a
+solver that answers a few solves under assumptions would never earn
+them back, so `solve` does not build them, and nor does an AllSAT run
+that finds no model.
 """
 
 from __future__ import annotations
@@ -76,9 +89,23 @@ class ModelEnumeration:
     truncated: bool
 
 
+SOLVER_BUG = "solver bug: produced assignment fails verification"
+
+
 def _check_model(clauses, assignment) -> bool:
     true_lits = {v if value else -v for v, value in assignment.items()}
     return not any(map(true_lits.isdisjoint, clauses))
+
+
+def _clause_masks(clauses, num_vars: int) -> list[int]:
+    """Per literal, indexed like the solver's per-literal lists: the int
+    with bit i set when the literal occurs in clause i."""
+    masks = [0] * (2 * num_vars + 1)
+    for i, c in enumerate(clauses):
+        bit = 1 << i
+        for lit in c:
+            masks[lit] |= bit
+    return masks
 
 
 class Solver:
@@ -91,7 +118,10 @@ class Solver:
     solve's answer is that of a fresh solve of the clauses plus one unit
     clause per assumption; with the fixed decision order that answer is
     also the same model.  AllSAT takes every model the search yields, solve
-    only the first.
+    only the first.  The search yields its models unverified, and each
+    caller verifies what it takes (see the module docstring): solve checks
+    its one model clause by clause, since the clause masks that AllSAT
+    checks against cost about ten such passes to build.
 
     Per-literal state sits in lists indexed by the literal itself: +v at
     index v and -v at index -v, which Python maps into the upper half of a
@@ -122,11 +152,19 @@ class Solver:
         """Lexicographically greatest model (variable 1 first, true above
         false) that makes every assumption literal true: the search's first
         model, verified against every clause and assumption before return."""
-        return next(self._search(assumptions), SolveResult(False))
+        assumptions = tuple(assumptions)
+        model = next(self._search(assumptions), None)
+        if model is None:
+            return SolveResult(False)
+        if not (_check_model(self.clauses, model) and _check_model([(lit,) for lit in assumptions], model)):
+            raise RuntimeError(SOLVER_BUG)
+        return SolveResult(True, model)
 
     def _search(self, assumptions=()):
         """Yield every model that makes every assumption literal true, in
-        lexicographically descending order, each verified like solve's.
+        lexicographically descending order, as a dict from each variable to
+        its value.  The models are not verified here: the caller verifies
+        each one it takes, solve by `_check_model` and AllSAT by clause masks.
 
         After a model the search goes on as if it were a conflict, flipping
         the latest untried decision, so no clause is added.  Each search
@@ -142,12 +180,6 @@ class Solver:
         clauses, watches, watched = self.clauses, self._watches, self._watched
         value = [0] * (2 * nvars + 1)  # by literal: 0 unassigned, 1 true, -1 false
         trail: list[int] = []  # literals made true, in order
-
-        def model() -> SolveResult:
-            full = {v: value[v] > 0 for v in range(1, nvars + 1)}
-            if not (_check_model(clauses, full) and _check_model([(lit,) for lit in assumptions], full)):
-                raise RuntimeError("solver bug: produced assignment fails verification")
-            return SolveResult(True, full)
 
         def propagate(queue) -> bool:
             """Make each queued literal true and propagate; False on conflict."""
@@ -196,7 +228,7 @@ class Solver:
             while next_var <= nvars and value[next_var] != 0:
                 next_var += 1
             if next_var > nvars:
-                yield model()
+                yield {v: value[v] > 0 for v in range(1, nvars + 1)}
                 ok = False  # go on past the model as if it were a conflict
             else:
                 decisions.append((next_var, len(trail), False))
@@ -224,12 +256,22 @@ def solve(cnf: Cnf) -> SolveResult:
 
 def enumerate_models(cnf: Cnf, *, limit: int | None = None) -> ModelEnumeration:
     """AllSAT in lexicographically descending order by one continued DPLL
-    search; truncated when a model beyond the first `limit` exists."""
+    search; truncated when a model beyond the first `limit` exists.  Each
+    model the search yields, the one past `limit` too, is verified by the
+    clause masks, built at the first model."""
     models: list[dict[int, bool]] = []
-    for res in Solver(cnf)._search():
+    masks = None
+    for model in Solver(cnf)._search():
+        if masks is None:
+            masks, everything = _clause_masks(cnf.clauses, cnf.num_vars), (1 << len(cnf.clauses)) - 1
+        covered = 0
+        for v, true in model.items():
+            covered |= masks[v] if true else masks[-v]
+        if covered != everything:
+            raise RuntimeError(SOLVER_BUG)
         if limit is not None and len(models) == limit:
             return ModelEnumeration(tuple(models), True)
-        models.append(res.assignment)
+        models.append(model)
     return ModelEnumeration(tuple(models), False)
 
 

@@ -414,12 +414,18 @@ def decode_model(n: int, model: dict[int, bool]) -> PairwiseSwf:
     yield a valid SWF."""
     _check_agent_count(n)
     size = 1 << n
-    missing = [v for v in range(1, 3 * size + 1) if v not in model]
-    if missing:
-        raise ValueError(f"model must assign all encoding variables; missing {missing[:5]}")
-    tables = tuple(
-        sum(1 << (size - 1 - j) for j in range(size) if model[entry_var(n, k, j)]) for k in range(3)
-    )
+    # entry_var numbers the ab, ac and bc tables in turn, each from entry 0,
+    # its most significant bit, so the variables read in order are the three
+    # tables end to end
+    bits = 0
+    try:
+        for v in range(1, 3 * size + 1):
+            bits = bits << 1 | (1 if model[v] else 0)
+    except KeyError:
+        missing = [v for v in range(1, 3 * size + 1) if v not in model]
+        raise ValueError(f"model must assign all encoding variables; missing {missing[:5]}") from None
+    table = (1 << size) - 1
+    tables = (bits >> 2 * size, bits >> size & table, bits & table)
     try:
         return PairwiseSwf(n, tables)
     except ValueError as e:

@@ -146,6 +146,17 @@ def test_arrow_three_agents_computes_each_swfs_masks_once(capsys, monkeypatch):
     assert len(calls) == 1536
 
 
+def test_arrow_builds_clause_masks_only_for_an_allsat_run_that_finds_a_model(capsys, monkeypatch):
+    built = []
+    masks = satkit._clause_masks
+    monkeypatch.setattr(satkit, "_clause_masks", lambda *args: built.append(args) or masks(*args))
+    code, report = run_cli(capsys, "arrow", "--agents", "3")
+    assert code == 0 and report["verdict"] == "impossibility holds"
+    assert built == []  # its AllSAT run finds no model
+    code, report = run_cli(capsys, "arrow", "--agents", "3", "--drop-axiom", "un", "--count-models")
+    assert code == 0 and len(built) == 1
+
+
 def test_arrow_budget_error_exits_1(capsys):
     code = main(["arrow", "--agents", "4"])
     err = capsys.readouterr().err
@@ -493,6 +504,12 @@ PAYOFF_ARGV = [
     "vickrey", "dominance", "--n", "2", "--grid", "1/" + "9" * 2200,
     "--values", ",".join(["1/" + "9" * 2199 + "7"] * 2), "--rule", "first-price",
 ]
+# grid points computed from two amounts within the limit, v + delta and a range's second point
+ABSTRACT_POINT_ARGV = ["vickrey", "abstract", "--n-max", "2", "--value", "1/" + "9" * 2200, "--delta", "1/" + "9" * 2199 + "7"]
+RANGE_POINT_ARGV = [
+    "vickrey", "dominance", "--n", "2", "--values", "0,0",
+    "--grid", ":".join(["1/" + "9" * 2200, "2/" + "9" * 2199 + "7", "1/" + "9" * 2199 + "7"]),
+]
 
 # (IMPLAB_BUDGET or None, argv, stdin, the last line of stderr) for each
 # reader of an outside number: amounts and IMPLAB_BUDGET are refused past
@@ -530,12 +547,14 @@ LONG_NUMBER_CASES = [
     # no number at all: the refusal quotes the line's first 40 characters
     (None, ["sat", "-"], "p cnf 1 1\n" + "x" * 100_000 + "\n", f"error: line 2: non-integer literal in {'x' * 40!r}..."),
     (None, PAYOFF_ARGV, "", "error: payoff with a 4400-digit number exceeds the 4300-digit limit"),
+    (None, ABSTRACT_POINT_ARGV, "", "error: grid point with a 4400-digit number exceeds the 4300-digit limit"),
+    (None, RANGE_POINT_ARGV, "", "error: grid point with a 4400-digit number exceeds the 4300-digit limit"),
 ]
 LONG_NUMBER_IDS = [
     "--jobs", "--agents", "check --m", "minmax --m", "--max-m", "dominance --n", "soundness --n", "--n-max",
     "IMPLAB_BUDGET", "integer amount", "decimal amount", "DIMACS header", "DIMACS literal",
     "--agents at the limit", "minmax --m at the limit", "--max-m at the limit", "soundness --n at the limit",
-    "DIMACS literal at the limit", "DIMACS letters", "payoff",
+    "DIMACS literal at the limit", "DIMACS letters", "payoff", "abstract grid point", "range grid point",
 ]
 
 

@@ -219,11 +219,40 @@ def test_solver_with_no_clauses_gives_all_true():
 
 
 def test_solver_model_check_guards_every_answer(monkeypatch):
-    monkeypatch.setattr(satkit, "_check_model", lambda clauses, assignment: False)
-    with pytest.raises(RuntimeError, match="solver bug"):
+    # the search yields its models unverified; each caller refuses one that
+    # falsifies a clause, here the first or the last
+    cnf = Cnf(3, ((1, 2), (2, 3), (-1, -3)))
+    message = "^solver bug: produced assignment fails verification$"
+    for bad in ({1: False, 2: False, 3: True}, {1: True, 2: False, 3: True}):
+        monkeypatch.setattr(Solver, "_search", lambda self, assumptions=(): iter([dict(bad)]))
+        with pytest.raises(RuntimeError, match=message):
+            solve(cnf)
+        with pytest.raises(RuntimeError, match=message):
+            enumerate_models(cnf)
+        with pytest.raises(RuntimeError, match=message):  # the model that only sets truncated
+            enumerate_models(cnf, limit=0)
+
+
+def test_solve_also_refuses_a_model_that_falsifies_an_assumption(monkeypatch):
+    monkeypatch.setattr(Solver, "_search", lambda self, assumptions=(): iter([{1: True, 2: True}]))
+    assert Solver(Cnf(2, ((1, 2),))).solve([1]) == SolveResult(True, {1: True, 2: True})
+    with pytest.raises(RuntimeError, match="^solver bug"):
         Solver(Cnf(2, ((1, 2),))).solve([-1])
-    with pytest.raises(RuntimeError, match="solver bug"):
-        enumerate_models(Cnf(2, ((1, 2),)))
+
+
+def test_clause_masks_are_built_once_per_allsat_run_that_finds_a_model(monkeypatch):
+    built = []
+    masks = satkit._clause_masks
+    monkeypatch.setattr(satkit, "_clause_masks", lambda clauses, num_vars: built.append(clauses) or masks(clauses, num_vars))
+    cnf = encode_arrow(2)
+    assert len(enumerate_models(cnf).models) == 94
+    assert built == [cnf.clauses]
+    assert enumerate_models(cnf, limit=0).truncated
+    assert len(built) == 2
+    # no model, no masks; solve checks its one model clause by clause
+    assert enumerate_models(Cnf(1, ((1,), (-1,)))).models == ()
+    assert solve(cnf).satisfiable and Solver(cnf).solve([-1]).satisfiable
+    assert len(built) == 2
 
 
 def test_allsat_equals_a_from_scratch_blocking_loop():
@@ -280,8 +309,8 @@ def test_solve_answers_the_first_model_of_allsat():
         for _ in range(2):
             k = rng.randint(1, 3) if cnf.num_vars else 0
             a = [v if rng.random() < 0.5 else -v for v in rng.choices(range(1, cnf.num_vars + 1), k=k)]
-            first = next(Solver(cnf)._search(a), SolveResult(False))
-            assert Solver(cnf).solve(a) == first
+            first = next(Solver(cnf)._search(a), None)
+            assert Solver(cnf).solve(a) == SolveResult(first is not None, first)
 
 
 def test_each_search_owns_its_assignment():
@@ -444,7 +473,8 @@ def test_decode_model_trivial_examples():
 
 
 def test_decode_model_requires_total_assignment():
-    with pytest.raises(ValueError, match="missing"):
+    message = "model must assign all encoding variables; missing [2, 3, 4, 5, 6]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         decode_model(2, {1: True})
 
 

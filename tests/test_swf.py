@@ -313,9 +313,11 @@ def test_decode_model_refuses_a_model_with_cyclic_tables():
         decode_model(1, model)
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_decode_model_round_trips_every_swf(n):
-    for s in enumerate_iia_swfs(n):
+    swfs = enumerate_iia_swfs(n)
+    assert len(swfs) == 6 + 2 * n + 6 * (2 ** (2**n) - 2)  # 1536 at n = 3, with 8-entry tables
+    for s in swfs:
         model = {
             entry_var(n, k, j): bool(e) for k, t in enumerate(s.tables) for j, e in enumerate(bits_of_table(t, n))
         }
