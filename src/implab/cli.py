@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -63,6 +64,70 @@ def _int_option(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
+class _ReportEncoder(json.JSONEncoder):
+    """The text of json.dumps(o, indent=2, sort_keys=True), for both
+    json.dumps (encode) and json.dump (iterencode).  The library builds that
+    text with nested closures that refer to each other, so each call leaves
+    a cycle of garbage for the collector; here one module-level function
+    recurses over the report and leaves none."""
+
+    def encode(self, o) -> str:
+        return "".join(self.iterencode(o))
+
+    def iterencode(self, o, _one_shot: bool = False) -> list[str]:
+        out: list[str] = []
+        _write_json(o, out, "\n")
+        return out
+
+
+_JSON_WORDS = {None: "null", True: "true", False: "false"}
+
+
+def _write_json(o, out: list[str], newline: str) -> None:
+    """Append o's indented JSON text to out; newline is a line break and the
+    indent of o's own line.  A report holds only these types, with str keys,
+    and only finite floats."""
+    kind = type(o)
+    if kind is str:
+        out.append(json.encoder.encode_basestring_ascii(o))
+    elif kind is int:
+        out.append(int.__repr__(o))
+    elif kind is float:
+        if not -math.inf < o < math.inf:
+            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+        out.append(float.__repr__(o))
+    elif kind is bool or o is None:
+        out.append(_JSON_WORDS[o])
+    elif kind is dict:
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        head, comma = "{" + inner, "," + inner
+        for key in sorted(o):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(head)
+            out.append(json.encoder.encode_basestring_ascii(key))
+            out.append(": ")
+            _write_json(o[key], out, inner)
+            head = comma
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        head, comma = "[" + inner, "," + inner
+        for item in o:
+            out.append(head)
+            _write_json(item, out, inner)
+            head = comma
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _emit_dimacs(cnf: satkit.Cnf, path: str) -> None:
     from . import satkit
 
@@ -70,7 +135,7 @@ def _emit_dimacs(cnf: satkit.Cnf, path: str) -> None:
         f.write(satkit.to_dimacs(cnf))
     names = {str(v): name for v, name in (cnf.var_names or {}).items()}
     with open(path + ".vars.json", "w", encoding="utf-8") as f:
-        json.dump(names, f, indent=2, sort_keys=True)
+        json.dump(names, f, cls=_ReportEncoder)
         f.write("\n")
 
 
@@ -419,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
             **payload,
             "duration_seconds": round(time.perf_counter() - started, 6),
         }
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(report, cls=_ReportEncoder) + "\n"
         if args.output:
             with open(args.output, "w", encoding="utf-8") as f:
                 f.write(text)

@@ -11,12 +11,15 @@ tables of each agent's dictator and inverse dictator to its one shared
 class.  The range is read off entry-pair groups, which stand for the
 profiles: per (ab entry, ac entry) pair, the mask of the bc entries that
 profiles select with it, built in closed form.  Per ab table, `_forces`
-ORs the groups into the bc entries that each ac entry's bit forces, once
-per table on first use; the enumerator's search reads them, and each SWF's
-constructor folds them over its ac table into four masks, which the
-acyclicity check and the range share.  `range_of` returns one frozenset
-per set of social codes, and `classify` one shared, immutable class per
-range to every SWF that is neither dictator nor inverse dictator.
+ORs the groups into the bc entries that each ac bit forces, once per table
+on first use; the enumerator's search reads them from the top bit, and
+each SWF's constructor folds them over its ac table, from the lowest bit,
+into four masks, which the acyclicity check and the range share.  The
+per-SWF predicates are a few big-int tests on the tables and those masks:
+`satisfies_unanimity` is one AND and one OR, and `range_of` tests each of
+the eight social codes with one AND and returns one frozenset per set of
+codes.  `classify` gives one shared, immutable class per range to every
+SWF that is neither dictator nor inverse dictator.
 
 The base cases read one classified enumeration, a mapping from each SWF to
 its class, so each SWF is classified once per run: `census` counts the
@@ -76,36 +79,46 @@ def _check_agent_count(n: int) -> None:
         raise ValueError(f"agent count {n} outside supported range 1..{ENCODE_AGENT_CAP}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PairwiseSwf:
     """m=3 SWF as three per-pair truth tables over the agents' bits, each an
-    int of 2^n bits."""
+    int of 2^n bits.
 
+    The constructor checks the tables and keeps the four masks of
+    _bc_entries_met for range_of in _met, outside the fields, so equality,
+    hashing and repr read only n and the tables.
+    """
+
+    __slots__ = ("n", "tables", "_met")
     n: int
     tables: tuple[int, int, int]
 
-    def __post_init__(self):
-        _check_agent_count(self.n)
-        size = 1 << self.n
-        tables = self.tables
+    def __init__(self, n: int, tables: tuple[int, int, int]):
+        _check_agent_count(n)
         # a negative table makes the OR negative, and a shifted negative int is never 0
         if not (
             type(tables) is tuple
             and len(tables) == 3
             and type(tables[0]) is type(tables[1]) is type(tables[2]) is int
-            and not (tables[0] | tables[1] | tables[2]) >> size
+            and not (tables[0] | tables[1] | tables[2]) >> (1 << n)
         ):
-            raise ValueError(f"need a tuple of 3 tables, each a non-negative int below 2^{size}")
+            raise ValueError(f"need a tuple of 3 tables, each a non-negative int below 2^{1 << n}")
         ab, ac, bc = tables
-        # the cyclic codes are 010 and 101: ab != ac, and bc equal to ab.
-        # The masks are kept for range_of, outside the fields, so equality,
-        # hashing and repr still read only n and the tables.
-        met = _bc_entries_met(self.n, ab, ac)
-        object.__setattr__(self, "_met", met)
+        # the cyclic codes are 010 and 101: ab != ac, and bc equal to ab
+        met = _bc_entries_met(n, ab, ac)
         if met[0b01] & ~bc:
             raise ValueError("tables produce cyclic social code (0, 1, 0) on some profile")
         if met[0b10] & bc:
             raise ValueError("tables produce cyclic social code (1, 0, 1) on some profile")
+        # frozen, so the slots are written past the dataclass's __setattr__
+        setattr = object.__setattr__
+        setattr(self, "n", n)
+        setattr(self, "tables", tables)
+        setattr(self, "_met", met)
+
+    def __reduce__(self):
+        # a copy or an unpickled SWF is built, and so checked, by the constructor
+        return PairwiseSwf, (self.n, self.tables)
 
 
 @dataclass(frozen=True)
@@ -154,52 +167,53 @@ def _entry_pair_groups(n: int) -> tuple[tuple[int, int, int], ...]:
 
 
 @lru_cache(maxsize=1 << 10)
-def _forces(n: int, ab: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per ac entry, under the ab table: the bc entries its bit 1 forces to 1
-    (the ab bit is 0 there, else the code is 010) and its bit 0 forces to 0
-    (the ab bit is 1, else 101), as masks in the table layout.
+def _forces(n: int, ab: int) -> tuple[tuple[int, int], ...]:
+    """Per bit b of an ac table (entry 2^n-1-b), under the ab table: the bc
+    entries that a 1 there forces to 1 (the ab bit is 0 there, else the code
+    is 010) and those that a 0 there forces to 0 (the ab bit is 1, else 101),
+    as a pair of masks in the table layout.
 
-    The cache holds all 256 tables of n = 3; at n = 4, about 1.3 KB a
-    table, it keeps 1024 of the 65,536, and a miss costs one pass over the
-    4^n groups.
+    The cache holds all 256 tables of n = 3, about 170 KB; at n = 4, about
+    2.2 KB a table, it keeps 1024 of the 65,536, and a miss costs one pass
+    over the 4^n groups.
     """
     size = 1 << n
     force1 = [0] * size
     force0 = [0] * size
     for i1, i2, mask in _entry_pair_groups(n):
         if ab >> (size - 1 - i1) & 1:
-            force0[i2] |= mask
+            force0[size - 1 - i2] |= mask
         else:
-            force1[i2] |= mask
-    return tuple(force1), tuple(force0)
+            force1[size - 1 - i2] |= mask
+    return tuple(zip(force1, force0))
 
 
 def _bc_entries_met(n: int, ab: int, ac: int) -> tuple[int, int, int, int]:
     """Indexed by 2*ab bit + ac bit: the mask of bc entries that some
     profile selects together with that pair of social bits.
 
-    One step per ac entry over the ab table's _forces: 8 at n = 3, against
-    64 entry-pair groups.
+    One step per ac bit, from the lowest, over the ab table's _forces: 8 at
+    n = 3, against 64 entry-pair groups.
     """
-    force1, force0 = _forces(n, ab)
     m00 = m01 = m10 = m11 = 0
-    # entry j of ac is bit 2^n-1-j
-    for shift, f1, f0 in zip(range((1 << n) - 1, -1, -1), force1, force0):
-        if ac >> shift & 1:
+    for f1, f0 in _forces(n, ab):
+        if ac & 1:
             m01 |= f1
             m11 |= f0
         else:
             m00 |= f1
             m10 |= f0
+        ac >>= 1
     return m00, m01, m10, m11
 
 
 def satisfies_unanimity(swf: PairwiseSwf) -> bool:
     """Unanimous pairwise preferences must be copied by the social order:
     entry 2^n-1 of each table (its lowest bit) reads every agent's bit 1,
-    entry 0 (its highest) every agent's bit 0."""
-    top = (1 << swf.n) - 1
-    return all(t & 1 and not t >> top for t in swf.tables)
+    entry 0 (its highest) every agent's bit 0.  One AND over the three
+    tables tests their lowest bits, one OR their top bits."""
+    ab, ac, bc = swf.tables
+    return ab & ac & bc & 1 == 1 and not (ab | ac | bc) >> ((1 << swf.n) - 1)
 
 
 def _agent_bits(n: int, agent: int) -> int:
@@ -222,16 +236,29 @@ def _dictators(n: int) -> Mapping[tuple[int, int, int], SwfClass]:
 
 
 def range_of(swf: PairwiseSwf) -> frozenset[LinearOrder]:
-    met = swf._met  # computed once, by the constructor
+    """The social orders of swf, read off the constructor's four masks: the
+    social code (ab, ac, bc) occurs iff the mask of its (ab, ac) bits meets
+    the bc entries that hold bc.  Bit c of codes marks code c."""
+    m00, m01, m10, m11 = swf._met
     ones = swf.tables[2]
-    # met is indexed by 2*ab + ac, so k << 1 | bc is the social code; bit c of codes marks code c
     zeros = ~ones
     codes = 0
-    for k, mask in enumerate(met):
-        if mask & ones:
-            codes |= 2 << 2 * k
-        if mask & zeros:
-            codes |= 1 << 2 * k
+    if m00 & zeros:
+        codes = 0x01
+    if m00 & ones:
+        codes |= 0x02
+    if m01 & zeros:
+        codes |= 0x04
+    if m01 & ones:
+        codes |= 0x08
+    if m10 & zeros:
+        codes |= 0x10
+    if m10 & ones:
+        codes |= 0x20
+    if m11 & zeros:
+        codes |= 0x40
+    if m11 & ones:
+        codes |= 0x80
     return _range_set(codes)
 
 
@@ -281,27 +308,37 @@ def enumerate_iia_swfs(n: int, candidate_budget: int = DEFAULT_CANDIDATE_BUDGET)
     full = (1 << size) - 1
     out: list[PairwiseSwf] = []
     for ab in range(1 << size):
-        force1, force0 = _forces(n, ab)
-        # (next ac entry, ac table so far, forced-1 mask, forced-0 mask); bit 1
-        # is pushed first, so bit 0 comes off the stack first
-        stack = [(0, 0, 0, 0)]
+        forces = _forces(n, ab)
+        # from the top ac bit, entry 0: (next ac bit, ac table so far, forced-1
+        # mask, forced-0 mask).  A path goes on with bit 0 where it can and
+        # pushes the bit-1 branch only where both are open, so the ac tables
+        # complete in increasing order
+        stack = [(size - 1, 0, 0, 0)]
         while stack:
-            j, t2, forced1, forced0 = stack.pop()
-            if j < size:
-                f1 = forced1 | force1[j]
-                if not f1 & forced0:
-                    stack.append((j + 1, t2 << 1 | 1, f1, forced0))
-                f0 = forced0 | force0[j]
+            b, t2, forced1, forced0 = stack.pop()
+            while b >= 0:
+                force1, force0 = forces[b]
+                b -= 1
+                f1 = forced1 | force1
+                f0 = forced0 | force0
                 if not forced1 & f0:
-                    stack.append((j + 1, t2 << 1, forced1, f0))
-                continue
-            free = full ^ (forced1 | forced0)
-            sub = 0  # the subsets of free, in increasing order
-            while True:
-                out.append(PairwiseSwf(n, (ab, t2, forced1 | sub)))
-                sub = (sub - free) & free
-                if not sub:
+                    if not f1 & forced0:
+                        stack.append((b, t2 << 1 | 1, f1, forced0))
+                    t2 <<= 1
+                    forced0 = f0
+                elif not f1 & forced0:
+                    t2 = t2 << 1 | 1
+                    forced1 = f1
+                else:
                     break
+            else:
+                free = full ^ (forced1 | forced0)
+                sub = 0  # the subsets of free, in increasing order
+                while True:
+                    out.append(PairwiseSwf(n, (ab, t2, forced1 | sub)))
+                    sub = (sub - free) & free
+                    if not sub:
+                        break
     return out
 
 
@@ -342,10 +379,9 @@ def survivors(
     the survivors keep that order.
     """
     axioms = _axiom_set(axioms)
+    un, nd = UN in axioms, ND in axioms
     return tuple(
-        s
-        for s, c in classes.items()
-        if (UN not in axioms or satisfies_unanimity(s)) and (ND not in axioms or c.tag != DICTATORIAL)
+        s for s, c in classes.items() if (not un or satisfies_unanimity(s)) and (not nd or c.tag != DICTATORIAL)
     )
 
 

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import gc
 import hashlib
 import io
 import json
@@ -10,12 +11,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import implab
-from implab import auctions, ranksets, satkit, swf
+from implab import auctions, cli, ranksets, satkit, swf
 from implab.cli import AXIOM_NAMES, CLASS_NAMES, RULE_NAMES, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -1207,3 +1209,81 @@ def test_readme_examples_run(capsys, monkeypatch, tmp_path):
         expected = 3 if "first-price" in argv else 0  # the mutant rule's counterexample
         assert main(argv) == expected, argv
         capsys.readouterr()
+
+
+def test_reports_and_sidecars_are_the_libraries_indented_sorted_json(capsys, monkeypatch, tmp_path):
+    # cli writes its own JSON text; it must stay json.dumps(o, indent=2, sort_keys=True)'s
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "problem.cnf").write_text("p cnf 2 2\n-1 2 0\n1 -2 0\n")
+    encoded = []
+    iterencode = cli._ReportEncoder.iterencode
+    monkeypatch.setattr(
+        cli._ReportEncoder, "iterencode", lambda self, o, _one_shot=False: encoded.append(o) or iterencode(self, o)
+    )
+    commands = readme_commands() + [
+        ["arrow", "--agents", "3", "--drop-axiom", "un", "--count-models"],
+        ["ranksets", "check", "--axioms", "aversion,appeal", "--m", "3", "--emit-dimacs", "rs.cnf"],
+    ]
+    for argv in commands:
+        encoded.clear()
+        main(argv)
+        *sidecars, report = encoded
+        assert capsys.readouterr().out == json.dumps(report, indent=2, sort_keys=True) + "\n", argv
+        if "--emit-dimacs" in argv:
+            (names,) = sidecars
+            path = tmp_path / (argv[argv.index("--emit-dimacs") + 1] + ".vars.json")
+            assert path.read_text() == json.dumps(names, indent=2, sort_keys=True) + "\n", argv
+        else:
+            assert sidecars == [], argv
+    assert sorted(p.name for p in tmp_path.glob("*.vars.json")) == ["arrow.cnf.vars.json", "rs.cnf.vars.json"]
+
+
+def test_report_encoder_matches_the_library_and_refuses_what_no_report_holds():
+    encode = cli._ReportEncoder().encode
+    value = {"b": [1, -2, 2**70, 0.1, 1e-7, True, False, None], "a": {}, "é\n": ("x", [], {"z": [[]]})}
+    assert encode(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert encode([]) == "[]" and encode("☃") == '"\\u2603"'
+    for bad in ({1: 2}, {"a": {1, 2}}, [Fraction(1, 2)], 1j):
+        with pytest.raises(TypeError):
+            encode(bad)
+    with pytest.raises(ValueError):
+        encode([float("nan")])
+
+
+GC_FAMILIES = [
+    ["arrow", "--agents", "2", "--drop-axiom", "nd", "--count-models", "--emit-dimacs", "arrow.cnf"],
+    ["ranksets", "discover", "--max-m", "3"],
+    ["vickrey", "dominance", "--n", "2", "--grid", "0:3:1", "--values", "2,1"],
+    ["vickrey", "abstract", "--n-max", "3", "--value", "7/2", "--delta", "1"],
+    ["sat", "problem.cnf"],
+]
+
+
+@pytest.mark.parametrize("argv", GC_FAMILIES, ids=" ".join)
+def test_a_command_leaves_no_cyclic_garbage(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "problem.cnf").write_text("p cnf 2 2\n-1 2 0\n1 -2 0\n")
+    main(argv)  # the first run fills the caches and builds the parser
+    gc.disable()
+    try:
+        gc.collect()
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def test_classify_reads_range_of_through_the_module_and_the_traced_names_stay_bound(monkeypatch):
+    # perfbench/layers.py times these three by replacing the module attributes
+    for name in ("enumerate_iia_swfs", "classify", "range_of"):
+        assert callable(getattr(swf, name)), name
+    seen = []
+    range_of = swf.range_of
+    monkeypatch.setattr(swf, "range_of", lambda s: seen.append(s) or range_of(s))
+    small = swf.PairwiseSwf(2, (0b1111, 0b1111, 0b0111))
+    assert swf.classify(small).tag == swf.SMALL_RANGE
+    assert seen == [small]
+    dictator = swf.PairwiseSwf(1, (0b01, 0b01, 0b01))
+    assert swf.classify(dictator).tag == swf.DICTATORIAL
+    assert seen == [small]  # a dictator is found by its tables

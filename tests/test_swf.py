@@ -1,8 +1,12 @@
 import ast
+import copy
+import dataclasses
 import hashlib
 import itertools
 import json
 import os
+import pickle
+import random
 import subprocess
 import sys
 import time
@@ -12,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import implab
+from implab import satkit
 from implab import swf as swf_module
 from implab.orders import (
     CYCLIC_CODES,
@@ -34,6 +39,7 @@ from implab.swf import (
     census,
     classify,
     decode_model,
+    encode_arrow,
     entry_var,
     enumerate_iia_swfs,
     onto_survivors,
@@ -265,6 +271,20 @@ def test_construction_refuses_a_table_that_is_not_an_int_of_2n_bits():
             with pytest.raises(ValueError, match=SHAPE_MESSAGE):
                 PairwiseSwf(1, tuple(tables))
     assert PairwiseSwf(1, (0b01,) * 3) == dictator(1, 0)
+
+
+def test_an_swf_is_frozen_and_copies_through_its_constructor(monkeypatch):
+    s = two_outcome_swf()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.n = 3
+    assert not hasattr(s, "__dict__")
+    assert repr(s) == "PairwiseSwf(n=2, tables=(15, 15, 7))"
+    calls = []
+    init = PairwiseSwf.__init__
+    monkeypatch.setattr(PairwiseSwf, "__init__", lambda self, *args: calls.append(args) or init(self, *args))
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert twin == s and hash(twin) == hash(s) and range_of(twin) == range_of(s)
+    assert calls == [(2, (15, 15, 7))] * 3
 
 
 def profile_walk_is_cyclic(n: int, tables) -> bool:
@@ -670,6 +690,52 @@ def test_range_of_matches_order_of_bits_on_every_swf(n):
         assert range_of(s) == frozenset(ORACLE_ORDER_OF[code] for code in codes)
 
 
+def four_agent_sample() -> list[PairwiseSwf]:
+    """A fixed sample of the 393,218 four-agent SWFs, each once: the first 60
+    AllSAT models of encode_arrow(4) and the first model under each of 150
+    seeded assumption triples, decoded; every dictator, inverse dictator and
+    constant; and 30 seeded random members of the small-range families,
+    whose tables are built here: two pairs fixed to constant bits that no bit
+    of the third completes to a cyclic code, and a non-constant third table."""
+    n, full = 4, (1 << 16) - 1
+    cnf = encode_arrow(n)
+    models = list(satkit.enumerate_models(cnf, limit=60).models)
+    rng = random.Random(20160401)
+    solver = satkit.Solver(cnf)
+    for _ in range(150):
+        result = solver.solve([rng.choice((1, -1)) * rng.randint(1, cnf.num_vars) for _ in range(3)])
+        if result.satisfiable:
+            models.append(result.assignment)
+    sample = [decode_model(n, m) for m in models]
+    sample += [f(n, i) for f in (dictator, inverse_dictator) for i in range(n)]
+    sample += [constant_swf(n, o) for o in all_linear_orders(3)]
+    families = [
+        (k, fixed)
+        for k in range(3)
+        for fixed in itertools.product((0, 1), repeat=2)
+        if not any(fixed[:k] + (b,) + fixed[k:] in CYCLIC_CODES for b in (0, 1))
+    ]
+    for _ in range(30):
+        k, fixed = rng.choice(families)
+        tables = [full * bit for bit in fixed]
+        tables.insert(k, rng.randrange(1, full))
+        sample.append(PairwiseSwf(n, tuple(tables)))
+    return list(dict.fromkeys(sample))
+
+
+def test_predicates_match_the_profile_route_on_a_four_agent_sample():
+    sample = four_agent_sample()
+    assert len(sample) > 160
+    assert {classify(s).tag for s in sample} == set(CLASS_TAGS) - {UNCLASSIFIED}
+    assert {satisfies_unanimity(s) for s in sample} == {False, True}
+    for s in sample:
+        outputs = oracle_outputs(s)
+        assert satisfies_unanimity(s) == oracle_unanimous(4, outputs), s
+        assert range_of(s) == frozenset(outputs), s
+        c = classify(s)
+        assert (c.tag, c.agent, c.orders) == oracle_classify(4, outputs), s
+
+
 def test_swf_has_one_swf_representation():
     tree = ast.parse(Path(swf_module.__file__).read_text())
     for node in ast.walk(tree):
@@ -816,8 +882,8 @@ def test_small_range_recount_matches_the_constructive_oracle_and_classify(n):
 
 def test_small_range_recount_builds_no_swf(monkeypatch):
     calls = []
-    validate = PairwiseSwf.__post_init__
-    monkeypatch.setattr(PairwiseSwf, "__post_init__", lambda self: calls.append(1) or validate(self))
+    init = PairwiseSwf.__init__
+    monkeypatch.setattr(PairwiseSwf, "__init__", lambda self, *args: calls.append(1) or init(self, *args))
     constant_swf(1, ABC)
     assert len(calls) == 1  # the counter sees a construction
     calls.clear()
