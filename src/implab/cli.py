@@ -128,12 +128,12 @@ def _write_json(o, out: list[str], newline: str) -> None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _emit_dimacs(cnf: satkit.Cnf, path: str) -> None:
+def _emit_dimacs(cnf: satkit.Cnf, names: dict[int, str], path: str) -> None:
     from . import satkit
 
     with open(path, "w", encoding="utf-8") as f:
         f.write(satkit.to_dimacs(cnf))
-    names = {str(v): name for v, name in (cnf.var_names or {}).items()}
+    names = {str(v): name for v, name in names.items()}
     with open(path + ".vars.json", "w", encoding="utf-8") as f:
         json.dump(names, f, cls=_ReportEncoder)
         f.write("\n")
@@ -164,7 +164,7 @@ def cmd_arrow(args) -> tuple[dict, int]:
 
     cnf = swf.encode_arrow(args.agents, axioms)
     if args.emit_dimacs:
-        _emit_dimacs(cnf, args.emit_dimacs)
+        _emit_dimacs(cnf, swf.var_names(args.agents), args.emit_dimacs)
     # one AllSAT run gives both the verdict (SAT iff it finds a model) and the model set
     run = satkit.enumerate_models(cnf, limit=len(expected) + 1)
     decoded = [swf.decode_model(args.agents, m) for m in run.models]
@@ -205,10 +205,13 @@ def cmd_ranksets(args) -> tuple[dict, int]:
     if args.ranksets_cmd == "check":
         cls = RelationClass(args.relation_class)
         u = Universe(args.m)
-        axioms = ranksets.distinct_axioms(Axiom(a) for a in args.axioms.split(","))
+        axioms = tuple(Axiom(a) for a in args.axioms.split(","))
+        for k, ax in enumerate(axioms):
+            if ax in axioms[:k]:
+                raise ValueError(f"axiom {ax.value} is listed more than once")
         cnf = ranksets.encode_ranksets(u, axioms, cls)
         if args.emit_dimacs:
-            _emit_dimacs(cnf, args.emit_dimacs)
+            _emit_dimacs(cnf, ranksets.var_names(u), args.emit_dimacs)
         res = satkit.solve(cnf)
         payload = {
             "verdict": "SAT" if res.satisfiable else "UNSAT",

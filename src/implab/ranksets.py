@@ -63,7 +63,6 @@ class GroundConstraint:
     geq(A,B) and not geq(B,A).
     """
 
-    axiom: Axiom
     antecedent: tuple[int, int] | None
     consequent: tuple[int, int]
     strict: bool
@@ -178,8 +177,8 @@ def ground_axiom(u: Universe, ax: Axiom) -> tuple[GroundConstraint, ...]:
     cs: list[GroundConstraint] = []
     if ax is Axiom.SIMPLE_DOMINANCE:
         for x, y in itertools.combinations(range(u.m), 2):
-            cs.append(GroundConstraint(ax, None, (1 << x, (1 << x) | (1 << y)), True))
-            cs.append(GroundConstraint(ax, None, ((1 << x) | (1 << y), 1 << y), True))
+            cs.append(GroundConstraint(None, (1 << x, (1 << x) | (1 << y)), True))
+            cs.append(GroundConstraint(None, ((1 << x) | (1 << y), 1 << y), True))
     elif ax is Axiom.INDEPENDENCE:
         for a in u.subsets():
             for b in u.subsets():
@@ -189,16 +188,16 @@ def ground_axiom(u: Universe, ax: Axiom) -> tuple[GroundConstraint, ...]:
                     bit = 1 << x
                     if (a | b) & bit:
                         continue
-                    cs.append(GroundConstraint(ax, (a, b), (a | bit, b | bit), False))
+                    cs.append(GroundConstraint((a, b), (a | bit, b | bit), False))
     elif ax is Axiom.UNCERTAINTY_AVERSION:
         for x, y, z in itertools.combinations(range(u.m), 3):
-            cs.append(GroundConstraint(ax, None, (1 << y, (1 << x) | (1 << z)), True))
+            cs.append(GroundConstraint(None, (1 << y, (1 << x) | (1 << z)), True))
     elif ax is Axiom.UNCERTAINTY_APPEAL:
         for x, y, z in itertools.combinations(range(u.m), 3):
-            cs.append(GroundConstraint(ax, None, ((1 << x) | (1 << z), 1 << y), True))
+            cs.append(GroundConstraint(None, ((1 << x) | (1 << z), 1 << y), True))
     elif ax is Axiom.SIMPLE_TOP_MONOTONICITY:
         for x, y, z in itertools.combinations(range(u.m), 3):
-            cs.append(GroundConstraint(ax, None, ((1 << x) | (1 << z), (1 << y) | (1 << z)), True))
+            cs.append(GroundConstraint(None, ((1 << x) | (1 << z), (1 << y) | (1 << z)), True))
     else:
         raise ValueError(f"unknown axiom {ax}")
     cs.sort(key=GroundConstraint.sort_key)
@@ -227,15 +226,6 @@ def check_grounded(rel: SetRelation, constraints: tuple[GroundConstraint, ...]) 
         if not ok:
             return AxiomCheck(False, not constraints, c)
     return AxiomCheck(True, not constraints)
-
-
-def distinct_axioms(axioms) -> tuple[Axiom, ...]:
-    """The axioms as a tuple, refusing one listed twice."""
-    axioms = tuple(axioms)
-    for k, ax in enumerate(axioms):
-        if ax in axioms[:k]:
-            raise ValueError(f"axiom {ax.value} is listed more than once")
-    return axioms
 
 
 def _var(u: Universe, a: int, b: int) -> int:
@@ -310,19 +300,18 @@ def encode_ranksets(
     u: Universe, axioms, relation_class: RelationClass = RelationClass.LINEAR_ORDER
 ) -> Cnf:
     """CNF with one variable per ordered subset pair (A,B) for geq(A,B)."""
-    wanted = set(axioms)
     clauses = _class_clauses(u, relation_class)
-    for ax in CATALOG:
-        if ax in wanted:
-            clauses.extend(_axiom_clauses(u, ground_axiom(u, ax)))
+    for ax in dict.fromkeys(axioms):
+        clauses.extend(_axiom_clauses(u, ground_axiom(u, ax)))
     # distinct already: no two constraints ground to the same clause
     ordered = sorted(tuple(sorted(cl, key=abs)) for cl in clauses)
-    size = (1 << u.m) - 1
+    return Cnf(((1 << u.m) - 1) ** 2, tuple(ordered))
+
+
+def var_names(u: Universe) -> dict[int, str]:
+    """The name of each geq atom of an encoding over u."""
     masks = list(u.subsets())
-    names = {
-        _var(u, a, b): f"geq({u.subset_name(a)},{u.subset_name(b)})" for a in masks for b in masks
-    }
-    return Cnf(size * size, tuple(ordered), var_names=names)
+    return {_var(u, a, b): f"geq({u.subset_name(a)},{u.subset_name(b)})" for a in masks for b in masks}
 
 
 def _guarded_solver(u: Universe, grounded, relation_class: RelationClass) -> Solver:
@@ -337,14 +326,14 @@ def _guarded_solver(u: Universe, grounded, relation_class: RelationClass) -> Sol
     return Solver(Cnf(atoms + len(grounded), (*_class_clauses(u, relation_class), *guarded)))
 
 
-def _solve_subset(solver: Solver, catalog: tuple[Axiom, ...], subset) -> SolveResult:
-    """The subset's axioms switched on and the rest switched off.
+def _solve_subset(solver: Solver, subset) -> SolveResult:
+    """The subset's axioms switched on and the rest of the catalog off.
 
     The selectors come after every geq atom, so the geq part of the model
     is the one a fresh solve of encode_ranksets would return.
     """
-    atoms = solver.num_vars - len(catalog)
-    return solver.solve([atoms + k if ax in subset else -(atoms + k) for k, ax in enumerate(catalog, 1)])
+    atoms = solver.num_vars - len(CATALOG)
+    return solver.solve([atoms + k if ax in subset else -(atoms + k) for k, ax in enumerate(CATALOG, 1)])
 
 
 def decode_ranksets(
@@ -372,62 +361,52 @@ class SubsetFinding:
 
 
 def find_inconsistent_subsets(
-    u_max: int,
-    catalog=CATALOG,
-    relation_class: RelationClass = RelationClass.LINEAR_ORDER,
+    u_max: int, relation_class: RelationClass = RelationClass.LINEAR_ORDER
 ) -> tuple[SubsetFinding, ...]:
-    """Minimal universe size at which each axiom subset becomes unsatisfiable.
+    """Minimal universe size at which each nonempty subset of the catalog
+    becomes unsatisfiable.
 
     Subsets are taken in order, smallest first, in-process, on one solver
     per universe size whose axiom clauses are switched on and off by
-    assumptions.
+    assumptions.  One dict holds the witness of each cell (subset S, size
+    m), None where S is unsat at m; the empty subset's cells come first.
 
-    A cell (subset S, size m) is answered without a solve when the witness
-    of some S - {ax} at m passes check_grounded for ax; only otherwise is S
-    solved.  That is exact because of how the witnesses are chosen: every
-    Sat answer of the solver is the lexicographically greatest model over
-    the geq atoms (the selectors are numbered after them), and the greatest
-    model of F, if it satisfies G, is also the greatest model of F and G.
-    So the reused witness is the one a solve of S would return, and each
-    report is what solving every cell gives.  The reuse depends on that
-    canonical choice of model: a solver that may return any model, such as
-    a heuristic CDCL answering bare verdicts, must not back these
-    witnesses.  Every witness passes check_grounded on every axiom of its
-    subset: a solved one in decode_ranksets, and a reused one here for ax
-    and, when the witness of S - {ax} was made, for the other axioms.
+    A cell is answered without a solve when the witness of some S - {ax}
+    at m passes check_grounded for ax; only otherwise is S solved.  That
+    is exact because of how the witnesses are chosen: every Sat answer of
+    the solver is the lexicographically greatest model over the geq atoms
+    (the selectors are numbered after them), and the greatest model of F,
+    if it satisfies G, is also the greatest model of F and G.  So the
+    reused witness is the one a solve of S would return, and each report
+    is what solving every cell gives.  The reuse depends on that canonical
+    choice of model: a solver that may return any model, such as a
+    heuristic CDCL answering bare verdicts, must not back these witnesses.
+    Every witness passes check_grounded on every axiom of its subset: a
+    solved one in decode_ranksets, and a reused one here for ax and, when
+    the witness of S - {ax} was made, for the other axioms.
     """
     sizes = range(2, Universe(u_max).m + 1)  # Universe refuses a u_max outside its range
-    catalog = distinct_axioms(catalog)
-    grounded = {m: {ax: ground_axiom(Universe(m), ax) for ax in catalog} for m in sizes}
+    grounded = {m: {ax: ground_axiom(Universe(m), ax) for ax in CATALOG} for m in sizes}
     solvers = {m: _guarded_solver(Universe(m), grounded[m].values(), relation_class) for m in sizes}
-
-    def solved(m: int, subset) -> SetRelation | None:
-        res = _solve_subset(solvers[m], catalog, subset)
-        axioms = [grounded[m][ax] for ax in subset]
-        return decode_ranksets(Universe(m), res.assignment, relation_class, axioms) if res.satisfiable else None
-
-    # per subset of the layer below, its witness at each m, None where unsat
-    smaller = {frozenset(): {m: solved(m, ()) for m in sizes}}
+    witness: dict[tuple[frozenset[Axiom], int], SetRelation | None] = {}
     findings: list[SubsetFinding] = []
-    for r in range(1, len(catalog) + 1):
-        layer: dict[frozenset[Axiom], dict[int, SetRelation | None]] = {}
-        for subset in itertools.combinations(catalog, r):
-            key = frozenset(subset)
-            witnesses: dict[int, SetRelation | None] = {}
-            for m in sizes:
-                for ax in subset:
-                    w = smaller[key - {ax}][m]
-                    if w is not None and check_grounded(w, grounded[m][ax]).holds:
-                        break
-                else:
-                    w = solved(m, subset)
-                witnesses[m] = w
-            layer[key] = witnesses
-            statuses = {m: "sat" if w is not None else "unsat" for m, w in witnesses.items()}
-            unsat = [m for m, w in witnesses.items() if w is None]
-            sat = [w for w in witnesses.values() if w is not None]
+    for subset in (s for r in range(len(CATALOG) + 1) for s in itertools.combinations(CATALOG, r)):
+        key = frozenset(subset)
+        for m in sizes:
+            for ax in subset:
+                w = witness[key - {ax}, m]
+                if w is not None and check_grounded(w, grounded[m][ax]).holds:
+                    break
+            else:
+                res = _solve_subset(solvers[m], subset)
+                axioms = [grounded[m][ax] for ax in subset]
+                w = decode_ranksets(Universe(m), res.assignment, relation_class, axioms) if res.satisfiable else None
+            witness[key, m] = w
+        if subset:
+            statuses = {m: "sat" if witness[key, m] is not None else "unsat" for m in sizes}
+            unsat = [m for m in sizes if witness[key, m] is None]
+            sat = [witness[key, m] for m in sizes if witness[key, m] is not None]
             findings.append(SubsetFinding(subset, statuses, unsat[0] if unsat else None, sat[-1] if sat else None))
-        smaller = layer
     return tuple(findings)
 
 

@@ -1,7 +1,9 @@
 """CNF model, a DPLL solver, DIMACS I/O and model enumeration.
 
-The solver knows nothing of what its variables mean; each encoder lives
-with the objects it encodes.
+The solver knows nothing of what its variables mean: a `Cnf` is a
+variable count and clauses.  Each encoder lives with the objects it
+encodes, and so do the names of its variables for a DIMACS sidecar
+(`swf.var_names`, `ranksets.var_names`).
 
 Literals are nonzero integers in the usual convention: +v asserts variable
 v, -v negates it.  The solver is plain DPLL with two-watched-literal unit
@@ -49,7 +51,6 @@ QUOTED_CHARS = 40
 class Cnf:
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
-    var_names: dict[int, str] | None = None
 
     def __post_init__(self):
         clauses = tuple(map(tuple, self.clauses))
@@ -136,17 +137,19 @@ class Solver:
         self._units: list[int] = []
         for ci, c in enumerate(self.clauses):
             # the second watch differs from the first, so a repeated literal
-            # cannot take both; a unit clause watches its literal twice
+            # cannot take both.  A clause of one distinct literal is a unit:
+            # each search makes it true at the root and never undoes it, so
+            # no watch list needs it
             first = c[0]
             second = c[1] if len(c) > 1 else first
             if second == first:
                 second = next((lit for lit in c if lit != first), first)
             self._watched.append([first, second])
-            self._watches[first].append(ci)
-            if second != first:
-                self._watches[second].append(ci)
-            else:
+            if second == first:
                 self._units.append(first)
+            else:
+                self._watches[first].append(ci)
+                self._watches[second].append(ci)
 
     def solve(self, assumptions=()) -> SolveResult:
         """Lexicographically greatest model (variable 1 first, true above

@@ -17,7 +17,8 @@ each SWF's constructor folds them over its ac table, from the lowest bit,
 into four masks, which the acyclicity check and the range share.  The
 per-SWF predicates are a few big-int tests on the tables and those masks:
 `satisfies_unanimity` is one AND and one OR, and `range_of` tests each of
-the eight social codes with one AND and returns one frozenset per set of
+the six acyclic social codes with one AND (the constructor refuses tables
+that produce either cyclic code) and returns one frozenset per set of
 codes.  `classify` gives one shared, immutable class per range to every
 SWF that is neither dictator nor inverse dictator.
 
@@ -27,9 +28,9 @@ classes (Tang-Lin), `survivors` filters by unanimity and non-dictatorship
 (Arrow) and `onto_survivors` by a range of all six orders (Wilson).
 `encode_arrow` returns the Arrow base case as a `Cnf` over the table
 entries, with acyclicity clauses on each (ab, ac, bc) entry triple that
-the entry-pair groups list, and `decode_model(n, model)` reads an SWF
-back out of a model; the models of `encode_arrow(n, axioms)` decode to
-exactly `survivors(classes, axioms)`.
+the entry-pair groups list, `var_names(n)` names its variables, and
+`decode_model(n, model)` reads an SWF back out of a model; the models of
+`encode_arrow(n, axioms)` decode to exactly `survivors(classes, axioms)`.
 
 Table convention: the entry index for a pair packs the agents' bits with
 agent 0 as the most significant bit, so index 2^n-1 is the all-ones input
@@ -238,7 +239,8 @@ def _dictators(n: int) -> Mapping[tuple[int, int, int], SwfClass]:
 def range_of(swf: PairwiseSwf) -> frozenset[LinearOrder]:
     """The social orders of swf, read off the constructor's four masks: the
     social code (ab, ac, bc) occurs iff the mask of its (ab, ac) bits meets
-    the bc entries that hold bc.  Bit c of codes marks code c."""
+    the bc entries that hold bc.  Bit c of codes marks code c.  The cyclic
+    codes 010 and 101 are not tested: the constructor refused them."""
     m00, m01, m10, m11 = swf._met
     ones = swf.tables[2]
     zeros = ~ones
@@ -247,14 +249,10 @@ def range_of(swf: PairwiseSwf) -> frozenset[LinearOrder]:
         codes = 0x01
     if m00 & ones:
         codes |= 0x02
-    if m01 & zeros:
-        codes |= 0x04
     if m01 & ones:
         codes |= 0x08
     if m10 & zeros:
         codes |= 0x10
-    if m10 & ones:
-        codes |= 0x20
     if m11 & zeros:
         codes |= 0x40
     if m11 & ones:
@@ -441,8 +439,12 @@ def encode_arrow(n: int, axioms: frozenset[str] | set[str] = frozenset()) -> Cnf
             bits = _agent_bits(n, i)
             lits = (-var(k, j) if bits >> (size - 1 - j) & 1 else var(k, j) for k in range(3) for j in range(size))
             clauses.append(tuple(lits))
-    names = {var(k, j): f"{PAIR_NAMES[k]}:{j:0{n}b}" for k in range(3) for j in range(size)}
-    return Cnf(3 * size, tuple(sorted(clauses)), var_names=names)
+    return Cnf(3 * size, tuple(sorted(clauses)))
+
+
+def var_names(n: int) -> dict[int, str]:
+    """The name of each variable of encode_arrow(n): its pair and entry."""
+    return {entry_var(n, k, j): f"{PAIR_NAMES[k]}:{j:0{n}b}" for k in range(3) for j in range(1 << n)}
 
 
 def decode_model(n: int, model: dict[int, bool]) -> PairwiseSwf:

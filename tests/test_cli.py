@@ -82,9 +82,10 @@ def test_arrow_emit_dimacs_header_matches_body(capsys, tmp_path):
     body = [l for l in text.splitlines()[1:] if l.strip()]
     assert declared == len(body)
     assert text == (GOLDEN / "arrow_n2_un_nd.cnf").read_text()
-    sidecar = json.loads((tmp_path / "arrow.cnf.vars.json").read_text())
-    assert sidecar["1"] == "ab:00"
-    assert len(sidecar) == 12
+    sidecar = (tmp_path / "arrow.cnf.vars.json").read_bytes()
+    assert json.loads(sidecar)["1"] == "ab:00"
+    assert len(sidecar) == 198
+    assert hashlib.sha256(sidecar).hexdigest() == "4fd9f7a84345584dd3f05f499700716e6004b952f7042bb89a391d2f2751afba"
 
 
 def test_arrow_three_agents(capsys):
@@ -1143,8 +1144,10 @@ def test_ranksets_emit_dimacs(capsys, tmp_path):
     assert code == 0
     header = path.read_text().splitlines()[0].split()
     assert header[:2] == ["p", "cnf"] and int(header[2]) == 49
-    sidecar = json.loads((path.with_name(path.name + ".vars.json")).read_text())
-    assert sidecar["1"] == "geq({a},{a})"
+    sidecar = path.with_name(path.name + ".vars.json").read_bytes()
+    assert json.loads(sidecar)["1"] == "geq({a},{a})"
+    assert len(sidecar) == 1310
+    assert hashlib.sha256(sidecar).hexdigest() == "4f47b5b7fb94561e506abe7d95a51f3ee43c9c68063fa7a90afe31ed6eb04547"
 
 
 def test_ranksets_emit_dimacs_is_written_before_the_solve(capsys, monkeypatch, tmp_path):

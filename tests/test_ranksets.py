@@ -256,10 +256,18 @@ def test_minmax_is_a_model_of_dominance_aversion_topmono():
         assert check_relation(rel, ax).holds
 
 
+def findings_within(report, axioms) -> tuple[SubsetFinding, ...]:
+    """The findings of the report on the subsets of axioms: what a search
+    over those axioms alone would report."""
+    return tuple(f for f in report if set(f.axioms) <= set(axioms))
+
+
 def test_find_inconsistent_subsets_aversion_appeal_minimal_m3():
-    report = find_inconsistent_subsets(
-        3, catalog=(Axiom.UNCERTAINTY_AVERSION, Axiom.UNCERTAINTY_APPEAL), relation_class=RelationClass.TRANSITIVE
+    report = findings_within(
+        find_inconsistent_subsets(3, relation_class=RelationClass.TRANSITIVE),
+        (Axiom.UNCERTAINTY_AVERSION, Axiom.UNCERTAINTY_APPEAL),
     )
+    assert len(report) == 3
     by_axioms = {f.axioms: f for f in report}
     pair = by_axioms[(Axiom.UNCERTAINTY_AVERSION, Axiom.UNCERTAINTY_APPEAL)]
     assert pair.statuses == {2: "sat", 3: "unsat"}  # vacuous at m=2
@@ -281,8 +289,8 @@ def test_find_inconsistent_subsets_full_catalog_monotone_at_m_le_4():
 
 
 def test_find_inconsistent_four_axioms_minimums_per_class():
-    lin = find_inconsistent_subsets(4, catalog=FOUR_AXIOMS, relation_class=RelationClass.LINEAR_ORDER)
-    tra = find_inconsistent_subsets(4, catalog=FOUR_AXIOMS, relation_class=RelationClass.TRANSITIVE)
+    lin = findings_within(find_inconsistent_subsets(4, relation_class=RelationClass.LINEAR_ORDER), FOUR_AXIOMS)
+    tra = findings_within(find_inconsistent_subsets(4, relation_class=RelationClass.TRANSITIVE), FOUR_AXIOMS)
     lin_all = next(f for f in lin if f.axioms == FOUR_AXIOMS)
     tra_all = next(f for f in tra if f.axioms == FOUR_AXIOMS)
     assert lin_all.minimal_unsat_m == 3
@@ -293,11 +301,11 @@ def test_find_inconsistent_four_axioms_minimums_per_class():
 
 
 def test_vacuous_only_subsets_are_sat_at_m2():
-    report = find_inconsistent_subsets(
-        2,
-        catalog=(Axiom.SIMPLE_DOMINANCE, Axiom.UNCERTAINTY_AVERSION, Axiom.SIMPLE_TOP_MONOTONICITY),
-        relation_class=RelationClass.LINEAR_ORDER,
+    report = findings_within(
+        find_inconsistent_subsets(2, relation_class=RelationClass.LINEAR_ORDER),
+        (Axiom.SIMPLE_DOMINANCE, Axiom.UNCERTAINTY_AVERSION, Axiom.SIMPLE_TOP_MONOTONICITY),
     )
+    assert len(report) == 7
     for f in report:
         assert f.statuses[2] == "sat", f.axioms
 
@@ -309,7 +317,7 @@ def test_guarded_solver_answers_every_subset_like_a_fresh_encoding():
             u = Universe(m)
             solver = _guarded_solver(u, [ground_axiom(u, ax) for ax in CATALOG], cls)
             for subset in subsets:
-                guarded = _solve_subset(solver, CATALOG, subset)
+                guarded = _solve_subset(solver, subset)
                 fresh = solve(encode_ranksets(u, subset, cls))
                 assert guarded.satisfiable == fresh.satisfiable, (cls, m, subset)
                 if fresh.satisfiable:
@@ -357,7 +365,7 @@ def test_linear_guarded_solver_matches_the_full_transitivity_encoding():
         solver = _guarded_solver(u, [ground_axiom(u, ax) for ax in CATALOG], cls)
         oracle_class = _full_transitivity_linear_clauses(u)
         for subset in subsets:
-            guarded = _solve_subset(solver, CATALOG, subset)
+            guarded = _solve_subset(solver, subset)
             clauses = oracle_class + [c for ax in subset for c in _var_axiom_clauses(u, ax)]
             oracle = solve(Cnf(((1 << m) - 1) ** 2, clauses))
             assert guarded.satisfiable == oracle.satisfiable, (m, subset)
@@ -512,11 +520,10 @@ def test_class_violation_matches_the_triple_loop_on_random_relations():
     assert kinds == {"transitivity", "totality", "antisymmetry", None}
 
 
-def _solve_every_cell(u_max, catalog, relation_class) -> tuple[SubsetFinding, ...]:
+def _solve_every_cell(u_max, relation_class) -> tuple[SubsetFinding, ...]:
     """find_inconsistent_subsets with one solve per (subset, size) cell: the
     reference for the search that takes witnesses from smaller subsets."""
-    catalog = tuple(catalog)
-    subsets = [s for r in range(1, len(catalog) + 1) for s in itertools.combinations(catalog, r)]
+    subsets = [s for r in range(1, len(CATALOG) + 1) for s in itertools.combinations(CATALOG, r)]
     solvers = {}
     findings = []
     for subset in subsets:
@@ -524,8 +531,8 @@ def _solve_every_cell(u_max, catalog, relation_class) -> tuple[SubsetFinding, ..
         for m in range(2, u_max + 1):
             u = Universe(m)
             if m not in solvers:
-                solvers[m] = _guarded_solver(u, [ground_axiom(u, ax) for ax in catalog], relation_class)
-            res = _solve_subset(solvers[m], catalog, subset)
+                solvers[m] = _guarded_solver(u, [ground_axiom(u, ax) for ax in CATALOG], relation_class)
+            res = _solve_subset(solvers[m], subset)
             statuses[m] = "sat" if res.satisfiable else "unsat"
             if res.satisfiable:
                 witness = decode_ranksets(u, res.assignment, relation_class)
@@ -538,7 +545,7 @@ def _solve_every_cell(u_max, catalog, relation_class) -> tuple[SubsetFinding, ..
 @pytest.mark.parametrize("cls", list(RelationClass), ids=lambda c: c.value)
 def test_discover_reports_equal_solving_every_cell(cls):
     for u_max in (2, 3, 4, 5):
-        want = _solve_every_cell(u_max, CATALOG, cls)
+        want = _solve_every_cell(u_max, cls)
         assert find_inconsistent_subsets(u_max, relation_class=cls) == want, u_max
 
 
@@ -559,9 +566,3 @@ def test_discover_solves_only_cells_no_smaller_witness_answers(monkeypatch, cls,
     monkeypatch.setattr(Solver, "solve", counting)
     find_inconsistent_subsets(5, relation_class=cls)
     assert len(calls) == solves
-
-
-def test_discover_refuses_a_repeated_axiom():
-    catalog = (Axiom.SIMPLE_DOMINANCE, Axiom.INDEPENDENCE, Axiom.SIMPLE_DOMINANCE)
-    with pytest.raises(ValueError, match="axiom dominance is listed more than once"):
-        find_inconsistent_subsets(3, catalog=catalog)

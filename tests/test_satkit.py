@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -57,6 +58,31 @@ def random_3cnf(rng: random.Random) -> Cnf:
         vs = rng.sample(range(1, num_vars + 1), 3)
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
     return Cnf(num_vars, tuple(clauses))
+
+
+def random_short_cnf(rng: random.Random) -> Cnf:
+    """Clauses of 1 to 3 literals over few variables, each literal drawn on
+    its own, so that unit clauses such as (x) and (x, x) occur."""
+    num_vars = rng.randint(1, 8)
+    clauses = []
+    for _ in range(rng.randint(1, 2 * num_vars)):
+        vs = rng.choices(range(1, num_vars + 1), k=rng.randint(1, 3))
+        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
+    return Cnf(num_vars, tuple(clauses))
+
+
+def unit_literals(cnf: Cnf) -> list[int]:
+    """The literal of each clause of one distinct literal."""
+    return [c[0] for c in cnf.clauses if len(set(c)) == 1]
+
+
+def truth_table(cnf: Cnf, assumptions=()) -> list[dict[int, bool]]:
+    """Every model of cnf that makes each assumption literal true, found by
+    trying every assignment, in lexicographically descending order."""
+    n = cnf.num_vars
+    clauses = cnf.clauses + tuple((lit,) for lit in assumptions)
+    models = (dict(zip(range(1, n + 1), bits)) for bits in itertools.product((True, False), repeat=n))
+    return [m for m in models if all(any(m[abs(lit)] == (lit > 0) for lit in c) for c in clauses)]
 
 
 def test_solve_equivalence_formula():
@@ -289,13 +315,14 @@ def test_enumerate_models_equals_the_truth_table_in_descending_order():
     rng = random.Random(777)
     for _ in range(60):
         cnf = random_3cnf(rng)
-        n = cnf.num_vars
-        want = []
-        for bits in itertools.product((True, False), repeat=n):
-            model = dict(zip(range(1, n + 1), bits))
-            if all(any(model[abs(lit)] == (lit > 0) for lit in c) for c in cnf.clauses):
-                want.append(model)
-        assert list(enumerate_models(cnf).models) == want
+        assert list(enumerate_models(cnf).models) == truth_table(cnf)
+    # unit clauses, (x, x) among them, which random_3cnf never draws
+    short = [random_short_cnf(rng) for _ in range(200)]
+    assert any(len(c) == 1 for cnf in short for c in cnf.clauses)
+    assert any(len(c) > 1 and len(set(c)) == 1 for cnf in short for c in cnf.clauses)
+    assert {bool(truth_table(cnf)) for cnf in short if unit_literals(cnf)} == {True, False}
+    for cnf in short:
+        assert list(enumerate_models(cnf).models) == truth_table(cnf), cnf
 
 
 def test_solve_answers_the_first_model_of_allsat():
@@ -311,7 +338,29 @@ def test_solve_answers_the_first_model_of_allsat():
             a = [v if rng.random() < 0.5 else -v for v in rng.choices(range(1, cnf.num_vars + 1), k=k)]
             first = next(Solver(cnf)._search(a), None)
             assert Solver(cnf).solve(a) == SolveResult(first is not None, first)
+    # unit clauses, and assumptions that contradict one, against the truth table
+    contradicted = 0
+    for _ in range(200):
+        cnf = random_short_cnf(rng)
+        res, run = solve(cnf), enumerate_models(cnf)
+        assert res == (SolveResult(True, run.models[0]) if run.models else SolveResult(False))
+        solver, units = Solver(cnf), unit_literals(cnf)
+        drawn = [rng.choice((v, -v)) for v in rng.choices(range(1, cnf.num_vars + 1), k=rng.randint(1, 3))]
+        for a in ([-rng.choice(units)] if units else [], drawn):
+            want = truth_table(cnf, a)
+            assert solver.solve(a) == (SolveResult(True, want[0]) if want else SolveResult(False)), (cnf, a)
+        contradicted += bool(units)
+    assert contradicted > 100
 
+
+def test_no_watch_list_holds_a_unit_clause():
+    rng = random.Random(31)
+    for _ in range(200):
+        cnf = random_short_cnf(rng)
+        solver = Solver(cnf)
+        assert solver._units == unit_literals(cnf)
+        watched = {ci for occ in solver._watches for ci in occ}
+        assert watched == {ci for ci, c in enumerate(cnf.clauses) if len(set(c)) > 1}
 
 def test_each_search_owns_its_assignment():
     cnf = encode_arrow(2)
@@ -425,9 +474,13 @@ def test_from_dimacs_skips_comments_and_blank_lines():
 def test_encode_arrow_var_count_and_names():
     cnf = encode_arrow(2, {UN, ND})
     assert cnf.num_vars == 12
-    assert cnf.var_names[entry_var(2, 0, 3)] == "ab:11"
-    assert cnf.var_names[entry_var(2, 2, 0)] == "bc:00"
-    assert cnf.var_names[entry_var(2, 1, 2)] == "ac:10"
+    # a Cnf is a formula alone: the names come from the encoder's module
+    assert [f.name for f in dataclasses.fields(Cnf)] == ["num_vars", "clauses"]
+    names = swf.var_names(2)
+    assert sorted(names) == list(range(1, cnf.num_vars + 1))
+    assert names[entry_var(2, 0, 3)] == "ab:11"
+    assert names[entry_var(2, 2, 0)] == "bc:00"
+    assert names[entry_var(2, 1, 2)] == "ac:10"
     # the numbering is a bijection from (pair, entry) onto 1..12
     assert sorted(entry_var(2, k, j) for k in range(3) for j in range(4)) == list(range(1, 13))
 
