@@ -7,9 +7,13 @@ encodes, and so do the names of its variables for a DIMACS sidecar
 
 Literals are nonzero integers in the usual convention: +v asserts variable
 v, -v negates it.  The solver is plain DPLL with two-watched-literal unit
-propagation and chronological backtracking; decisions always pick the
+propagation (Chaff's scheme, with MiniSat's flat per-clause storage of the
+watches) and chronological backtracking; decisions always pick the
 lowest-index unassigned variable, trying true first, so runs are fully
 deterministic and every Sat answer is the lexicographically greatest model.
+Each clause starts out watching its last two distinct literals: the
+encoders put low variables first and the search assigns low variables
+first, so late watches wake later than early ones would.
 
 `Cnf` is the one place a clause is checked.  `Solver(cnf)` takes its
 formula once, fixed from then on, and keeps its watch lists between calls
@@ -124,6 +128,15 @@ class Solver:
     its one model clause by clause, since the clause masks that AllSAT
     checks against cost about ten such passes to build.
 
+    The two literals clause ci watches are `_w0[ci]` and `_w1[ci]`, two
+    flat int lists indexed by clause, and `_watches[lit]` lists the clauses
+    that watch lit.  Which literals a clause watches changes only what a
+    search costs, never what it answers: unit propagation reaches the same
+    closure, or a conflict, in whatever order it visits the watches, and
+    each decision depends on that closure alone (the lowest unassigned
+    variable, tried true first).  So the search tree, every model and the
+    AllSAT order do not depend on the watches.
+
     Per-literal state sits in lists indexed by the literal itself: +v at
     index v and -v at index -v, which Python maps into the upper half of a
     list of 2 * num_vars + 1 entries.
@@ -132,24 +145,23 @@ class Solver:
     def __init__(self, cnf: Cnf):
         self.num_vars = num_vars = cnf.num_vars
         self.clauses = cnf.clauses
-        self._watched: list[list[int]] = []  # the two watched literals of each clause
-        self._watches: list[list[int]] = [[] for _ in range(2 * num_vars + 1)]  # by literal
+        # clause ci first watches its last literal and the last one that
+        # differs from it.  A clause of one distinct literal is a unit: each
+        # search makes it true at the root and never undoes it, so no watch
+        # list needs it
+        self._w0 = w0 = [c[-1] for c in self.clauses]
+        self._w1 = w1 = [
+            c[-2] if len(c) > 1 and c[-2] != last else next((lit for lit in reversed(c) if lit != last), last)
+            for c, last in zip(self.clauses, w0)
+        ]
         self._units: list[int] = []
-        for ci, c in enumerate(self.clauses):
-            # the second watch differs from the first, so a repeated literal
-            # cannot take both.  A clause of one distinct literal is a unit:
-            # each search makes it true at the root and never undoes it, so
-            # no watch list needs it
-            first = c[0]
-            second = c[1] if len(c) > 1 else first
-            if second == first:
-                second = next((lit for lit in c if lit != first), first)
-            self._watched.append([first, second])
-            if second == first:
-                self._units.append(first)
+        self._watches: list[list[int]] = [[] for _ in range(2 * num_vars + 1)]  # by literal
+        for ci, (a, b) in enumerate(zip(w0, w1)):
+            if a == b:
+                self._units.append(a)
             else:
-                self._watches[first].append(ci)
-                self._watches[second].append(ci)
+                self._watches[a].append(ci)
+                self._watches[b].append(ci)
 
     def solve(self, assumptions=()) -> SolveResult:
         """Lexicographically greatest model (variable 1 first, true above
@@ -180,7 +192,7 @@ class Solver:
         for lit in assumptions:
             if lit == 0 or abs(lit) > nvars:
                 raise ValueError(f"assumption {lit} is not a literal over {nvars} variable(s)")
-        clauses, watches, watched = self.clauses, self._watches, self._watched
+        clauses, watches, w0, w1 = self.clauses, self._watches, self._w0, self._w1
         value = [0] * (2 * nvars + 1)  # by literal: 0 unassigned, 1 true, -1 false
         trail: list[int] = []  # literals made true, in order
 
@@ -200,15 +212,14 @@ class Solver:
                 i, end = 0, len(occ)
                 while i < end:
                     ci = occ[i]
-                    w = watched[ci]
-                    other = w[1] if w[0] == falsified else w[0]
+                    other = w1[ci] if w0[ci] == falsified else w0[ci]
                     if value[other] == 1:
                         i += 1
                         continue
                     for cand in clauses[ci]:
-                        if cand != other and cand != falsified and value[cand] != -1:
-                            # move the watch to a non-false literal
-                            w[0], w[1] = other, cand
+                        # move the watch to a non-false literal; falsified is false, so needs no test
+                        if value[cand] != -1 and cand != other:
+                            w0[ci], w1[ci] = other, cand
                             watches[cand].append(ci)
                             end -= 1
                             occ[i] = occ[end]

@@ -10,7 +10,7 @@ import pytest
 
 from implab import satkit, swf
 from implab.orders import all_linear_orders
-from implab.ranksets import CATALOG, RelationClass, Universe, _guarded_solver, ground_axiom
+from implab.ranksets import CATALOG, RelationClass, Universe, _guarded_solver, encode_ranksets, ground_axiom
 from implab.satkit import Cnf, SolveResult, Solver, enumerate_models, from_dimacs, solve, to_dimacs
 from implab.swf import (
     DICTATORIAL,
@@ -83,6 +83,57 @@ def truth_table(cnf: Cnf, assumptions=()) -> list[dict[int, bool]]:
     clauses = cnf.clauses + tuple((lit,) for lit in assumptions)
     models = (dict(zip(range(1, n + 1), bits)) for bits in itertools.product((True, False), repeat=n))
     return [m for m in models if all(any(m[abs(lit)] == (lit > 0) for lit in c) for c in clauses)]
+
+
+def reference_dpll(cnf: Cnf, assumptions=()) -> SolveResult:
+    """DPLL with no watches: each round of propagation rescans every clause
+    for a conflict or a unit, and each decision takes the lowest unassigned
+    variable, true first."""
+    clauses = cnf.clauses + tuple((lit,) for lit in assumptions)
+
+    def closure(assignment: dict[int, bool]) -> dict[int, bool] | None:
+        while True:
+            units = set()
+            for c in clauses:
+                if any(assignment.get(abs(lit)) == (lit > 0) for lit in c):
+                    continue
+                free = {lit for lit in c if abs(lit) not in assignment}
+                if not free:
+                    return None
+                if len(free) == 1:
+                    units |= free
+            if not units:
+                return assignment
+            if any(-lit in units for lit in units):
+                return None
+            assignment.update((abs(lit), lit > 0) for lit in units)
+
+    def search(assignment: dict[int, bool]) -> dict[int, bool] | None:
+        assignment = closure(assignment)
+        if assignment is None:
+            return None
+        var = next((v for v in range(1, cnf.num_vars + 1) if v not in assignment), None)
+        if var is None:
+            return assignment
+        return search({**assignment, var: True}) or search({**assignment, var: False})
+
+    model = search({})
+    return SolveResult(True, model) if model is not None else SolveResult(False)
+
+
+def reversed_literals(cnf: Cnf) -> Cnf:
+    """The same clauses, each with its literals in reverse order."""
+    return Cnf(cnf.num_vars, tuple(c[::-1] for c in cnf.clauses))
+
+
+def oracle_corpus() -> list[Cnf]:
+    """Every ranksets CNF at m = 2 and 3 under each class and catalog
+    subset, and the Arrow base case at n = 1 and 2 under each axiom set."""
+    subsets = [s for r in range(len(CATALOG) + 1) for s in itertools.combinations(CATALOG, r)]
+    assert len(subsets) == 32
+    ranksets = [encode_ranksets(Universe(m), s, cls) for m in (2, 3) for cls in RelationClass for s in subsets]
+    arrow = [encode_arrow(n, set(axioms)) for n in (1, 2) for r in range(3) for axioms in itertools.combinations((UN, ND), r)]
+    return ranksets + arrow
 
 
 def test_solve_equivalence_formula():
@@ -353,14 +404,56 @@ def test_solve_answers_the_first_model_of_allsat():
     assert contradicted > 100
 
 
+def assert_watches_consistent(solver: Solver) -> None:
+    """Each non-unit clause sits on exactly the watch lists of its two
+    watched literals, which are two distinct literals of the clause."""
+    on = {}
+    for lit, occ in enumerate(solver._watches):
+        for ci in occ:
+            on.setdefault(ci, []).append(lit - len(solver._watches) if lit > solver.num_vars else lit)
+    non_units = [ci for ci, c in enumerate(solver.clauses) if len(set(c)) > 1]
+    assert sorted(on) == non_units
+    for ci in non_units:
+        a, b = solver._w0[ci], solver._w1[ci]
+        assert a != b and a in solver.clauses[ci] and b in solver.clauses[ci]
+        assert sorted(on[ci]) == sorted((a, b))
+
+
 def test_no_watch_list_holds_a_unit_clause():
     rng = random.Random(31)
-    for _ in range(200):
-        cnf = random_short_cnf(rng)
+    corpus = [random_short_cnf(rng) for _ in range(200)] + [random_3cnf(rng) for _ in range(50)] + [encode_arrow(2)]
+    for cnf in corpus:
         solver = Solver(cnf)
         assert solver._units == unit_literals(cnf)
-        watched = {ci for occ in solver._watches for ci in occ}
-        assert watched == {ci for ci, c in enumerate(cnf.clauses) if len(set(c)) > 1}
+        assert_watches_consistent(solver)
+        for _ in solver._search():  # a full AllSAT run moves the watches
+            pass
+        assert_watches_consistent(solver)
+
+
+def test_solve_equals_a_reference_dpll_without_watches():
+    for cnf in oracle_corpus():
+        assert solve(cnf) == reference_dpll(cnf), cnf.num_vars
+    rng = random.Random(5)
+    u = Universe(3)
+    grounded = [ground_axiom(u, ax) for ax in CATALOG]
+    for cls in RelationClass:
+        solver = _guarded_solver(u, grounded, cls)
+        cnf = Cnf(solver.num_vars, solver.clauses)
+        atoms = ((1 << u.m) - 1) ** 2
+        for _ in range(12):
+            selectors = [rng.choice((s, -s)) for s in range(atoms + 1, atoms + len(CATALOG) + 1)]
+            drawn = [rng.choice((v, -v)) for v in rng.sample(range(1, atoms + 1), rng.randint(0, 3))]
+            a = selectors + drawn
+            assert solver.solve(a) == reference_dpll(cnf, a), (cls, a)
+
+
+def test_reversed_clauses_give_the_same_answers():
+    # reversing each clause's literals starts the solver from other watches
+    for cnf in oracle_corpus():
+        rev = reversed_literals(cnf)
+        assert solve(rev) == solve(cnf)
+        assert enumerate_models(rev, limit=100) == enumerate_models(cnf, limit=100)
 
 def test_each_search_owns_its_assignment():
     cnf = encode_arrow(2)
