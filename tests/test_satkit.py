@@ -121,18 +121,14 @@ def reference_dpll(cnf: Cnf, assumptions=()) -> SolveResult:
     return SolveResult(True, model) if model is not None else SolveResult(False)
 
 
-def reversed_literals(cnf: Cnf) -> Cnf:
-    """The same clauses, each with its literals in reverse order."""
-    return Cnf(cnf.num_vars, tuple(c[::-1] for c in cnf.clauses))
-
-
 def oracle_corpus() -> list[Cnf]:
     """Every ranksets CNF at m = 2 and 3 under each class and catalog
     subset, and the Arrow base case at n = 1 and 2 under each axiom set."""
     subsets = [s for r in range(len(CATALOG) + 1) for s in itertools.combinations(CATALOG, r)]
     assert len(subsets) == 32
     ranksets = [encode_ranksets(Universe(m), s, cls) for m in (2, 3) for cls in RelationClass for s in subsets]
-    arrow = [encode_arrow(n, set(axioms)) for n in (1, 2) for r in range(3) for axioms in itertools.combinations((UN, ND), r)]
+    axiom_sets = [set(a) for r in range(3) for a in itertools.combinations((UN, ND), r)]
+    arrow = [encode_arrow(n, axioms) for n in (1, 2) for axioms in axiom_sets]
     return ranksets + arrow
 
 
@@ -451,7 +447,7 @@ def test_solve_equals_a_reference_dpll_without_watches():
 def test_reversed_clauses_give_the_same_answers():
     # reversing each clause's literals starts the solver from other watches
     for cnf in oracle_corpus():
-        rev = reversed_literals(cnf)
+        rev = Cnf(cnf.num_vars, tuple(c[::-1] for c in cnf.clauses))
         assert solve(rev) == solve(cnf)
         assert enumerate_models(rev, limit=100) == enumerate_models(cnf, limit=100)
 
