@@ -385,7 +385,9 @@ def test_solve_answers_the_first_model_of_allsat():
             a = [v if rng.random() < 0.5 else -v for v in rng.choices(range(1, cnf.num_vars + 1), k=k)]
             first = next(Solver(cnf)._search(a), None)
             assert Solver(cnf).solve(a) == SolveResult(first is not None, first)
-    # unit clauses, and assumptions that contradict one, against the truth table
+    # unit clauses, and assumptions that contradict one, against the truth
+    # table: solve's first model and the whole AllSAT run under assumptions,
+    # on one solver per formula, as discover uses it
     contradicted = 0
     for _ in range(200):
         cnf = random_short_cnf(rng)
@@ -396,6 +398,7 @@ def test_solve_answers_the_first_model_of_allsat():
         for a in ([-rng.choice(units)] if units else [], drawn):
             want = truth_table(cnf, a)
             assert solver.solve(a) == (SolveResult(True, want[0]) if want else SolveResult(False)), (cnf, a)
+            assert list(solver._search(a)) == want, (cnf, a)
         contradicted += bool(units)
     assert contradicted > 100
 
