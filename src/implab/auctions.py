@@ -649,15 +649,3 @@ def abstract_grid(v_i, delta) -> BidGrid:
         raise ValueError(f"negative value {value}")
     points = (_writable(max(0, value - step), "grid point"), value, _writable(value + step, "grid point"))
     return BidGrid(tuple(sorted(set(points))))
-
-
-def check_abstract_budget(n_max: int, grid: BidGrid, sweep_budget: int = DEFAULT_SWEEP_BUDGET) -> None:
-    """Refuse the sweeps of agent 0 over grid for n = 2..n_max before any of them runs.
-
-    With k grid points the sweep over n bidders has k**n cells, which grows
-    with n, so the sweeps fit when the last one, over n_max bidders, does.
-    """
-    k = len(grid.points)
-    if _exceeds(k, n_max, sweep_budget):
-        cells = _power(k, n_max)
-        raise ValueError(f"abstract sweep of {cells} cells over {n_max} bidders exceeds budget {sweep_budget}")

@@ -139,13 +139,18 @@ def _emit_dimacs(cnf: satkit.Cnf, names: dict[int, str], path: str) -> None:
         f.write("\n")
 
 
-def _dominance_ce_json(ce: auctions.DominanceCounterexample | None) -> dict | None:
-    return ce and {
-        "agent": ce.agent,
-        "truthful_bids": list(map(str, ce.truthful_bids)),
-        "deviation_bids": list(map(str, ce.deviation_bids)),
-        "truthful_payoff": str(ce.truthful_payoff),
-        "deviation_payoff": str(ce.deviation_payoff),
+def _sweep_json(res: auctions.DominanceResult, grid: auctions.BidGrid) -> dict:
+    ce = res.counterexample
+    return {
+        "grid": list(map(str, grid.points)),
+        "cells": res.cells,
+        "counterexample": ce and {
+            "agent": ce.agent,
+            "truthful_bids": list(map(str, ce.truthful_bids)),
+            "deviation_bids": list(map(str, ce.deviation_bids)),
+            "truthful_payoff": str(ce.truthful_payoff),
+            "deviation_payoff": str(ce.deviation_payoff),
+        },
     }
 
 
@@ -285,9 +290,7 @@ def cmd_vickrey(args) -> tuple[dict, int]:
             "verdict": "holds" if res.holds else "counterexample",
             "rule": args.rule,
             "values": list(map(str, auctions.to_amounts(values))),
-            "grid": list(map(str, grid.points)),
-            "cells": res.cells,
-            "counterexample": _dominance_ce_json(res.counterexample),
+            **_sweep_json(res, grid),
         }
         return payload, 0 if res.holds else 3
     if args.vickrey_cmd == "efficiency":
@@ -319,23 +322,17 @@ def cmd_vickrey(args) -> tuple[dict, int]:
         if args.n_max < 2:
             raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
         grid = auctions.abstract_grid(args.value, args.delta)
-        auctions.check_abstract_budget(args.n_max, grid, budget)
         value = auctions.to_amount(args.value)
         per_n = []
         all_hold = True
-        for n in range(2, args.n_max + 1):
+        # largest first: the grid holds the value, so the n = --n-max sweep has
+        # the most cells, and check_dominance refuses it before any rule call
+        for n in range(args.n_max, 1, -1):
             # the abstraction checks one distinguished bidder, agent 0
             res = auctions.check_dominance(n, ((0, value),), grid, rule, budget)
             all_hold &= res.holds
-            per_n.append(
-                {
-                    "n": n,
-                    "holds": res.holds,
-                    "grid": list(map(str, grid.points)),
-                    "cells": res.cells,
-                    "counterexample": _dominance_ce_json(res.counterexample),
-                }
-            )
+            per_n.append({"n": n, "holds": res.holds, **_sweep_json(res, grid)})
+        per_n.reverse()
         payload = {
             "verdict": "holds" if all_hold else "counterexample",
             "rule": args.rule,

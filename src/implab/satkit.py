@@ -76,13 +76,10 @@ class Cnf:
         # one pass collects the distinct literals, which are then checked in
         # bulk; only a formula that fails the bulk check is walked literal by
         # literal, so that the error names its first bad clause or literal
-        try:
-            lits = set(chain.from_iterable(clauses))
-            lo, hi = min(lits, default=0), max(lits, default=0)
-            if all(clauses) and 0 not in lits and -num_vars <= lo and hi <= num_vars:
-                return
-        except TypeError:
-            pass
+        lits = set(chain.from_iterable(clauses))
+        lo, hi = min(lits, default=0), max(lits, default=0)
+        if all(clauses) and 0 not in lits and -num_vars <= lo and hi <= num_vars:
+            return
         for c in clauses:
             if not c:
                 raise ValueError("empty clause not allowed at construction")

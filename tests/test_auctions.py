@@ -693,35 +693,6 @@ def test_budget_rule_answers_a_huge_exponent_without_the_power():
     assert time.perf_counter() - started < 0.1
 
 
-def _abstract_budget_search(n_max: int, k: int, budget: int) -> int | None:
-    """The first n in 2..n_max whose sweep of k**n cells exceeds budget, by
-    the search check_abstract_budget made before it became one check: every
-    n from budget.bit_length() on is over budget, so it stops there."""
-    for n in range(2, min(n_max, max(2, budget.bit_length())) + 1):
-        if auctions._exceeds(k, n, budget):
-            return n
-    return None
-
-
-def test_abstract_budget_is_one_check_that_makes_the_searchs_decision():
-    for k, points in ((2, "0,1"), (3, "0,1,2")):
-        grid = parse_grid(points)
-        # where the decision can change, k**e - 1 and k**e, and the powers of ten
-        budgets = {0, 10**50} | {k**e - d for e in range(1, 200) for d in (0, 1) if k**e <= 10**50}
-        for budget in sorted(budgets | {10**e for e in range(51)}):
-            # the search over 2..n_max runs a prefix of the one over 2..200, so
-            # it refuses exactly when the latter's first n over budget is at most n_max
-            first = _abstract_budget_search(200, k, budget)
-            for n_max in range(2, 201):
-                refused = first is not None and first <= n_max
-                try:
-                    auctions.check_abstract_budget(n_max, grid, budget)
-                except ValueError as e:
-                    assert refused and str(e).endswith(f" cells over {n_max} bidders exceeds budget {budget}")
-                else:
-                    assert not refused, (k, budget, n_max)
-
-
 def test_parse_grid_refuses_k_points_over_n_bidders_when_k_to_the_n_exceeds_the_budget():
     assert len(parse_grid("0:10:1", budget=121, n=2).points) == 11
     with pytest.raises(ValueError) as info:

@@ -829,6 +829,18 @@ def test_each_command_imports_only_the_layers_it_runs(argv, stdin, layers):
     assert ast.literal_eval(out.stderr) == sorted(["implab.cli", *(f"implab.{m}" for m in layers)])
 
 
+@pytest.mark.parametrize(
+    "agents, status, verdict, stderr",
+    [("1", 0, "impossibility holds", ""), ("9", 1, None, "error: agent count 9 outside supported range 1..8\n")],
+)
+def test_the_cli_module_runs_as_a_script(agents, status, verdict, stderr):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [sys.executable, "-m", "implab.cli", "arrow", "--agents", agents]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (status, stderr)
+    assert (json.loads(out.stdout)["verdict"] if out.stdout else None) == verdict
+
+
 def test_the_package_root_binds_only_its_version_and_loads_no_layer():
     # each name has one import path, its module's: implab.satkit.Cnf, not implab.Cnf
     code = (
@@ -979,8 +991,28 @@ def test_abstract_sweep_over_budget_is_refused_before_any_rule_call(capsys, monk
     # grid 0, 1, 2: 3**n cells, which grow with n, so the n = 10 sweep decides
     assert main(["vickrey", "abstract", "--n-max", "10", "--value", "1", "--delta", "1"]) == 1
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: abstract sweep of 59049 cells over 10 bidders exceeds budget 100\n")
+    assert (captured.out, captured.err) == ("", "error: dominance sweep of 59049 cells exceeds budget 100\n")
     assert calls == []
+
+
+@pytest.mark.parametrize("value, k", [("1", 3), ("0", 2)])
+@pytest.mark.parametrize("n_max", [2, 5])
+def test_abstract_sweep_runs_at_k_to_the_n_max_cells_and_is_refused_one_below(capsys, monkeypatch, value, k, n_max):
+    calls = []
+    rule = auctions.RULES["second-price"]
+    monkeypatch.setitem(auctions.RULES, "second-price", lambda bids: calls.append(bids) or rule(bids))
+    argv = ["vickrey", "abstract", "--n-max", str(n_max), "--value", value, "--delta", "1"]
+    # the grid holds the value, so agent 0 has k deviations and the largest sweep k**n_max cells
+    monkeypatch.setenv("IMPLAB_BUDGET", str(k**n_max - 1))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    refusal = f"error: dominance sweep of {k**n_max} cells exceeds budget {k**n_max - 1}\n"
+    assert (captured.out, captured.err) == ("", refusal)
+    assert calls == []
+    monkeypatch.setenv("IMPLAB_BUDGET", str(k**n_max))
+    code, report = run_cli(capsys, *argv)
+    assert (code, [e["n"] for e in report["per_n"]]) == (0, list(range(2, n_max + 1)))
+    assert [e["cells"] for e in report["per_n"]] == [k**n for n in range(2, n_max + 1)]
 
 
 def test_soundness_sweep_over_more_bidders_than_the_budget_is_refused_before_any_rule_call(

@@ -430,6 +430,13 @@ def test_swf_class_validation():
         SwfClass(SMALL_RANGE, orders=(ABC, CBA))  # distance 3
     with pytest.raises(ValueError):
         SwfClass("bogus")
+    with pytest.raises(ValueError):
+        SwfClass(CONSTANT, orders=(ABC, ACB))
+    with pytest.raises(ValueError):
+        SwfClass(SMALL_RANGE, orders=(ABC,))
+    # no SWF at n <= 4 has a range of three orders, so the branch is reached directly
+    three = (ABC, ACB, CBA)
+    assert swf_module._range_class(frozenset(three)) == SwfClass(UNCLASSIFIED, orders=tuple(sorted(three)))
 
 
 def test_within_one_swap_is_kendall_distance_at_most_one():
